@@ -8,9 +8,7 @@ error.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -94,19 +92,12 @@ def map_cmd(inputs, lib_path, k, supergate_depth, cut_cap, frontier_cap,
         except NetlistError as e:
             _fail(EXIT_PARSE, f"parse {p.name}", e)
 
-    def run(item):
-        p, g = item
-        return p, flow.map_graph(g, lib, table, k=k, cut_cap=cut_cap,
-                                 frontier_cap=frontier_cap, objective=objective,
-                                 retime=not no_retime)
-
-    threads = max(1, int(os.environ.get("PBMAP_THREADS", "1")))
     try:
-        if threads > 1 and len(graphs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, graphs))
-        else:
-            results = [run(item) for item in graphs]
+        results = [(p, flow.map_graph(g, lib, table, k=k, cut_cap=cut_cap,
+                                      frontier_cap=frontier_cap,
+                                      objective=objective,
+                                      retime=not no_retime))
+                   for p, g in graphs]
     except Exception as e:  # noqa: BLE001 - surface stage + cause, per contract
         _fail(EXIT_INTERNAL, "map", e)
 

@@ -7,6 +7,12 @@ match's DFF count is its leaves' cumulative counts plus the retimed DFF
 count of the supergate given the chosen leaf arrival heights.  Multi-fanout
 nodes are hard cover boundaries: their frontier collapses to the single
 best point so all consumers share one implementation.
+
+Leaf-to-input wirings come from one cached table, ``_profiles``: for each
+(supergate, cut function, leaf heights) it holds one wiring per distinct
+permuted height profile with its root height and retimed DFF count, so neither
+the DP nor the depth-greedy baseline re-walks the symmetry permutations per
+candidate.
 """
 
 from __future__ import annotations
@@ -100,9 +106,38 @@ def _insert_pareto(frontier: list[Match], cand: Match, cap: int):
         del frontier[cap:]
 
 
+def _dominated(frontier: list[Match], height: int, dffs: int) -> bool:
+    """Whether _insert_pareto would drop a (height, dffs) candidate: its scan
+    meets a dominating point before an equal one (which keeps it as an
+    alternate)."""
+    for m in frontier:
+        if m.height == height and m.dffs == dffs:
+            return False
+        if m.height <= height and m.dffs <= dffs:
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
-def _retimed(sg: Supergate, heights: tuple[int, ...]) -> int:
-    return retimed_match_dffs(sg, heights)
+def _profiles(sg: Supergate, func: int, base: tuple[int, ...]):
+    """Distinct wirings of ``sg`` onto a cut of function ``func`` whose leaves
+    arrive at ``base``: one (perm, root_height, retimed_dffs) entry per
+    distinct permuted height profile ``tuple(base[p] for p in perm)``, in
+    first-occurrence order over ``symmetry_perms`` (frontier tie-breaking
+    depends on that order).  The profiles themselves are not kept; a caller
+    rebuilds one only for a candidate it keeps, so the cache holds no height
+    tuples."""
+    depths = sg.leaf_depths
+    seen = set()
+    out = []
+    for perm in symmetry_perms(func, len(base)):
+        heights = tuple(base[p] for p in perm)
+        if heights in seen:
+            continue
+        seen.add(heights)
+        height = max(h + d for h, d in zip(heights, depths))
+        out.append((perm, height, retimed_match_dffs(sg, heights)))
+    return tuple(out)
 
 
 def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
@@ -114,7 +149,6 @@ def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
     the choice matter, so every distinct permuted height profile is emitted.
     """
     depths = sg.leaf_depths
-    perms = symmetry_perms(cut.func, len(cut.leaves))
     size = 1
     for lf in leaf_fronts:
         size *= len(lf)
@@ -122,21 +156,17 @@ def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
             break
 
     def emit(choice):
-        base = tuple(m.height for m in choice)
         leaf_dffs = sum(m.dffs for m in choice)
         area = sg.area + sum(m.area for m in choice)
         jj = sg.jj_count + sum(m.jj for m in choice)
-        seen = set()
-        for perm in perms:
-            heights = tuple(base[p] for p in perm)
-            if heights in seen:
+        base = tuple(m.height for m in choice)
+        for perm, height, sg_dffs in _profiles(sg, cut.func, base):
+            dffs = leaf_dffs + sg_dffs
+            if _dominated(out, height, dffs):
                 continue
-            seen.add(heights)
-            dffs = leaf_dffs + _retimed(sg, heights)
-            height = max(h + d for h, d in zip(heights, depths))
             cand = Match(
                 supergate=sg, cut=cut, phase=phase, height=height, dffs=dffs,
-                area=area, jj=jj, leaf_heights=heights,
+                area=area, jj=jj, leaf_heights=tuple(base[p] for p in perm),
                 leaves=tuple(cut.leaves[p] for p in perm),
             )
             _insert_pareto(out, cand, cap)
@@ -312,17 +342,15 @@ def map_depth_greedy(g: SubjectGraph, cutsets, table,
             if not sgs:
                 continue
             leaf_ms = [solutions[(leaf, POS)].best for leaf in cut.leaves]
-            perms = symmetry_perms(cut.func, len(cut.leaves))
+            base = tuple(m.height for m in leaf_ms)
             for sg in sgs:
-                base = tuple(m.height for m in leaf_ms)
                 # wiring chosen by arrival height alone (DFF-oblivious),
                 # ties broken by the height profile for determinism
-                perm = min(perms, key=lambda p: (
-                    max(base[p[j]] + d for j, d in enumerate(sg.leaf_depths)),
-                    tuple(base[j] for j in p)))
+                perm, height, sg_dffs = min(
+                    _profiles(sg, cut.func, base),
+                    key=lambda e: (e[1], tuple(base[p] for p in e[0])))
                 heights = tuple(base[p] for p in perm)
-                height = max(h + d for h, d in zip(heights, sg.leaf_depths))
-                dffs = sum(m.dffs for m in leaf_ms) + _retimed(sg, heights)
+                dffs = sum(m.dffs for m in leaf_ms) + sg_dffs
                 cand = Match(sg, cut, POS, height, dffs,
                              sg.area + sum(m.area for m in leaf_ms),
                              sg.jj_count + sum(m.jj for m in leaf_ms), heights,

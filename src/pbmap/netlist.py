@@ -475,6 +475,21 @@ def _build_sop(g: SubjectGraph, in_lits, cubes) -> tuple[int, bool]:
 # ----------------------------------------------------------------------
 
 
+def _aag_literals(lines: list[str], idx: int, what: str) -> list[int]:
+    """The integers on line ``idx`` (0-based) of an aag body."""
+    if idx >= len(lines):
+        raise NetlistError(f"file ends before the header's {what} lines",
+                           idx + 1)
+    parts = lines[idx].split()
+    if not parts:
+        raise NetlistError(f"blank {what} line", idx + 1)
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        raise NetlistError(f"non-numeric literal in {what} line",
+                           idx + 1) from None
+
+
 def _parse_aag(text: str) -> SubjectGraph:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("aag"):
@@ -492,21 +507,21 @@ def _parse_aag(text: str) -> SubjectGraph:
     idx = 1
     in_lits = []
     for k in range(ni):
-        lit = int(lines[idx].split()[0])
+        lit = _aag_literals(lines, idx, "input")[0]
         if lit % 2 or lit == 0:
             raise NetlistError("input literal must be even and nonzero", idx + 1)
         in_lits.append(lit)
         idx += 1
     out_lits = []
     for k in range(no):
-        out_lits.append(int(lines[idx].split()[0]))
+        out_lits.append(_aag_literals(lines, idx, "output")[0])
         idx += 1
     and_defs = []
     for k in range(na):
-        parts = lines[idx].split()
-        if len(parts) != 3:
+        lits = _aag_literals(lines, idx, "and")
+        if len(lits) != 3:
             raise NetlistError("malformed and line", idx + 1)
-        and_defs.append(tuple(int(x) for x in parts))
+        and_defs.append(tuple(lits))
         idx += 1
     # symbol table
     in_names = {}
@@ -516,12 +531,11 @@ def _parse_aag(text: str) -> SubjectGraph:
         idx += 1
         if not line or line == "c":
             break
-        if line[0] == "i":
-            pos, name = line[1:].split(" ", 1)
-            in_names[int(pos)] = name
-        elif line[0] == "o":
-            pos, name = line[1:].split(" ", 1)
-            out_names[int(pos)] = name
+        if line[0] in "io":
+            pos, _, name = line[1:].partition(" ")
+            if not (pos.isascii() and pos.isdigit() and name):
+                raise NetlistError("malformed symbol line", idx)
+            (in_names if line[0] == "i" else out_names)[int(pos)] = name
 
     lit_map: dict[int, tuple[int, bool]] = {0: g.const_lit(False), 1: g.const_lit(True)}
     for k, lit in enumerate(in_lits):

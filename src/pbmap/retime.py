@@ -10,6 +10,9 @@ form) minimizes the count.
 
 from __future__ import annotations
 
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
+
 
 def retimed_match_dffs(supergate, leaf_heights) -> int:
     """Minimum DFFs to balance a supergate whose leaves arrive at the given
@@ -66,8 +69,6 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
     (difference constraints; the constraint matrix is totally unimodular, so
     the LP optimum is integral).  Returns a new MappedNetwork.
     """
-    from scipy.optimize import linprog
-
     edges = net.retiming_edges()  # list of (tail_vertex, head_vertex, weight)
     vertices = sorted({v for t, h, _ in edges for v in (t, h)} - {"host"})
     if not vertices:
@@ -103,8 +104,6 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
                     row[vidx[b]] = row.get(vidx[b], 0.0) - 1.0
                 a_ub.append(row)
                 b_ub.append(0.0)
-
-    from scipy.sparse import csr_matrix
 
     rows, cols, vals = [], [], []
     for i, row in enumerate(a_ub):

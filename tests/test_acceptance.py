@@ -19,13 +19,15 @@ from pbmap.balance import (buffer_band_check, depth_gap_buffers,
                            random_tree, tree_buffer_count, tree_leaf_depths,
                            tree_node_count)
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
-from pbmap.mapper import extract_cover, map_tree, opt_value, _retimed
+from pbmap.mapper import extract_cover, map_tree, opt_value
 from pbmap.netlist import SubjectGraph, _and_op, _neg
 from pbmap.report import build_report
-from pbmap.retime import push_to_last_level_check
+from pbmap.retime import push_to_last_level_check, retimed_match_dffs
 from pbmap.truthtable import symmetry_perms
 
 K = 5
+
+_retimed = lru_cache(maxsize=None)(retimed_match_dffs)
 
 
 def verdict(capsys, num, label, ok):

@@ -1,15 +1,24 @@
+import itertools
+import pathlib
 import random
 
 import pytest
 
 from pbmap import bench
+from pbmap import mapper as mapmod
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
-from pbmap.mapper import (Match, MappingError, balance_cost, _insert_pareto,
-                          extract_cover, map_dag, map_depth_greedy, map_tree,
-                          minimize_depth, opt_value, select_best)
-from pbmap.netlist import (SubjectGraph, _and_op, _neg, _or_op,
+from pbmap.flow import prepare_match_table
+from pbmap.library import parse_library
+from pbmap.mapper import (Match, MappingError, NodeSolution, balance_cost,
+                          _insert_pareto, extract_cover, map_dag,
+                          map_depth_greedy, map_tree, minimize_depth,
+                          opt_value, select_best)
+from pbmap.netlist import (CONST0, SubjectGraph, _and_op, _neg, _or_op,
                            balanced_reduce, random_aig)
 from pbmap.retime import retimed_match_dffs
+from pbmap.truthtable import symmetry_perms
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "pbmap" / "data"
 
 POS = "positive"
 
@@ -215,3 +224,154 @@ def test_balanced_and_tree_is_free(table):
     g.add_po(root, "f")
     sols = map_tree(g, prepared(g), table)
     assert opt_value(sols, root[0]) == 0
+
+
+# ----------------------------------------------------------------------
+# the cached permuted-profile table against a per-permutation reference
+# ----------------------------------------------------------------------
+
+
+def reference_combine(sg, cut, leaf_fronts, out, cap, phase, product_limit):
+    """The DP's candidate loop written out per symmetry permutation, with a
+    Match built for every distinct height profile of every leaf choice."""
+    depths = sg.leaf_depths
+    perms = symmetry_perms(cut.func, len(cut.leaves))
+    size = 1
+    for lf in leaf_fronts:
+        size *= len(lf)
+        if size > product_limit:
+            break
+
+    def emit(choice):
+        base = tuple(m.height for m in choice)
+        leaf_dffs = sum(m.dffs for m in choice)
+        area = sg.area + sum(m.area for m in choice)
+        jj = sg.jj_count + sum(m.jj for m in choice)
+        seen = set()
+        for perm in perms:
+            heights = tuple(base[p] for p in perm)
+            if heights in seen:
+                continue
+            seen.add(heights)
+            dffs = leaf_dffs + retimed_match_dffs(sg, heights)
+            height = max(h + d for h, d in zip(heights, depths))
+            cand = Match(
+                supergate=sg, cut=cut, phase=phase, height=height, dffs=dffs,
+                area=area, jj=jj, leaf_heights=heights,
+                leaves=tuple(cut.leaves[p] for p in perm),
+            )
+            _insert_pareto(out, cand, cap)
+
+    if size <= product_limit:
+        for choice in itertools.product(*leaf_fronts):
+            emit(choice)
+        return
+    targets = sorted({m.height + d for lf, d in zip(leaf_fronts, depths)
+                      for m in lf})
+    for target in targets:
+        choice = []
+        ok = True
+        for lf, d in zip(leaf_fronts, depths):
+            feas = [m for m in lf if m.height + d <= target]
+            if not feas:
+                ok = False
+                break
+            choice.append(min(feas, key=lambda m: (
+                m.dffs + (target - d - m.height), -m.height)))
+        if ok:
+            emit(choice)
+
+
+def reference_depth_greedy(g, cutsets, table):
+    """Depth-greedy baseline choosing its wiring by a min over every
+    symmetry permutation."""
+    wire = Match(None, None, POS, 0, 0, 0.0, 0)
+    solutions = {(pi, POS): NodeSolution(pi, POS, [wire], wire)
+                 for pi in g.pis}
+    if g.has_const:
+        solutions[(CONST0, POS)] = NodeSolution(CONST0, POS, [wire], wire)
+    for nid in g.topo_order():
+        best = None
+        for cut in cutsets[nid].cuts:
+            sgs = table.lookup(cut.func, len(cut.leaves), POS)
+            if not sgs:
+                continue
+            leaf_ms = [solutions[(leaf, POS)].best for leaf in cut.leaves]
+            perms = symmetry_perms(cut.func, len(cut.leaves))
+            base = tuple(m.height for m in leaf_ms)
+            for sg in sgs:
+                perm = min(perms, key=lambda p: (
+                    max(base[p[j]] + d for j, d in enumerate(sg.leaf_depths)),
+                    tuple(base[j] for j in p)))
+                heights = tuple(base[p] for p in perm)
+                height = max(h + d for h, d in zip(heights, sg.leaf_depths))
+                dffs = (sum(m.dffs for m in leaf_ms)
+                        + retimed_match_dffs(sg, heights))
+                cand = Match(sg, cut, POS, height, dffs,
+                             sg.area + sum(m.area for m in leaf_ms),
+                             sg.jj_count + sum(m.jj for m in leaf_ms), heights,
+                             tuple(cut.leaves[p] for p in perm))
+                key = (cand.height, cand.area, cand.jj, sg.name)
+                if best is None or key < (best.height, best.area, best.jj,
+                                          best.supergate.name):
+                    best = cand
+        solutions[(nid, POS)] = NodeSolution(nid, POS, [best], best)
+    return solutions
+
+
+def _point(m):
+    return (m.height, m.dffs, m.area, m.jj, m.leaf_heights, m.leaves,
+            m.supergate.name if m.supergate else None,
+            [(a.supergate.name, a.leaves) for a in m.alternates])
+
+
+def _frontiers(solutions):
+    return {key: [_point(m) for m in sol.frontier]
+            for key, sol in solutions.items()}
+
+
+@pytest.fixture(scope="module")
+def clocked_table():
+    # the bundled library with a clocked inverter: the only library at hand
+    # whose frontiers hold more than one point
+    text = (DATA / "sfq.genlib").read_text()
+    inv = next(line for line in text.splitlines()
+               if line.split()[:2] == ["GATE", "inv"])
+    clocked = text.replace(inv, inv.replace("CLOCKED=0", "CLOCKED=1"))
+    assert clocked != text
+    return prepare_match_table(parse_library(clocked, name="sfq_clocked_inv"))
+
+
+EQUIV_CIRCUITS = [
+    ("ksa16", lambda: bench.kogge_stone_adder(16)),
+    ("rand3", lambda: random_aig(150, 12, seed=3, n_pos=None)),
+    ("rand4", lambda: random_aig(150, 12, seed=4, n_pos=None)),
+]
+
+
+@pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])
+def test_profile_table_keeps_every_frontier(lib_name, table, clocked_table,
+                                            monkeypatch):
+    tbl = table if lib_name == "bundled" else clocked_table
+    multi_point = 0
+    for name, make in EQUIV_CIRCUITS:
+        g = make()
+        cutsets = prepared(g)
+        # product_limit=1 sends every multi-leaf choice down the greedy
+        # target sweep, the DP's other caller of the candidate loop
+        for product_limit in (64, 1):
+            got = _frontiers(map_dag(g, cutsets, tbl,
+                                     product_limit=product_limit))
+            with monkeypatch.context() as mp:
+                mp.setattr(mapmod, "_combine", reference_combine)
+                want = _frontiers(map_dag(g, cutsets, tbl,
+                                          product_limit=product_limit))
+            assert got == want, (name, product_limit)
+            multi_point += sum(len(f) > 1 for f in got.values())
+
+        got = map_depth_greedy(g, cutsets, tbl)
+        want = reference_depth_greedy(g, cutsets, tbl)
+        assert ({k: _point(s.best) for k, s in got.items()}
+                == {k: _point(s.best) for k, s in want.items()}), name
+    if lib_name == "clocked_inv":
+        assert multi_point > 0

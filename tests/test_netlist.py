@@ -118,6 +118,32 @@ def test_blif_undefined_signal_rejected():
         parse_netlist(text, fmt="blif")
 
 
+# a 2-input AND with its symbol table; each case below breaks one line
+GOOD_AAG = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni1 b\no0 f\n"
+BAD_AAG = [
+    pytest.param("aag 3 2 0 1 1\n2\n4\n6\n", 5, id="truncated-and"),
+    pytest.param("aag 3 2 0 1 1\n2\n", 3, id="truncated-input"),
+    pytest.param("aag 3 2 0 1 1\n2\n\n6\n6 2 4\n", 3, id="blank-input"),
+    pytest.param("aag 3 2 0 1 1\n2\n4\nf\n6 2 4\n", 4, id="text-output"),
+    pytest.param("aag 3 2 0 1 1\n2\n4\n6\n6 2 x\n", 5, id="text-and"),
+    pytest.param(GOOD_AAG.replace("i1 b", "ix b"), 7, id="text-symbol"),
+    pytest.param(GOOD_AAG.replace("i1 b", "i1"), 7, id="unnamed-symbol"),
+]
+
+
+def test_aag_symbol_table_names():
+    g = parse_netlist(GOOD_AAG)
+    assert [g.pi_names[p] for p in g.pis] == ["a", "b"]
+    assert g.po_names == ["f"]
+
+
+@pytest.mark.parametrize("text,line", BAD_AAG)
+def test_aag_malformed_line_raises_netlist_error(text, line):
+    with pytest.raises(NetlistError) as err:
+        parse_netlist(text)
+    assert err.value.line == line
+
+
 def test_blif_sop_semantics():
     text = """.model sop
 .inputs a b c

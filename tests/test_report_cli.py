@@ -137,6 +137,15 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert result.exit_code == 2
 
 
+def test_cli_truncated_aag_exit_code(tmp_path):
+    bad = tmp_path / "short.aag"
+    bad.write_text("aag 3 2 0 1 1\n2\n4\n6\n")  # header declares an and line
+    result = CliRunner().invoke(main, ["map", str(bad)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "line 5" in result.output
+
+
 def test_cli_library_error_exit_code(tmp_path):
     badlib = tmp_path / "bad.genlib"
     badlib.write_text("GATE and2 2.0 o=a*b;\n")  # no inverter/dff/splitter
