@@ -9,6 +9,8 @@ each; splitters are asynchronous and contribute none.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -45,10 +47,9 @@ class MappedNetwork:
     po_names: list[str] = field(default_factory=list)
     const_pos: list[tuple[str, bool]] = field(default_factory=list)
     dff: dict = field(default_factory=dict)  # edge -> register count
-    heights: dict = field(default_factory=dict)  # sig -> clocked height
+    depth: int = 0  # clocked level every PO arrives at once balanced
     dff_cell: Cell | None = None
     splitter_cell: Cell | None = None
-    balanced: bool = False
 
     def __post_init__(self):
         self._next_sig = 0
@@ -85,18 +86,12 @@ class MappedNetwork:
     def add_const_po(self, name: str, value: bool):
         self.const_pos.append((name, value))
 
-    def finalize_cover(self):
-        pass
-
     # -- topology ------------------------------------------------------
 
     def consumers(self) -> dict[int, list[tuple]]:
         out: dict[int, list[tuple]] = {}
-        for inst in self.instances:
-            for pin, sig in enumerate(inst.fanins):
-                out.setdefault(sig, []).append(("inst", inst.idx, pin))
-        for i, sig in enumerate(self.pos):
-            out.setdefault(sig, []).append(("po", i))
+        for sig, consumer in self.edge_list():
+            out.setdefault(sig, []).append(consumer)
         return out
 
     def topo_instances(self) -> list[Instance]:
@@ -110,8 +105,6 @@ class MappedNetwork:
                     n += 1
                     deps.setdefault(drv[1], []).append(inst.idx)
             indeg[inst.idx] = n
-        import heapq
-
         ready = [i for i, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         order = []
@@ -136,17 +129,18 @@ class MappedNetwork:
             edges.append((sig, ("po", i)))
         return edges
 
-    # -- splitter insertion --------------------------------------------
-
-    def _provisional_heights(self) -> dict[int, int]:
+    def arrivals(self) -> dict[int, int]:
+        """Clocked level of every signal: 0 at a PI; at a cell's outputs the
+        latest fanin arrival including its edge DFFs, plus one if clocked."""
         h = {sig: 0 for sig in self.pi_sigs}
         for inst in self.topo_instances():
             arr = max(h[f] + self.dff.get((f, ("inst", inst.idx, pin)), 0)
                       for pin, f in enumerate(inst.fanins))
-            bump = 1 if inst.cell.is_clocked else 0
             for sig in inst.outs:
-                h[sig] = arr + bump
+                h[sig] = arr + inst.cell.is_clocked
         return h
+
+    # -- splitter insertion --------------------------------------------
 
     def insert_splitters(self, lib: CellLibrary):
         """Give every multi-fanout signal a chain-shaped splitter tree with
@@ -156,7 +150,7 @@ class MappedNetwork:
         self.dff_cell = lib.dff
         if self.splitter_cell is None or self.dff_cell is None:
             raise BalanceError("library lacks splitter or DFF cell")
-        h = self._provisional_heights()
+        h = self.arrivals()
         cons = self.consumers()
         po_height = max((h[s] for s in self.pos), default=0)
         # estimated DFFs each sink's edge would need, snapshotted before any
@@ -175,14 +169,12 @@ class MappedNetwork:
                 continue
             sinks = sorted(sinks, key=lambda c: criticality(sig, c))
             cur = sig
-            for i, sink in enumerate(sinks):
-                if i < len(sinks) - 1:
-                    out0 = self.add_gate(self.splitter_cell, [cur])
-                    sp = self.instances[-1]
-                    self._rewire(sink, sp.outs[0])
-                    cur = sp.outs[1]
-                else:
-                    self._rewire(sink, cur)
+            for sink in sinks[:-1]:
+                self.add_gate(self.splitter_cell, [cur])
+                sp = self.instances[-1]
+                self._rewire(sink, sp.outs[0])
+                cur = sp.outs[1]
+            self._rewire(sinks[-1], cur)
 
     def _rewire(self, consumer_key, new_sig):
         if consumer_key[0] == "inst":
@@ -194,27 +186,20 @@ class MappedNetwork:
     # -- DFF insertion -------------------------------------------------
 
     def insert_balancing(self):
-        """Per-gate fanin equalization plus PO padding; records heights and
-        the pre-retiming DFF total."""
+        """Per-gate fanin equalization plus PO padding; sets ``depth``.
+        Padding a fanin up to the latest one moves no arrival, so one walk
+        of the unpadded network gives every pad."""
         self.dff = {}
-        h = {sig: 0 for sig in self.pi_sigs}
-        for inst in self.topo_instances():
-            arrs = [h[f] for f in inst.fanins]
-            target = max(arrs)
-            for pin, (f, a) in enumerate(zip(inst.fanins, arrs)):
-                w = target - a
-                if w:
-                    self.dff[(f, ("inst", inst.idx, pin))] = w
-            bump = 1 if inst.cell.is_clocked else 0
-            for sig in inst.outs:
-                h[sig] = target + bump
-        depth = max((h[s] for s in self.pos), default=0)
+        h = self.arrivals()
+        for inst in self.instances:
+            target = max(h[f] for f in inst.fanins)
+            for pin, f in enumerate(inst.fanins):
+                if h[f] < target:
+                    self.dff[(f, ("inst", inst.idx, pin))] = target - h[f]
+        self.depth = max((h[s] for s in self.pos), default=0)
         for i, sig in enumerate(self.pos):
-            w = depth - h[sig]
-            if w:
-                self.dff[(sig, ("po", i))] = w
-        self.heights = h
-        self.balanced = True
+            if h[sig] < self.depth:
+                self.dff[(sig, ("po", i))] = self.depth - h[sig]
         return self
 
     # -- metrics -------------------------------------------------------
@@ -236,13 +221,6 @@ class MappedNetwork:
         return sum(1 for i in self.instances if i.cell.kind != "splitter")
 
     @property
-    def depth(self) -> int:
-        if not self.heights:
-            return 0
-        pads = {self.pos[c[1]]: w for (s, c), w in self.dff.items() if c[0] == "po"}
-        return max((self.heights[s] + pads.get(s, 0) for s in self.pos), default=0)
-
-    @property
     def area(self) -> float:
         a = sum(i.cell.area for i in self.instances)
         if self.dff_cell:
@@ -259,20 +237,21 @@ class MappedNetwork:
     # -- validation ----------------------------------------------------
 
     def validate(self):
-        h = {sig: 0 for sig in self.pi_sigs}
-        for inst in self.topo_instances():
+        """Every cell's fanins arrive together, every PO arrives at
+        ``depth`` and no signal has fanout above one.  Retiming keeps every
+        PI-to-PO register count, so a retimed network keeps its depth."""
+        h = self.arrivals()
+        for inst in self.instances:
             arrs = [h[f] + self.dff.get((f, ("inst", inst.idx, pin)), 0)
                     for pin, f in enumerate(inst.fanins)]
             if len(set(arrs)) > 1:
                 raise BalanceError(
                     f"unbalanced fanins at {inst.cell.name} #{inst.idx}: {arrs}")
-            bump = 1 if inst.cell.is_clocked else 0
-            for sig in inst.outs:
-                h[sig] = arrs[0] + bump
         po_arr = {h[s] + self.dff.get((s, ("po", i)), 0)
                   for i, s in enumerate(self.pos)}
-        if len(po_arr) > 1:
-            raise BalanceError(f"PO paths not equalized: {sorted(po_arr)}")
+        if po_arr - {self.depth}:
+            raise BalanceError(f"PO arrivals {sorted(po_arr)} differ from "
+                               f"depth {self.depth}")
         cons = self.consumers()
         for sig, sinks in cons.items():
             if len(sinks) > 1:
@@ -340,10 +319,9 @@ class MappedNetwork:
         net.po_names = list(self.po_names)
         net.const_pos = list(self.const_pos)
         net.dff = dict(self.dff)
-        net.heights = dict(self.heights)
+        net.depth = self.depth
         net.dff_cell = self.dff_cell
         net.splitter_cell = self.splitter_cell
-        net.balanced = self.balanced
         net._next_sig = self._next_sig
         net.driver = dict(self.driver)
         return net
@@ -356,41 +334,53 @@ class MappedNetwork:
             return self.pi_names[drv[1]]
         return f"n{sig}"
 
+    def _edge_source(self, sig: int, consumer: tuple, count):
+        """Yield a record per DFF on one edge, each reading the one before,
+        and return the net the consumer reads.  ``count`` numbers the DFFs
+        ``pbd<n>`` in file order."""
+        src = self._sig_name(sig)
+        for _ in range(self.dff.get((sig, consumer), 0)):
+            q = f"pbd{next(count)}"
+            yield f"u_{q}", self.dff_cell, (src, q)
+            src = q
+        return src
+
+    def _records(self):
+        """The netlist in file order, shared by both writers: a ``(label,
+        cell, nets)`` record per edge DFF (just before its consumer) and per
+        instance, its nets in the order of ``_ports(cell)``; then a
+        ``(name, None, net)`` record per PO."""
+        if self.dff and self.dff_cell is None:
+            raise BalanceError("network has DFFs but no DFF cell")
+        count = itertools.count()
+        for inst in self.instances:
+            nets = []
+            for pin, f in enumerate(inst.fanins):
+                src = yield from self._edge_source(f, ("inst", inst.idx, pin), count)
+                nets.append(src)
+            nets += [self._sig_name(s) for s in inst.outs]
+            yield f"u{inst.idx}", inst.cell, tuple(nets)
+        for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
+            src = yield from self._edge_source(sig, ("po", i), count)
+            yield name, None, src
+
     def write_blif(self) -> str:
         lines = [f".model {self.name}",
                  f".inputs {' '.join(self.pi_names)}",
                  f".outputs {' '.join(self.po_names + [n for n, _ in self.const_pos])}"]
-        dnum = [0]
-
-        def edge_name(sig, consumer):
-            base = self._sig_name(sig)
-            n = self.dff.get((sig, consumer), 0)
-            for _ in range(n):
-                nxt = f"pbd{dnum[0]}"
-                dnum[0] += 1
-                dname = self.dff_cell.name if self.dff_cell else "dff"
-                pin = self.dff_cell.pin_names[0] if (self.dff_cell and
-                                                     self.dff_cell.pin_names) else "a"
-                out = self.dff_cell.out_name if self.dff_cell else "q"
-                lines.append(f".gate {dname} {pin}={base} {out}={nxt}")
-                base = nxt
-            return base
-
-        for inst in self.instances:
-            pins = inst.cell.pin_names or tuple(f"i{i}" for i in range(len(inst.fanins)))
-            conns = [f"{p}={edge_name(f, ('inst', inst.idx, i))}"
-                     for i, (p, f) in enumerate(zip(pins, inst.fanins))]
-            if inst.cell.kind == "splitter":
-                conns.append(f"{inst.cell.out_name}={self._sig_name(inst.outs[0])}")
-                conns.append(f"{inst.cell.out_name}2={self._sig_name(inst.outs[1])}")
-            else:
-                conns.append(f"{inst.cell.out_name}={self._sig_name(inst.outs[0])}")
-            lines.append(f".gate {inst.cell.name} {' '.join(conns)}")
-        for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
-            src = edge_name(sig, ("po", i))
-            if src != name:
-                lines.append(f".names {src} {name}")
-                lines.append("1 1")
+        # cell name -> %-template of its line over its nets; a '%' in a
+        # genlib cell name is doubled, pin names are identifiers
+        gate = {}
+        for label, cell, nets in self._records():
+            if cell is None:
+                if nets != label:
+                    lines += [f".names {nets} {label}", "1 1"]
+                continue
+            fmt = gate.get(cell.name)
+            if fmt is None:
+                fmt = gate[cell.name] = (f".gate {cell.name} ".replace("%", "%%")
+                                         + " ".join(f"{p}=%s" for p in _ports(cell)))
+            lines.append(fmt % nets)
         for name, value in self.const_pos:
             lines.append(f".names {name}")
             if value:
@@ -405,42 +395,38 @@ class MappedNetwork:
         outs = self.po_names + [n for n, _ in self.const_pos]
         if outs:
             lines.append(f"  output {', '.join(outs)};")
-        dnum = [0]
         body = []
-
-        def edge_name(sig, consumer):
-            base = self._sig_name(sig)
-            for _ in range(self.dff.get((sig, consumer), 0)):
-                nxt = f"pbd{dnum[0]}"
-                dnum[0] += 1
-                dname = self.dff_cell.name if self.dff_cell else "dff"
-                body.append(f"  {dname} u_{nxt} (.a({base}), .q({nxt}), .clk(clk));")
-                base = nxt
-            return base
-
-        for inst in self.instances:
-            pins = inst.cell.pin_names or tuple(f"i{i}" for i in range(len(inst.fanins)))
-            conns = [f".{p}({edge_name(f, ('inst', inst.idx, i))})"
-                     for i, (p, f) in enumerate(zip(pins, inst.fanins))]
-            if inst.cell.kind == "splitter":
-                conns.append(f".{inst.cell.out_name}({self._sig_name(inst.outs[0])})")
-                conns.append(f".{inst.cell.out_name}2({self._sig_name(inst.outs[1])})")
-            else:
-                conns.append(f".{inst.cell.out_name}({self._sig_name(inst.outs[0])})")
-            if inst.cell.is_clocked:
-                conns.append(".clk(clk)")
-            body.append(f"  {inst.cell.name} u{inst.idx} ({', '.join(conns)});")
-        for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
-            body.append(f"  assign {name} = {edge_name(sig, ('po', i))};")
+        gate = {}  # cell name -> %-template of its line over label and nets
+        for label, cell, nets in self._records():
+            if cell is None:
+                body.append(f"  assign {label} = {nets};")
+                continue
+            fmt = gate.get(cell.name)
+            if fmt is None:
+                conns = [f".{p}(%s)" for p in _ports(cell)]
+                if cell.is_clocked:
+                    conns.append(".clk(clk)")
+                fmt = gate[cell.name] = (f"  {cell.name} ".replace("%", "%%")
+                                         + f"%s ({', '.join(conns)});")
+            body.append(fmt % (label, *nets))
         for name, value in self.const_pos:
             body.append(f"  assign {name} = 1'b{int(value)};")
         wires = sorted({f"n{s}" for s in self.driver if self.driver[s][0] != "pi"})
-        wires += [f"pbd{i}" for i in range(dnum[0])]
+        wires += [f"pbd{i}" for i in range(self.dff_total)]
         if wires:
             lines.append(f"  wire {', '.join(wires)};")
         lines.extend(body)
         lines.append("endmodule")
         return "\n".join(lines) + "\n"
+
+
+def _ports(cell: Cell) -> tuple[str, ...]:
+    """A cell's pin names from the library: inputs, then the output, then a
+    splitter's second output."""
+    ins = cell.pin_names or tuple(f"i{i}" for i in range(cell.n_inputs))
+    if cell.kind == "splitter":
+        return ins + (cell.out_name, f"{cell.out_name}2")
+    return ins + (cell.out_name,)
 
 
 # ----------------------------------------------------------------------
@@ -567,12 +553,6 @@ def most_unbalanced(x: int) -> TreeProfile:
         raise ValueError("height must be >= 1")
     tree = caterpillar(x) if x <= 3 else double_caterpillar(x)
     return measure_tree(tree)
-
-
-def most_unbalanced_tree(x: int):
-    if x < 1:
-        raise ValueError("height must be >= 1")
-    return caterpillar(x) if x <= 3 else double_caterpillar(x)
 
 
 def most_balanced(x: int, n: int) -> TreeProfile:

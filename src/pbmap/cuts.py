@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .netlist import CONST0, SubjectGraph
-from .truthtable import table_mask, tt_to_hex, var_table
+from .truthtable import table_mask, var_table
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,3 @@ def compute_cut_functions(g: SubjectGraph, cutsets: dict[int, CutSet]) -> dict[i
             new_cuts.append(Cut(cut.leaves, func))
         cs.cuts = new_cuts
     return cutsets
-
-
-def dump_cuts(cutsets: dict[int, CutSet]) -> str:
-    lines = []
-    for nid in sorted(cutsets):
-        for cut in cutsets[nid].cuts:
-            tt = "?" if cut.func is None else tt_to_hex(cut.func, len(cut.leaves))
-            lines.append(f"node {nid}: {{{', '.join(map(str, cut.leaves))}}} tt={tt}")
-    return "\n".join(lines) + "\n"

@@ -7,13 +7,12 @@ annotations (which double as comments for tools that ignore them).
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from dataclasses import dataclass, field
 
 from . import retime
-from .truthtable import apply_cell, table_mask, tt_not, tt_to_hex, var_table
+from .truthtable import apply_cell, table_mask, tt_not, var_table
 
 
 class LibraryError(Exception):
@@ -272,9 +271,6 @@ class Supergate:
     def __hash__(self):
         return hash((self.name, self.n_inputs, self.func))
 
-    def expression(self) -> str:
-        return self.name
-
 
 def _render_name(root: Cell, children: tuple, base: int = 0) -> str:
     parts = []
@@ -470,11 +466,6 @@ class MatchTable:
         return self.table.get((nvars, func), [])
 
 
-def boolean_match(table: MatchTable, func: int, nvars: int,
-                  phase: str = "positive") -> list[Supergate]:
-    return table.lookup(func, nvars, phase)
-
-
 def hit_rate(cutsets, table: MatchTable) -> float:
     """Fraction of non-trivial cuts whose function has at least one match."""
     total = 0
@@ -489,22 +480,3 @@ def hit_rate(cutsets, table: MatchTable) -> float:
             if table.lookup(cut.func, len(cut.leaves)):
                 hits += 1
     return hits / total if total else 0.0
-
-
-def export_supergates_json(supergates: list[Supergate]) -> str:
-    return json.dumps(
-        [
-            {
-                "name": sg.name,
-                "inputs": sg.n_inputs,
-                "function": tt_to_hex(sg.func, sg.n_inputs),
-                "area": sg.area,
-                "jj": sg.jj_count,
-                "depth": sg.depth,
-                "leaf_depths": list(sg.leaf_depths),
-                "internal_dffs": sg.internal_dffs,
-            }
-            for sg in supergates
-        ],
-        indent=2,
-    )

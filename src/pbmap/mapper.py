@@ -73,15 +73,6 @@ class NodeSolution:
             f"no frontier point of node {self.node} at height {height}")
 
 
-def balance_cost(leaf_levels) -> int:
-    """DFFs needed to align a set of arrival levels to their maximum."""
-    levels = list(leaf_levels)
-    if not levels:
-        raise ValueError("empty level list")
-    top = max(levels)
-    return sum(top - lv for lv in levels)
-
-
 def _alt_key(m: Match):
     return (m.area, m.jj, m.supergate.name if m.supergate else "")
 
@@ -410,7 +401,6 @@ def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
             continue
         sig = demand(p, NEG if c else POS, None)
         net.add_po(sig, name)
-    net.finalize_cover()
     return net
 
 

@@ -397,39 +397,34 @@ def _parse_blif(text: str) -> SubjectGraph:
             raise NetlistError(f"signal '{out}' defined twice", rec[0])
         defined_by[out] = (kind, rec)
 
-    resolving: set[str] = set()
-
     def resolve(name: str, lno) -> tuple[int, bool]:
-        if name in lits:
-            return lits[name]
-        if name not in defined_by:
-            raise NetlistError(f"undefined signal '{name}'", lno)
-        if name in resolving:
-            raise NetlistError(f"cyclic definition of '{name}'", lno)
-        resolving.add(name)
-        kind, rec = defined_by[name]
-        if kind == "names":
-            rlno, out, ins, cubes = rec
-            in_lits = [resolve(n, rlno) for n in ins]
-            lit = _build_sop(g, in_lits, cubes)
-        else:
-            rlno, gname, pin_map = rec
-            key = gname.lower()
-            if key in ("dff", "dfff", "splitter", "split"):
-                raise NetlistError(
-                    f"sequential or fanout cell '{gname}' not allowed in subject graph", rlno)
-            if key not in _GATE_EXPRS:
-                raise NetlistError(f"unknown gate '{gname}'", rlno)
-            pin_order, fn = _GATE_EXPRS[key]
-            args = []
-            for p in pin_order:
-                if p not in pin_map:
-                    raise NetlistError(f"gate '{gname}' missing pin '{p}'", rlno)
-                args.append(resolve(pin_map[p], rlno))
-            lit = fn(g, *args)
-        resolving.discard(name)
-        lits[name] = lit
-        return lit
+        """Literal of ``name``.  Its cone is built depth-first, inputs in
+        order, on an explicit stack, so a chain of any depth parses."""
+        on_path: set[str] = set()  # entered, inputs not yet all built
+        stack = [(name, lno, None)]
+        while stack:
+            sig, ref, ins = stack.pop()
+            if ins is not None:  # every input is built: build sig itself
+                on_path.discard(sig)
+                kind, rec = defined_by[sig]
+                in_lits = [lits[n] for n in ins]
+                if kind == "names":
+                    lits[sig] = _build_sop(g, in_lits, rec[3])
+                else:
+                    lits[sig] = _GATE_EXPRS[rec[1].lower()][1](g, *in_lits)
+                continue
+            if sig in lits:
+                continue
+            if sig not in defined_by:
+                raise NetlistError(f"undefined signal '{sig}'", ref)
+            if sig in on_path:
+                raise NetlistError(f"cyclic definition of '{sig}'", ref)
+            on_path.add(sig)
+            kind, rec = defined_by[sig]
+            ins = _record_inputs(kind, rec)
+            stack.append((sig, rec[0], ins))
+            stack.extend((n, rec[0], None) for n in reversed(ins))
+        return lits[name]
 
     if not outputs:
         raise NetlistError("no outputs declared")
@@ -438,6 +433,23 @@ def _parse_blif(text: str) -> SubjectGraph:
     g.sweep_dangling()
     g.compute_levels()
     return g
+
+
+def _record_inputs(kind: str, rec) -> list[str]:
+    """Input signal names of a BLIF record, in pin order."""
+    if kind == "names":
+        return rec[2]
+    rlno, gname, pin_map = rec
+    key = gname.lower()
+    if key in ("dff", "dfff", "splitter", "split"):
+        raise NetlistError(
+            f"sequential or fanout cell '{gname}' not allowed in subject graph", rlno)
+    if key not in _GATE_EXPRS:
+        raise NetlistError(f"unknown gate '{gname}'", rlno)
+    for p in _GATE_EXPRS[key][0]:
+        if p not in pin_map:
+            raise NetlistError(f"gate '{gname}' missing pin '{p}'", rlno)
+    return [pin_map[p] for p in _GATE_EXPRS[key][0]]
 
 
 def _build_sop(g: SubjectGraph, in_lits, cubes) -> tuple[int, bool]:
@@ -512,30 +524,34 @@ def _parse_aag(text: str) -> SubjectGraph:
             raise NetlistError("input literal must be even and nonzero", idx + 1)
         in_lits.append(lit)
         idx += 1
-    out_lits = []
+    out_lits = []  # (line, literal)
     for k in range(no):
-        out_lits.append(_aag_literals(lines, idx, "output")[0])
+        out_lits.append((idx + 1, _aag_literals(lines, idx, "output")[0]))
         idx += 1
-    and_defs = []
+    and_defs = []  # (line, lhs, rhs0, rhs1)
     for k in range(na):
         lits = _aag_literals(lines, idx, "and")
         if len(lits) != 3:
             raise NetlistError("malformed and line", idx + 1)
-        and_defs.append(tuple(lits))
+        and_defs.append((idx + 1, *lits))
         idx += 1
-    # symbol table
+    # symbol table, up to an optional comment section
     in_names = {}
     out_names = {}
     while idx < len(lines):
         line = lines[idx].strip()
         idx += 1
-        if not line or line == "c":
+        if not line:
+            continue
+        if line[0] == "c":
             break
-        if line[0] in "io":
-            pos, _, name = line[1:].partition(" ")
-            if not (pos.isascii() and pos.isdigit() and name):
-                raise NetlistError("malformed symbol line", idx)
-            (in_names if line[0] == "i" else out_names)[int(pos)] = name
+        if line[0] not in "io":
+            raise NetlistError("expected an i/o symbol or a comment line "
+                               "after the and section", idx)
+        pos, _, name = line[1:].partition(" ")
+        if not (pos.isascii() and pos.isdigit() and name):
+            raise NetlistError("malformed symbol line", idx)
+        (in_names if line[0] == "i" else out_names)[int(pos)] = name
 
     lit_map: dict[int, tuple[int, bool]] = {0: g.const_lit(False), 1: g.const_lit(True)}
     for k, lit in enumerate(in_lits):
@@ -548,19 +564,16 @@ def _parse_aag(text: str) -> SubjectGraph:
             raise NetlistError(f"undefined literal {lit}", lno)
         return lit_map[lit]
 
-    for n, (lhs, rhs0, rhs1) in enumerate(and_defs):
+    for lno, lhs, rhs0, rhs1 in and_defs:
         if lhs % 2:
-            raise NetlistError("and output literal must be even", None)
+            raise NetlistError("and output literal must be even", lno)
         if lhs in lit_map:
-            raise NetlistError(f"literal {lhs} defined twice", None)
-        if rhs0 >= lhs or rhs1 >= lhs:
-            # aag allows unordered defs in principle, but cyclic refs do not
-            pass
-        out = g.add_and(lookup(rhs0, None), lookup(rhs1, None))
+            raise NetlistError(f"literal {lhs} defined twice", lno)
+        out = g.add_and(lookup(rhs0, lno), lookup(rhs1, lno))
         lit_map[lhs] = out
         lit_map[lhs ^ 1] = _neg(out)
-    for k, lit in enumerate(out_lits):
-        g.add_po(lookup(lit, None), out_names.get(k, f"o{k}"))
+    for k, (lno, lit) in enumerate(out_lits):
+        g.add_po(lookup(lit, lno), out_names.get(k, f"o{k}"))
     g.sweep_dangling()
     g.compute_levels()
     return g

@@ -128,7 +128,3 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
     if sum(new_weights) > sum(w for _, _, w in edges):
         raise RuntimeError("retiming increased the register count")
     return net.with_edge_weights(new_weights)
-
-
-def total_registers(edges) -> int:
-    return sum(w for _, _, w in edges)

@@ -112,8 +112,3 @@ def symmetry_perms(tt: int, nvars: int) -> tuple[tuple[int, ...], ...]:
         if ok:
             perms.append(perm)
     return tuple(perms)
-
-
-def tt_to_hex(tt: int, nvars: int) -> str:
-    width = max(1, (1 << nvars) // 4)
-    return f"{tt:0{width}x}"

@@ -8,10 +8,13 @@ from pbmap.balance import (BalanceError, MappedNetwork, TreeProfile,
                            input_pins_from_profile, max_depth_gap,
                            depth_gap_buffers, depth_gap_pad_lengths, measure_tree,
                            most_balanced, most_unbalanced,
-                           most_unbalanced_tree, random_tree,
+                           random_tree,
                            tree_buffer_count, tree_height, tree_leaf_depths,
                            tree_node_count, buffer_band_check)
 from pbmap.flow import map_graph
+from pbmap.library import parse_library
+
+from conftest import DATA
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +180,36 @@ def test_write_verilog_smoke(lib, table):
     assert "module" in v and "endmodule" in v
 
 
+def test_writers_take_dff_pins_from_library():
+    # a library whose DFF reads Q=D: both writers must bind the same pins
+    text = (DATA / "sfq.genlib").read_text().replace(
+        "GATE dff    0.0025 q=a;", "GATE dff    0.0025 Q=D;")
+    lib = parse_library(text, name="sfq_qd")
+    assert lib.dff.pin_names == ("D",) and lib.dff.out_name == "Q"
+    res = map_graph(bench.ksa4(), lib)
+    net = res.after
+    assert net.dff_total > 0
+    blif = [l for l in net.write_blif().splitlines() if l.startswith(".gate dff ")]
+    verilog = [l for l in net.write_verilog().splitlines()
+               if l.startswith("  dff ")]
+    assert len(blif) == len(verilog) == net.dff_total
+    for b, v in zip(blif, verilog):
+        _, _, d, q = b.split()
+        assert d.startswith("D=") and q.startswith("Q=")
+        assert f".D({d[2:]}), .Q({q[2:]}), .clk(clk)" in v
+        assert ".a(" not in v and ".q(" not in v
+
+
+def test_validate_checks_po_arrival_against_depth(lib, table):
+    res = map_graph(bench.ksa4(), lib, table)
+    for net in (res.before, res.after):
+        net.validate()
+        net.depth += 1
+        with pytest.raises(BalanceError, match="differ from depth"):
+            net.validate()
+        net.depth -= 1
+
+
 def test_validate_catches_imbalance(lib):
     net, _src = fanout4_net(lib)
     net.insert_splitters(lib)
@@ -235,7 +268,7 @@ def test_caterpillar_profiles():
 def test_most_unbalanced_closed_forms():
     for x in range(1, 11):
         prof = most_unbalanced(x)
-        tree = most_unbalanced_tree(x)
+        tree = caterpillar(x) if x <= 3 else double_caterpillar(x)
         assert measure_tree(tree).y == prof.y if x > 1 else True
         if x <= 3:
             assert prof.N == x

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pbmap.cuts import (Cut, compute_cut_functions, cone_function, dump_cuts,
+from pbmap.cuts import (Cut, compute_cut_functions, cone_function,
                         enumerate_cuts)
 from pbmap.netlist import SubjectGraph, _and_op, random_aig
 from pbmap.truthtable import tt_eval, var_table
@@ -149,15 +149,3 @@ def _sim_cone(g, root, leaves, minterm):
         return vals[nid]
 
     return ev(root)
-
-
-def test_dump_cuts_stable_text():
-    g = SubjectGraph()
-    a = (g.add_pi("a"), False)
-    b = (g.add_pi("b"), False)
-    n = _and_op(g, a, b)
-    g.add_po(n, "f")
-    cutsets = compute_cut_functions(g, enumerate_cuts(g, k=2))
-    text = dump_cuts(cutsets)
-    assert f"node {n[0]}" in text
-    assert "tt=8" in text

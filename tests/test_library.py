@@ -1,11 +1,9 @@
-import json
 import random
 
 import pytest
 
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
-from pbmap.library import (LibraryError, MatchTable, boolean_match,
-                           export_supergates_json, generate_supergates,
+from pbmap.library import (LibraryError, MatchTable, generate_supergates,
                            hit_rate, parse_library)
 from pbmap.netlist import SubjectGraph, _and_op
 from pbmap.truthtable import table_mask, tt_eval, tt_not, var_table
@@ -179,7 +177,7 @@ def test_negative_phase_lookup(table):
 def test_boolean_match_single_minterm(table):
     # a & b & !c & d: one minterm at a=1,b=1,c=0,d=1 (bit order x0..x3)
     minterm = 0b1011
-    matches = boolean_match(table, 1 << minterm, 4)
+    matches = table.lookup(1 << minterm, 4)
     assert matches
     assert min(sg.depth for sg in matches) == 2
 
@@ -197,12 +195,3 @@ def test_hit_rate_full_on_and_tree(table):
     g.add_po(_and_op(g, n1, n2), "f")
     cutsets = compute_cut_functions(g, enumerate_cuts(g, k=2))
     assert hit_rate(cutsets, table) == 1.0
-
-
-def test_export_supergates_json_round_trip(table):
-    sample = table.supergates[:5]
-    data = json.loads(export_supergates_json(sample))
-    assert len(data) == 5
-    for entry, sg in zip(data, sample):
-        assert entry["name"] == sg.name
-        assert entry["inputs"] == sg.n_inputs

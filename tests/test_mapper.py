@@ -9,10 +9,9 @@ from pbmap import mapper as mapmod
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
 from pbmap.flow import prepare_match_table
 from pbmap.library import parse_library
-from pbmap.mapper import (Match, MappingError, NodeSolution, balance_cost,
-                          _insert_pareto, extract_cover, map_dag,
-                          map_depth_greedy, map_tree, minimize_depth,
-                          opt_value, select_best)
+from pbmap.mapper import (Match, MappingError, NodeSolution, _insert_pareto,
+                          extract_cover, map_dag, map_depth_greedy, map_tree,
+                          minimize_depth, opt_value, select_best)
 from pbmap.netlist import (CONST0, SubjectGraph, _and_op, _neg, _or_op,
                            balanced_reduce, random_aig)
 from pbmap.retime import retimed_match_dffs
@@ -36,14 +35,6 @@ def chain_f():
     n3 = _and_op(g, n2, d)
     g.add_po(n3, "F")
     return g, n3[0]
-
-
-def test_balance_cost_examples():
-    assert balance_cost([3, 5]) == 2
-    assert balance_cost([2, 4, 7]) == 8
-    assert balance_cost([4, 4, 4]) == 0
-    with pytest.raises(ValueError):
-        balance_cost([])
 
 
 def mk(height, dffs, area=1.0):

@@ -128,6 +128,15 @@ BAD_AAG = [
     pytest.param("aag 3 2 0 1 1\n2\n4\n6\n6 2 x\n", 5, id="text-and"),
     pytest.param(GOOD_AAG.replace("i1 b", "ix b"), 7, id="text-symbol"),
     pytest.param(GOOD_AAG.replace("i1 b", "i1"), 7, id="unnamed-symbol"),
+    pytest.param(GOOD_AAG.replace("6 2 4", "6 2 8"), 5, id="undefined-and-input"),
+    pytest.param(GOOD_AAG.replace("\n6\n", "\n8\n"), 4, id="undefined-output"),
+    pytest.param(GOOD_AAG.replace("6 2 4", "7 2 4"), 5, id="odd-and-output"),
+    pytest.param(GOOD_AAG.replace("6 2 4", "4 2 2"), 5, id="and-redefines-input"),
+    pytest.param("aag 4 2 0 1 2\n2\n4\n6\n6 2 4\n6 2 5\n", 6,
+                 id="and-defined-twice"),
+    pytest.param(GOOD_AAG.replace("6 2 4\n", "6 2 4\n6 2 4\n"), 6,
+                 id="extra-and-line"),
+    pytest.param(GOOD_AAG + "x1 q\n", 9, id="stray-symbol-line"),
 ]
 
 
@@ -137,11 +146,47 @@ def test_aag_symbol_table_names():
     assert g.po_names == ["f"]
 
 
+def test_aag_comment_section_is_skipped():
+    g = parse_netlist(GOOD_AAG + "c\n6 2 4\nfree text\n")
+    assert g.po_names == ["f"] and len(g.nodes) == 1
+
+
 @pytest.mark.parametrize("text,line", BAD_AAG)
 def test_aag_malformed_line_raises_netlist_error(text, line):
     with pytest.raises(NetlistError) as err:
         parse_netlist(text)
     assert err.value.line == line
+
+
+def and_chain_blif(depth: int) -> str:
+    """f = a & b through ``depth`` chained .names records, each ANDing b in."""
+    lines = [".model deep", ".inputs a b", ".outputs f", ".names a b n0", "11 1"]
+    for i in range(1, depth):
+        lines += [f".names n{i - 1} b n{i}", "11 1"]
+    lines += [f".names n{depth - 1} f", "1 1", ".end"]
+    return "\n".join(lines) + "\n"
+
+
+def test_blif_deep_chain_parses():
+    g = parse_netlist(and_chain_blif(5000), fmt="blif")
+    assert len(g.nodes) == 5000
+    assert g.depth == 5000
+    a, b = g.pis
+    assert g.simulate({a: 0b0101, b: 0b0011}) == [0b0001]
+
+
+def test_blif_two_record_cycle_rejected():
+    text = """.model loop
+.inputs a
+.outputs f
+.names a g f
+11 1
+.names f g
+1 1
+.end
+"""
+    with pytest.raises(NetlistError, match="cyclic definition"):
+        parse_netlist(text, fmt="blif")
 
 
 def test_blif_sop_semantics():

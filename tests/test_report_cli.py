@@ -10,6 +10,7 @@ from pbmap.flow import map_graph
 from pbmap.netlist import write_blif
 from pbmap.report import (CSV_HEADER, MappingReport, ReportError, build_report,
                           emit)
+from test_netlist import and_chain_blif
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "pbmap" / "data"
 KSA4 = DATA / "ksa4.blif"
@@ -144,6 +145,23 @@ def test_cli_truncated_aag_exit_code(tmp_path):
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "line 5" in result.output
+
+
+def test_cli_aag_undefined_literal_exit_code(tmp_path):
+    bad = tmp_path / "undef.aag"
+    bad.write_text("aag 3 2 0 1 1\n2\n4\n6\n6 2 8\n")  # 8 is never defined
+    result = CliRunner().invoke(main, ["map", str(bad)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "line 5: undefined literal 8" in result.output
+
+
+def test_cli_emit_deep_blif_chain(tmp_path):
+    src = tmp_path / "deep.blif"
+    src.write_text(and_chain_blif(5000))
+    result = CliRunner().invoke(main, ["emit", str(src)])
+    assert result.exit_code == 0, result.output
+    assert result.output.count(".names") == 5001  # the ANDs plus the PO buffer
 
 
 def test_cli_library_error_exit_code(tmp_path):

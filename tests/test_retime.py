@@ -7,7 +7,7 @@ from pbmap.balance import MappedNetwork
 from pbmap.flow import map_graph
 from pbmap.mapper import _instantiate
 from pbmap.retime import (push_to_last_level_check, retime_min_registers,
-                          retimed_match_dffs, total_registers)
+                          retimed_match_dffs)
 
 
 def test_push_to_last_level_examples():
@@ -148,8 +148,3 @@ def test_retiming_monotone_and_balanced(lib, table):
         res = map_graph(g, lib, table)
         assert res.dffs_after <= res.dffs_before
         res.after.validate()
-
-
-def test_total_registers_helper():
-    edges = [("host", ("inst", 0), 2), (("inst", 0), "host", 3)]
-    assert total_registers(edges) == 5

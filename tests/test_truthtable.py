@@ -7,7 +7,7 @@ import itertools
 
 from pbmap.truthtable import (MAX_VARS, apply_cell, projection, support,
                               symmetry_perms, table_mask, tt_eval,
-                              tt_eval_packed, tt_not, tt_to_hex, var_table)
+                              tt_eval_packed, tt_not, var_table)
 
 
 def test_table_mask_widths():
@@ -118,9 +118,3 @@ def test_symmetry_perms_invariance_oracle():
                     same = False
                     break
             assert (perm in got) == same
-
-
-def test_tt_to_hex_width():
-    assert tt_to_hex(0b1000, 2) == "8"
-    assert tt_to_hex(0, 4) == "0000"
-    assert len(tt_to_hex(table_mask(6), 6)) == 16
