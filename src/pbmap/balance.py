@@ -328,19 +328,23 @@ class MappedNetwork:
 
     # -- emission ------------------------------------------------------
 
-    def _sig_name(self, sig: int) -> str:
+    def _io_names(self) -> set[str]:
+        return (set(self.pi_names) | set(self.po_names)
+                | {name for name, _ in self.const_pos})
+
+    def _sig_name(self, sig: int, io: set[str]) -> str:
         drv = self.driver[sig]
         if drv[0] == "pi":
             return self.pi_names[drv[1]]
-        return f"n{sig}"
+        return _free_name(f"n{sig}", io)
 
-    def _edge_source(self, sig: int, consumer: tuple, count):
+    def _edge_source(self, sig: int, consumer: tuple, count, io: set[str]):
         """Yield a record per DFF on one edge, each reading the one before,
         and return the net the consumer reads.  ``count`` numbers the DFFs
         ``pbd<n>`` in file order."""
-        src = self._sig_name(sig)
+        src = self._sig_name(sig, io)
         for _ in range(self.dff.get((sig, consumer), 0)):
-            q = f"pbd{next(count)}"
+            q = _free_name(f"pbd{next(count)}", io)
             yield f"u_{q}", self.dff_cell, (src, q)
             src = q
         return src
@@ -353,15 +357,17 @@ class MappedNetwork:
         if self.dff and self.dff_cell is None:
             raise BalanceError("network has DFFs but no DFF cell")
         count = itertools.count()
+        io = self._io_names()
         for inst in self.instances:
             nets = []
             for pin, f in enumerate(inst.fanins):
-                src = yield from self._edge_source(f, ("inst", inst.idx, pin), count)
+                src = yield from self._edge_source(f, ("inst", inst.idx, pin),
+                                                   count, io)
                 nets.append(src)
-            nets += [self._sig_name(s) for s in inst.outs]
+            nets += [self._sig_name(s, io) for s in inst.outs]
             yield f"u{inst.idx}", inst.cell, tuple(nets)
         for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
-            src = yield from self._edge_source(sig, ("po", i), count)
+            src = yield from self._edge_source(sig, ("po", i), count, io)
             yield name, None, src
 
     def write_blif(self) -> str:
@@ -411,13 +417,27 @@ class MappedNetwork:
             body.append(fmt % (label, *nets))
         for name, value in self.const_pos:
             body.append(f"  assign {name} = 1'b{int(value)};")
-        wires = sorted({f"n{s}" for s in self.driver if self.driver[s][0] != "pi"})
-        wires += [f"pbd{i}" for i in range(self.dff_total)]
+        io = self._io_names()
+        wires = sorted(self._sig_name(s, io) for s in self.driver
+                       if self.driver[s][0] != "pi")
+        wires += [_free_name(f"pbd{i}", io) for i in range(self.dff_total)]
         if wires:
             lines.append(f"  wire {', '.join(wires)};")
         lines.extend(body)
         lines.append("endmodule")
         return "\n".join(lines) + "\n"
+
+
+def _free_name(name: str, io: set[str]) -> str:
+    """A generated net name, or if a PI or PO already has it, the first
+    ``<name>_<k>`` no PI or PO has.  Generated names hold no ``_`` of their
+    own, so a suffixed one meets no other generated name."""
+    if name not in io:
+        return name
+    k = 1
+    while f"{name}_{k}" in io:
+        k += 1
+    return f"{name}_{k}"
 
 
 def _ports(cell: Cell) -> tuple[str, ...]:

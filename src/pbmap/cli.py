@@ -203,9 +203,8 @@ def hit_rate_cmd(inputs, lib_path, k, supergate_depth, as_json):
             g = parse_netlist(p.read_text())
         except NetlistError as e:
             _fail(EXIT_PARSE, f"parse {p.name}", e)
-        cutsets = cutsmod.enumerate_cuts(g, k=k)
-        cutsmod.compute_cut_functions(g, cutsets)
-        rows.append((p.stem, libmod.hit_rate(cutsets, table)))
+        rows.append((p.stem, libmod.hit_rate(cutsmod.enumerate_cuts(g, k=k),
+                                             table)))
     if as_json:
         click.echo(json.dumps({name: round(r, 4) for name, r in rows}, indent=2))
     else:

@@ -52,7 +52,6 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
         table = prepare_match_table(lib, k=k, max_depth=max_depth)
     t0 = time.perf_counter()
     cutsets = cutsmod.enumerate_cuts(g, k=k, cap=cut_cap)
-    cutsmod.compute_cut_functions(g, cutsets)
     if depth_greedy:
         solutions = mapmod.map_depth_greedy(g, cutsets, table,
                                             frontier_cap=frontier_cap)

@@ -7,12 +7,14 @@ annotations (which double as comments for tools that ignore them).
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 from dataclasses import dataclass, field
 
 from . import retime
-from .truthtable import apply_cell, table_mask, tt_not, var_table
+from .truthtable import (apply_cell, symmetry_perms, table_mask, tt_not,
+                         var_table)
 
 
 class LibraryError(Exception):
@@ -447,8 +449,31 @@ def generate_supergates(lib: CellLibrary, k: int = 5, max_depth: int = 3,
 # ----------------------------------------------------------------------
 
 
+def _profiles(sg: Supergate, func: int, base: tuple[int, ...]):
+    """Distinct wirings of ``sg`` onto a cut of function ``func`` whose leaves
+    arrive at ``base``: one (perm, root_height, retimed_dffs) entry per
+    distinct permuted height profile ``tuple(base[p] for p in perm)``, in
+    first-occurrence order over ``symmetry_perms`` (frontier tie-breaking
+    depends on that order).  The profiles themselves are not kept; a caller
+    rebuilds one only for a candidate it keeps, so the cache holds no height
+    tuples.  Cached per table by ``MatchTable.profiles``."""
+    depths = sg.leaf_depths
+    seen = set()
+    out = []
+    for perm in symmetry_perms(func, len(base)):
+        heights = tuple(base[p] for p in perm)
+        if heights in seen:
+            continue
+        seen.add(heights)
+        height = max(h + d for h, d in zip(heights, depths))
+        out.append((perm, height, retime.retimed_match_dffs(sg, heights)))
+    return tuple(out)
+
+
 class MatchTable:
-    """Exact-function lookup from canonical cut truth tables to supergates."""
+    """Exact-function lookup from canonical cut truth tables to supergates,
+    with the wiring table of its supergates (``profiles``, see
+    ``_profiles``): it lives and is freed with the table."""
 
     def __init__(self, supergates: list[Supergate]):
         self.table: dict[tuple[int, int], list[Supergate]] = {}
@@ -457,6 +482,7 @@ class MatchTable:
         for lst in self.table.values():
             lst.sort(key=_sort_key)
         self.supergates = supergates
+        self.profiles = functools.lru_cache(maxsize=None)(_profiles)
 
     def lookup(self, func: int, nvars: int, phase: str = "positive") -> list[Supergate]:
         if phase == "negative":

@@ -8,25 +8,22 @@ count of the supergate given the chosen leaf arrival heights.  Multi-fanout
 nodes are hard cover boundaries: their frontier collapses to the single
 best point so all consumers share one implementation.
 
-Leaf-to-input wirings come from one cached table, ``_profiles``: for each
-(supergate, cut function, leaf heights) it holds one wiring per distinct
-permuted height profile with its root height and retimed DFF count, so neither
-the DP nor the depth-greedy baseline re-walks the symmetry permutations per
-candidate.
+Leaf-to-input wirings come from one table cached on the match table,
+``MatchTable.profiles``: for each (supergate, cut function, leaf heights) it
+holds one wiring per distinct permuted height profile with its root height and
+retimed DFF count, so neither the DP nor the depth-greedy baseline re-walks
+the symmetry permutations per candidate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .balance import MappedNetwork
 from .cuts import Cut, CutSet
 from .library import MatchTable, Supergate
 from .netlist import CONST0, SubjectGraph
-from .retime import retimed_match_dffs
-from .truthtable import symmetry_perms
 
 POS = "positive"
 NEG = "negative"
@@ -109,30 +106,9 @@ def _dominated(frontier: list[Match], height: int, dffs: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
-def _profiles(sg: Supergate, func: int, base: tuple[int, ...]):
-    """Distinct wirings of ``sg`` onto a cut of function ``func`` whose leaves
-    arrive at ``base``: one (perm, root_height, retimed_dffs) entry per
-    distinct permuted height profile ``tuple(base[p] for p in perm)``, in
-    first-occurrence order over ``symmetry_perms`` (frontier tie-breaking
-    depends on that order).  The profiles themselves are not kept; a caller
-    rebuilds one only for a candidate it keeps, so the cache holds no height
-    tuples."""
-    depths = sg.leaf_depths
-    seen = set()
-    out = []
-    for perm in symmetry_perms(func, len(base)):
-        heights = tuple(base[p] for p in perm)
-        if heights in seen:
-            continue
-        seen.add(heights)
-        height = max(h + d for h, d in zip(heights, depths))
-        out.append((perm, height, retimed_match_dffs(sg, heights)))
-    return tuple(out)
-
-
 def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
-             out: list[Match], cap: int, phase: str, product_limit: int):
+             out: list[Match], cap: int, phase: str, product_limit: int,
+             profiles):
     """Candidates for one (cut, supergate) pair over leaf frontier choices.
 
     Each candidate also chooses a leaf-to-input wiring: any permutation that
@@ -151,7 +127,7 @@ def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
         area = sg.area + sum(m.area for m in choice)
         jj = sg.jj_count + sum(m.jj for m in choice)
         base = tuple(m.height for m in choice)
-        for perm, height, sg_dffs in _profiles(sg, cut.func, base):
+        for perm, height, sg_dffs in profiles(sg, cut.func, base):
             dffs = leaf_dffs + sg_dffs
             if _dominated(out, height, dffs):
                 continue
@@ -205,7 +181,7 @@ def _solve_node(g: SubjectGraph, nid: int, phase: str,
             continue
         for sg in sgs:
             _combine(sg, cut, leaf_fronts, frontier, frontier_cap, phase,
-                     product_limit)
+                     product_limit, table.profiles)
     if not frontier:
         raise MappingError(
             f"node {nid} ({phase}) has no matchable cut; "
@@ -338,7 +314,7 @@ def map_depth_greedy(g: SubjectGraph, cutsets, table,
                 # wiring chosen by arrival height alone (DFF-oblivious),
                 # ties broken by the height profile for determinism
                 perm, height, sg_dffs = min(
-                    _profiles(sg, cut.func, base),
+                    table.profiles(sg, cut.func, base),
                     key=lambda e: (e[1], tuple(base[p] for p in e[0])))
                 heights = tuple(base[p] for p in perm)
                 dffs = sum(m.dffs for m in leaf_ms) + sg_dffs
@@ -372,9 +348,11 @@ def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
 
     sig_of: dict[tuple[int, str, int | None], int] = {}
 
-    def demand(nid: int, phase: str, height: int | None) -> int:
+    def visit(nid: int, phase: str, height: int | None):
+        """``(sig, None)`` for a PI or an emitted match, else ``(None,
+        (key, match))`` for a match whose cover is still to be built."""
         if g.is_pi(nid) and phase == POS:
-            return pi_sig[nid]
+            return pi_sig[nid], None
         sol = solutions.get((nid, phase))
         if sol is None:
             if cutsets is None or table is None:
@@ -385,15 +363,36 @@ def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
         match = sol.best if height is None else sol.point_at(height)
         key = (nid, phase, match.height)
         if key in sig_of:
-            return sig_of[key]
+            return sig_of[key], None
         if match.is_wire:
-            sig = pi_sig[nid]
-        else:
-            leaf_sigs = [demand(leaf, POS, h)
-                         for leaf, h in zip(match.leaves, match.leaf_heights)]
-            sig = _instantiate(net, match.supergate, leaf_sigs)
-        sig_of[key] = sig
-        return sig
+            sig_of[key] = pi_sig[nid]
+            return pi_sig[nid], None
+        return None, (key, match)
+
+    def demand(nid: int, phase: str, height: int | None) -> int:
+        """Build the cover of one node bottom-up with an explicit stack: a
+        match's leaves are visited in order, each completed before the next,
+        and its supergate is instantiated after them, so the netlist order is
+        that of a depth-first walk at any depth."""
+        sig, todo = visit(nid, phase, height)
+        if todo is None:
+            return sig
+        stack = [(*todo, [])]  # (key, match, leaf signals so far)
+        while True:
+            key, match, leaf_sigs = stack[-1]
+            i = len(leaf_sigs)
+            if i < len(match.leaves):
+                sig, todo = visit(match.leaves[i], POS, match.leaf_heights[i])
+                if todo is None:
+                    leaf_sigs.append(sig)
+                else:
+                    stack.append((*todo, []))
+                continue
+            stack.pop()
+            sig = sig_of[key] = _instantiate(net, match.supergate, leaf_sigs)
+            if not stack:
+                return sig
+            stack[-1][2].append(sig)
 
     for name, (p, c) in zip(g.po_names, g.pos):
         if p == CONST0:
@@ -405,18 +404,21 @@ def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
 
 
 def _instantiate(net: MappedNetwork, sg: Supergate, leaf_sigs: list[int]) -> int:
-    pos = 0
-
-    # walk in input order: children of a supergate occupy consecutive slots
-    def walk_sg(node: Supergate):
-        nonlocal pos
-        fanins = []
-        for c in node.children:
+    """Add the cells of ``sg`` bottom-up, children in input order, so a
+    supergate's leaf slots take ``leaf_sigs`` left to right."""
+    leaves = iter(leaf_sigs)
+    stack = [(sg, [])]  # (supergate node, fanin signals so far)
+    while True:
+        node, fanins = stack[-1]
+        if len(fanins) < len(node.children):
+            c = node.children[len(fanins)]
             if isinstance(c, int):
-                fanins.append(leaf_sigs[pos])
-                pos += 1
+                fanins.append(next(leaves))
             else:
-                fanins.append(walk_sg(c))
-        return net.add_gate(node.root_cell, fanins)
-
-    return walk_sg(sg)
+                stack.append((c, []))
+            continue
+        stack.pop()
+        sig = net.add_gate(node.root_cell, fanins)
+        if not stack:
+            return sig
+        stack[-1][1].append(sig)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from pbmap.balance import (BalanceError, MappedNetwork, TreeProfile,
                            tree_node_count, buffer_band_check)
 from pbmap.flow import map_graph
 from pbmap.library import parse_library
+from pbmap.netlist import parse_netlist
 
 from conftest import DATA
 
@@ -198,6 +200,58 @@ def test_writers_take_dff_pins_from_library():
         assert d.startswith("D=") and q.startswith("Q=")
         assert f".D({d[2:]}), .Q({q[2:]}), .clk(clk)" in v
         assert ".a(" not in v and ".q(" not in v
+
+
+def _driven_and_read(lib, text):
+    """(driven nets, read nets) of a BLIF or Verilog text from either
+    writer, a cell's output pins told apart by the library."""
+    driven, read = [], []
+    for line in text.splitlines():
+        f = line.replace(",", " ").replace(";", " ").split()
+        if not f:
+            continue
+        if f[0] in (".inputs", "input"):
+            driven += [n for n in f[1:] if n != "clk"]
+        elif f[0] == ".names":
+            driven.append(f[-1])
+            read += f[1:-1]
+        elif f[0] == "assign":
+            driven.append(f[1])
+            read.append(f[3])
+        elif f[0] == ".gate" or f[0] in lib.by_name:
+            cell = lib.by_name[f[1] if f[0] == ".gate" else f[0]]
+            outs = (cell.out_name, f"{cell.out_name}2")
+            for pin, net in re.findall(r"\.?(\w+)[=(](\w+)", " ".join(f[2:])):
+                if pin != "clk":
+                    (driven if pin in outs else read).append(net)
+    return driven, read
+
+
+# a PI named like an internal net; POs named like internal nets; a PI named
+# like the PO pad DFF on g's edge
+NAME_CLASHES = {
+    "pi": (".model pi\n.inputs n5 b c d\n.outputs f\n.names n5 b x\n11 1\n"
+           ".names c d y\n11 1\n.names x y f\n10 1\n.end\n"),
+    "po": (".model po\n.inputs a b c d\n.outputs n4 n6 f\n.names a b x\n11 1\n"
+           ".names x c n4\n11 1\n.names c d n6\n01 1\n.names n4 n6 f\n11 1\n"
+           ".end\n"),
+    "dff": (".model pbd\n.inputs a b pbd0\n.outputs f g\n.names a b f\n11 1\n"
+            ".names pbd0 g\n1 1\n.end\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(NAME_CLASHES))
+def test_internal_nets_never_take_io_names(lib, table, case):
+    res = map_graph(parse_netlist(NAME_CLASHES[case]), lib, table)
+    if case == "dff":
+        assert res.before.dff_total > 0
+    for net in (res.before, res.after):
+        io = set(net.pi_names) | set(net.po_names)
+        for text in (net.write_blif(), net.write_verilog()):
+            driven, read = _driven_and_read(lib, text)
+            assert len(driven) == len(set(driven)), text
+            assert set(read) <= set(driven), text
+            assert io <= set(driven)
 
 
 def test_validate_checks_po_arrival_against_depth(lib, table):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pbmap import bench
 from pbmap.cuts import (Cut, compute_cut_functions, cone_function,
                         enumerate_cuts)
 from pbmap.netlist import SubjectGraph, _and_op, random_aig
@@ -149,3 +150,51 @@ def _sim_cone(g, root, leaves, minterm):
         return vals[nid]
 
     return ev(root)
+
+
+# ----------------------------------------------------------------------
+# truth tables built while merging, against cone simulation
+# ----------------------------------------------------------------------
+
+ORACLE_CIRCUITS = {
+    "ksa16": lambda: bench.kogge_stone_adder(16),
+    "alu8": lambda: bench.alu(8),
+    "bshift16": lambda: bench.barrel_shifter(16),
+    "prio16": lambda: bench.priority_encoder(16),
+    **{f"rand{seed}": (lambda seed=seed: random_aig(60 + 10 * seed, 8,
+                                                    seed=seed))
+       for seed in range(1, 11)},
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
+def test_merge_time_functions_match_cone_simulation(name):
+    # without pruning, or with a cap that drops a leaf set's smaller
+    # sub-cut, a fanin cut's leaf can sit inside the other fanin's cone:
+    # the case the merge must hand to cone simulation
+    g = ORACLE_CIRCUITS[name]()
+    for k in range(2, 7):
+        for prune in (True, False):
+            for cap in (4, 250):
+                cutsets = enumerate_cuts(g, k=k, cap=cap,
+                                         prune_dominated=prune)
+                for nid, cs in cutsets.items():
+                    for cut in cs.cuts:
+                        assert cut.func == cone_function(g, nid, cut.leaves), \
+                            (k, prune, cap, nid, cut.leaves)
+                before = {nid: list(cs.cuts) for nid, cs in cutsets.items()}
+                compute_cut_functions(g, cutsets)
+                assert {nid: cs.cuts for nid, cs in cutsets.items()} == before
+
+
+def test_compute_cut_functions_fills_only_missing():
+    g = random_aig(30, 5, seed=7)
+    cutsets = enumerate_cuts(g, k=4)
+    nid = g.topo_order()[-1]
+    cs = cutsets[nid]
+    kept = cs.cuts[1]
+    cs.cuts = [Cut(c.leaves) if i != 1 else c for i, c in enumerate(cs.cuts)]
+    compute_cut_functions(g, cutsets)
+    assert cs.cuts[1] is kept
+    assert [c.func for c in cs.cuts] == [cone_function(g, nid, c.leaves)
+                                         for c in cs.cuts]

@@ -1,10 +1,12 @@
+import gc
 import itertools
 import pathlib
 import random
+import weakref
 
 import pytest
 
-from pbmap import bench
+from pbmap import bench, flow
 from pbmap import mapper as mapmod
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
 from pbmap.flow import prepare_match_table
@@ -222,9 +224,11 @@ def test_balanced_and_tree_is_free(table):
 # ----------------------------------------------------------------------
 
 
-def reference_combine(sg, cut, leaf_fronts, out, cap, phase, product_limit):
+def reference_combine(sg, cut, leaf_fronts, out, cap, phase, product_limit,
+                      profiles):
     """The DP's candidate loop written out per symmetry permutation, with a
-    Match built for every distinct height profile of every leaf choice."""
+    Match built for every distinct height profile of every leaf choice; the
+    table's cached ``profiles`` go unused."""
     depths = sg.leaf_depths
     perms = symmetry_perms(cut.func, len(cut.leaves))
     size = 1
@@ -366,3 +370,29 @@ def test_profile_table_keeps_every_frontier(lib_name, table, clocked_table,
                 == {k: _point(s.best) for k, s in want.items()}), name
     if lib_name == "clocked_inv":
         assert multi_point > 0
+
+
+# ----------------------------------------------------------------------
+# cover extraction at depth; the wiring table's lifetime
+# ----------------------------------------------------------------------
+
+
+def test_deep_alternating_chain_maps(lib, table):
+    # 500 levels: deeper than the interpreter's recursion limit allows a
+    # recursive cover walk to go
+    res = flow.map_graph(bench.alternating_chain(500), lib, table)
+    res.before.validate()
+    res.after.validate()
+    assert res.before.gate_count > 0
+
+
+def test_profile_cache_is_freed_with_its_table(lib):
+    tbl = prepare_match_table(lib, k=5, max_depth=2)
+    res = flow.map_graph(bench.ksa4(), lib, tbl)
+    assert tbl.profiles.cache_info().currsize > 0
+    # a supergate the DP matched, so one the wiring table was asked about
+    ref = weakref.ref(next(m.supergate for sol in res.solutions.values()
+                           for m in sol.frontier if m.supergate))
+    del tbl, res
+    gc.collect()
+    assert ref() is None

@@ -164,6 +164,15 @@ def test_cli_emit_deep_blif_chain(tmp_path):
     assert result.output.count(".names") == 5001  # the ANDs plus the PO buffer
 
 
+def test_cli_map_deep_alternating_chain(tmp_path):
+    src = tmp_path / "altchain500.blif"
+    src.write_text(write_blif(bench.alternating_chain(500)))
+    result = CliRunner().invoke(main, ["map", "--json", str(src)])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    assert json.loads(result.output)["circuit"] == "altchain500"
+
+
 def test_cli_library_error_exit_code(tmp_path):
     badlib = tmp_path / "bad.genlib"
     badlib.write_text("GATE and2 2.0 o=a*b;\n")  # no inverter/dff/splitter
