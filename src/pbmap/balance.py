@@ -291,24 +291,6 @@ class MappedNetwork:
             edges.append((tail, head, self.dff.get((sig, consumer), 0)))
         return edges
 
-    def with_edge_weights(self, new_weights: list[int]) -> "MappedNetwork":
-        net = self.copy()
-        net.dff = {}
-        for (sig, consumer), w in zip(self.edge_list(), new_weights):
-            if w:
-                net.dff[(sig, consumer)] = w
-        return net
-
-    def splitter_driver_pairs(self) -> list[tuple]:
-        pairs = []
-        for inst in self.instances:
-            if inst.cell.kind != "splitter":
-                continue
-            drv = self.driver[inst.fanins[0]]
-            tail = "host" if drv[0] == "pi" else ("inst", drv[1])
-            pairs.append((("inst", inst.idx), tail))
-        return pairs
-
     def copy(self) -> "MappedNetwork":
         net = MappedNetwork(name=self.name)
         net.pi_names = list(self.pi_names)
@@ -345,7 +327,7 @@ class MappedNetwork:
         src = self._sig_name(sig, io)
         for _ in range(self.dff.get((sig, consumer), 0)):
             q = _free_name(f"pbd{next(count)}", io)
-            yield f"u_{q}", self.dff_cell, (src, q)
+            yield _free_name(f"u_{q}", io), self.dff_cell, (src, q)
             src = q
         return src
 
@@ -365,7 +347,7 @@ class MappedNetwork:
                                                    count, io)
                 nets.append(src)
             nets += [self._sig_name(s, io) for s in inst.outs]
-            yield f"u{inst.idx}", inst.cell, tuple(nets)
+            yield _free_name(f"u{inst.idx}", io), inst.cell, tuple(nets)
         for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
             src = yield from self._edge_source(sig, ("po", i), count, io)
             yield name, None, src
@@ -429,9 +411,11 @@ class MappedNetwork:
 
 
 def _free_name(name: str, io: set[str]) -> str:
-    """A generated net name, or if a PI or PO already has it, the first
-    ``<name>_<k>`` no PI or PO has.  Generated names hold no ``_`` of their
-    own, so a suffixed one meets no other generated name."""
+    """A generated net name or instance label, or if a PI or PO already has
+    it, the first ``<name>_<k>`` no PI or PO has.  Generated net names hold
+    no ``_`` of their own, so a suffixed one meets no other generated name;
+    labels (``u<idx>``, ``u_<dff net>``) start with ``u`` and no generated
+    net does."""
     if name not in io:
         return name
     k = 1

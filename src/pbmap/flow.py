@@ -3,6 +3,8 @@ balancing -> retiming.  Shared by the CLI and the test suite."""
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import time
 from dataclasses import dataclass
 
@@ -34,13 +36,35 @@ class FlowResult:
         return self.after.dff_total
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause CPython's cyclic garbage collector for the enclosed block.
+
+    The pause is process-wide: other threads allocate without cyclic
+    collection until it ends.  It is safe here because a mapping pass
+    builds no reference cycles (``tests/test_flow.py`` checks that none is
+    left behind), so reference counting frees everything the collector
+    would, and its full collections over the pass's own cut sets,
+    frontiers and networks found nothing.  The collector is re-enabled
+    only if it was enabled on entry, so nested pauses and callers that
+    disabled it themselves keep their state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def prepare_match_table(lib: CellLibrary, k: int = 5, max_depth: int = 3,
                         max_count: int = 4000,
                         time_budget: float | None = None) -> MatchTable:
-    sgs = libmod.generate_supergates(lib, k=k, max_depth=max_depth,
-                                     max_count=max_count,
-                                     time_budget=time_budget)
-    return MatchTable(sgs)
+    with _collector_paused():
+        sgs = libmod.generate_supergates(lib, k=k, max_depth=max_depth,
+                                         max_count=max_count,
+                                         time_budget=time_budget)
+        return MatchTable(sgs)
 
 
 def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None,
@@ -48,27 +72,35 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
               frontier_cap: int = 8, objective: str = "dffs+depth+area",
               retime: bool = True, depth_greedy: bool = False,
               allow_across_splitters: bool = True) -> FlowResult:
-    if table is None:
-        table = prepare_match_table(lib, k=k, max_depth=max_depth)
-    t0 = time.perf_counter()
-    cutsets = cutsmod.enumerate_cuts(g, k=k, cap=cut_cap)
-    if depth_greedy:
-        solutions = mapmod.map_depth_greedy(g, cutsets, table,
-                                            frontier_cap=frontier_cap)
-    else:
-        solutions = mapmod.map_dag(g, cutsets, table, frontier_cap=frontier_cap)
-        mapmod.select_best(solutions, g, objective)
-    net = mapmod.extract_cover(solutions, g, cutsets, table,
-                               frontier_cap=frontier_cap)
-    net.insert_splitters(lib)
-    net.insert_balancing()
-    net.validate()
-    if retime:
-        after = retimemod.retime_min_registers(
-            net, allow_across_splitters=allow_across_splitters)
-        after.validate()
-    else:
-        after = net
-    runtime = time.perf_counter() - t0
-    rate = libmod.hit_rate(cutsets, table)
-    return FlowResult(g, net, after, rate, runtime, solutions, cutsets)
+    """Map ``g`` onto ``lib``: k-cuts with their functions, the DFF DP (or
+    the depth-greedy baseline), cover extraction, splitters, balancing and,
+    if ``retime``, min-register retiming by one LP.  ``table`` is prepared
+    from ``lib`` when not given.  The whole pass runs with the cyclic
+    garbage collector paused (see ``_collector_paused``); ``runtime``
+    covers mapping through retiming, not table preparation."""
+    with _collector_paused():
+        if table is None:
+            table = prepare_match_table(lib, k=k, max_depth=max_depth)
+        t0 = time.perf_counter()
+        cutsets = cutsmod.enumerate_cuts(g, k=k, cap=cut_cap)
+        if depth_greedy:
+            solutions = mapmod.map_depth_greedy(g, cutsets, table,
+                                                frontier_cap=frontier_cap)
+        else:
+            solutions = mapmod.map_dag(g, cutsets, table,
+                                       frontier_cap=frontier_cap)
+            mapmod.select_best(solutions, g, objective)
+        net = mapmod.extract_cover(solutions, g, cutsets, table,
+                                   frontier_cap=frontier_cap)
+        net.insert_splitters(lib)
+        net.insert_balancing()
+        net.validate()
+        if retime:
+            after = retimemod.retime_min_registers(
+                net, allow_across_splitters=allow_across_splitters)
+            after.validate()
+        else:
+            after = net
+        runtime = time.perf_counter() - t0
+        rate = libmod.hit_rate(cutsets, table)
+        return FlowResult(g, net, after, rate, runtime, solutions, cutsets)

@@ -267,6 +267,9 @@ class Supergate:
     depth: int
     leaf_depths: tuple[int, ...]
     name: str
+    # (children - 1, leaf positions below) per cell with two or more
+    # children, the root included: the terms of retimed_match_dffs
+    groups: tuple = field(repr=False, compare=False)
     internal_dffs: int = 0
     struct_level: int = 1  # cell-tree height; depth counts clocked cells only
 
@@ -298,9 +301,15 @@ def _lift(tt: int, m: int, offset: int, n: int) -> int:
 
 
 def _compose(root: Cell, children: tuple) -> Supergate:
-    """Build a supergate from a root cell and child slots (None = leaf)."""
+    """Build a supergate from a root cell and child slots (None = leaf).
+    Its ``groups`` and ``internal_dffs`` come from its children's: with all
+    leaves at height 0, each child pads from its own arrival (``bump`` for a
+    leaf, ``depth + bump`` for a supergate) up to the root's depth."""
     leaf_depths: list[int] = []
     child_objs = []
+    groups = []
+    internal = 0
+    child_arrivals = []
     area = root.area
     jj = root.jj_count
     offset = 0
@@ -309,14 +318,22 @@ def _compose(root: Cell, children: tuple) -> Supergate:
         if ch is None:
             child_objs.append(offset)
             leaf_depths.append(bump)
+            child_arrivals.append(bump)
             offset += 1
         else:
             child_objs.append(ch)
             leaf_depths.extend(d + bump for d in ch.leaf_depths)
+            groups.extend((w, tuple(p + offset for p in pos))
+                          for w, pos in ch.groups)
+            internal += ch.internal_dffs
+            child_arrivals.append(ch.depth + bump)
             area += ch.area
             jj += ch.jj_count
             offset += ch.n_inputs
     n = offset
+    depth = max(leaf_depths)
+    if len(children) > 1:
+        groups.append((len(children) - 1, tuple(range(n))))
     child_tts = []
     pos = 0
     for ch in children:
@@ -327,21 +344,21 @@ def _compose(root: Cell, children: tuple) -> Supergate:
             child_tts.append(_lift(ch.func, ch.n_inputs, pos, n))
             pos += ch.n_inputs
     func = apply_cell(root.func, child_tts, n)
-    sg = Supergate(
+    return Supergate(
         root_cell=root,
         children=tuple(child_objs),
         n_inputs=n,
         func=func,
         area=area,
         jj_count=jj,
-        depth=max(leaf_depths),
+        depth=depth,
         leaf_depths=tuple(leaf_depths),
         name=_render_name(root, tuple(children)),
+        internal_dffs=internal + sum(depth - a for a in child_arrivals),
         struct_level=1 + max((c.struct_level for c in children if c is not None),
                              default=0),
+        groups=tuple(groups),
     )
-    sg.internal_dffs = retime.retimed_match_dffs(sg, [0] * n)
-    return sg
 
 
 def _sort_key(sg: Supergate):

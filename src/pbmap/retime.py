@@ -10,38 +10,27 @@ form) minimizes the count.
 
 from __future__ import annotations
 
+import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 
 def retimed_match_dffs(supergate, leaf_heights) -> int:
     """Minimum DFFs to balance a supergate whose leaves arrive at the given
-    clocked heights, with registers placed anywhere inside the match."""
+    clocked heights, with registers placed anywhere inside the match.
+
+    With every leaf's common slack pushed up, a cell ``v`` pads each child
+    ``c`` by ``M_v - M_c``, where ``M`` is the latest leaf arrival
+    ``a_i = h_i + leaf_depths[i]`` below it (a leaf's own for a leaf).
+    Summed over the cells this telescopes to
+    ``T - sum(a) + sum_v (c_v - 1) * M_v`` with ``T = max(a)``, over the
+    cells with ``c_v >= 2`` children: ``supergate.groups``."""
     if len(leaf_heights) != supergate.n_inputs:
         raise ValueError("leaf height count does not match supergate inputs")
     arrivals = [h + d for h, d in zip(leaf_heights, supergate.leaf_depths)]
-    target = max(arrivals)
-
-    leaf_pos = iter(range(supergate.n_inputs))
-
-    def walk(child):
-        """Returns (registers_placed_below, residual_common_slack)."""
-        if isinstance(child, int):  # leaf variable
-            i = next(leaf_pos)
-            return 0, target - arrivals[i]
-        total = 0
-        residuals = []
-        for sub in child.children:
-            regs, res = walk(sub)
-            total += regs
-            residuals.append(res)
-        common = min(residuals)
-        total += sum(r - common for r in residuals)
-        return total, common
-
-    regs, residual = walk(supergate)
-    # the latest leaf has zero slack, so nothing is left to hoist at the root
-    assert residual == 0
+    regs = max(arrivals) - sum(arrivals)
+    for weight, positions in supergate.groups:
+        regs += weight * max([arrivals[i] for i in positions])
     return regs
 
 
@@ -67,64 +56,68 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
 
     Solved as the LP relaxation of the min-register retiming problem
     (difference constraints; the constraint matrix is totally unimodular, so
-    the LP optimum is integral).  Returns a new MappedNetwork.
+    the LP optimum is integral).  Vertices are instance indices, with PIs
+    and POs on one fixed host vertex so I/O latency is pinned; one row per
+    edge in ``edge_list`` order (host-to-host edges left out), one column
+    per used instance in index order.  Returns a new MappedNetwork.
     """
-    edges = net.retiming_edges()  # list of (tail_vertex, head_vertex, weight)
-    vertices = sorted({v for t, h, _ in edges for v in (t, h)} - {"host"})
-    if not vertices:
+    edges = net.edge_list()
+    host = len(net.instances)
+    driver = net.driver
+    tail = np.fromiter((host if d[0] == "pi" else d[1]
+                        for d in (driver[sig] for sig, _ in edges)),
+                       dtype=np.int64, count=len(edges))
+    head = np.fromiter((host if c[0] == "po" else c[1] for _, c in edges),
+                       dtype=np.int64, count=len(edges))
+    weight = np.fromiter((net.dff.get(e, 0) for e in edges),
+                         dtype=np.int64, count=len(edges))
+    used = np.zeros(host + 1, dtype=bool)
+    used[tail] = True
+    used[head] = True
+    used[host] = False
+    if not used.any():
         return net.copy()
-    vidx = {v: i for i, v in enumerate(vertices)}
-    nvar = len(vertices)
+    col = np.cumsum(used) - 1  # instance index -> LP column
+    nvar = int(used.sum())
 
     # minimize sum_e w_r(e) = W + sum_v r(v) * (indeg(v) - outdeg(v))
-    cost = [0.0] * nvar
-    a_ub, b_ub = [], []
-    for tail, head, w in edges:
-        if head != "host" and head in vidx:
-            cost[vidx[head]] += 1.0
-        if tail != "host" and tail in vidx:
-            cost[vidx[tail]] -= 1.0
-        # legality: w + r(head) - r(tail) >= 0  ->  r(tail) - r(head) <= w
-        row = {}
-        if tail != "host":
-            row[vidx[tail]] = row.get(vidx[tail], 0.0) + 1.0
-        if head != "host":
-            row[vidx[head]] = row.get(vidx[head], 0.0) - 1.0
-        if row:
-            a_ub.append(row)
-            b_ub.append(float(w))
-    if not allow_across_splitters:
-        # pin each splitter's lag to its driver's lag
-        for s, d in net.splitter_driver_pairs():
-            for a, b in ((s, d), (d, s)):
-                row = {}
-                if a != "host":
-                    row[vidx[a]] = 1.0
-                if b != "host":
-                    row[vidx[b]] = row.get(vidx[b], 0.0) - 1.0
-                a_ub.append(row)
-                b_ub.append(0.0)
+    cost = (np.bincount(head, minlength=host + 1)
+            - np.bincount(tail, minlength=host + 1))[used].astype(float)
 
-    rows, cols, vals = [], [], []
-    for i, row in enumerate(a_ub):
-        for j, v in row.items():
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-    a = csr_matrix((vals, (rows, cols)), shape=(len(a_ub), nvar))
-    res = linprog(cost, A_ub=a, b_ub=b_ub, bounds=[(None, None)] * nvar,
+    # legality: w + r(head) - r(tail) >= 0  ->  r(tail) - r(head) <= w;
+    # a row holds its tail entry, then its head entry, each unless host
+    pairs = [np.stack([tail, head], axis=1)]
+    rhs = [weight]
+    if not allow_across_splitters:
+        # pin each splitter's lag to its driver's: (s, d) and (d, s) rows
+        split = []
+        for inst in net.instances:
+            if inst.cell.kind == "splitter":
+                d = driver[inst.fanins[0]]
+                split.append((inst.idx, host if d[0] == "pi" else d[1]))
+        sd = np.array(split, dtype=np.int64).reshape(-1, 2)
+        pairs.append(np.stack([sd, sd[:, ::-1]], axis=1).reshape(-1, 2))
+        rhs.append(np.zeros(len(pairs[-1]), dtype=np.int64))
+    pair = np.concatenate(pairs)
+    keep = (pair != host).any(axis=1)  # a host-host edge constrains nothing
+    pair = pair[keep]
+    rows, side = np.nonzero(pair != host)  # row-major: tail, then head
+    vals = 1.0 - 2.0 * side  # +1 at the tail, -1 at the head
+    a = csr_matrix((vals, (rows, col[pair[rows, side]])),
+                   shape=(len(pair), nvar))
+    b_ub = np.concatenate(rhs)[keep].astype(float)
+    res = linprog(cost, A_ub=a, b_ub=b_ub, bounds=(None, None),
                   method="highs")
     if not res.success:  # identity retiming is always feasible
         raise RuntimeError(f"retiming LP failed: {res.message}")
-    r = {v: int(round(x)) for v, x in zip(vertices, res.x)}
-    r["host"] = 0
+    lag = np.zeros(host + 1, dtype=np.int64)
+    lag[used] = np.rint(res.x)
 
-    new_weights = []
-    for tail, head, w in edges:
-        wr = w + r.get(head, 0) - r.get(tail, 0)
-        if wr < 0:
-            raise RuntimeError("retiming produced a negative edge weight")
-        new_weights.append(wr)
-    if sum(new_weights) > sum(w for _, _, w in edges):
+    new = weight + lag[head] - lag[tail]
+    if (new < 0).any():
+        raise RuntimeError("retiming produced a negative edge weight")
+    if new.sum() > weight.sum():
         raise RuntimeError("retiming increased the register count")
-    return net.with_edge_weights(new_weights)
+    after = net.copy()
+    after.dff = {e: w for e, w in zip(edges, new.tolist()) if w}
+    return after

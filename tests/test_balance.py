@@ -254,6 +254,26 @@ def test_internal_nets_never_take_io_names(lib, table, case):
             assert io <= set(driven)
 
 
+def test_verilog_labels_never_take_io_names(lib, table):
+    # PIs named like instance 0's label and DFF 0's label, a PO named like
+    # instance 3's
+    text = (".model u\n.inputs u0 b u_pbd0 d\n.outputs u3 g\n"
+            ".names u0 b x\n11 1\n.names x u_pbd0 y\n11 1\n"
+            ".names y d u3\n11 1\n.names u_pbd0 g\n1 1\n.end\n")
+    res = map_graph(parse_netlist(text), lib, table)
+    assert res.before.dff_total > 0 and len(res.before.instances) > 3
+    for net in (res.before, res.after):
+        declared = []
+        for line in net.write_verilog().splitlines():
+            f = line.replace(",", " ").replace(";", " ").split()
+            if f and f[0] in ("input", "output", "wire"):
+                declared += f[1:]
+            elif f and f[0] in lib.by_name:
+                declared.append(f[1])  # instance label
+        assert len(declared) == len(set(declared)), sorted(declared)
+        assert {"u0", "u3", "u_pbd0"} <= set(declared)
+
+
 def test_validate_checks_po_arrival_against_depth(lib, table):
     res = map_graph(bench.ksa4(), lib, table)
     for net in (res.before, res.after):

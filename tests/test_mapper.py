@@ -1,6 +1,5 @@
 import gc
 import itertools
-import pathlib
 import random
 import weakref
 
@@ -10,7 +9,6 @@ from pbmap import bench, flow
 from pbmap import mapper as mapmod
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
 from pbmap.flow import prepare_match_table
-from pbmap.library import parse_library
 from pbmap.mapper import (Match, MappingError, NodeSolution, _insert_pareto,
                           extract_cover, map_dag, map_depth_greedy, map_tree,
                           minimize_depth, opt_value, select_best)
@@ -18,8 +16,6 @@ from pbmap.netlist import (CONST0, SubjectGraph, _and_op, _neg, _or_op,
                            balanced_reduce, random_aig)
 from pbmap.retime import retimed_match_dffs
 from pbmap.truthtable import symmetry_perms
-
-DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "pbmap" / "data"
 
 POS = "positive"
 
@@ -323,18 +319,6 @@ def _point(m):
 def _frontiers(solutions):
     return {key: [_point(m) for m in sol.frontier]
             for key, sol in solutions.items()}
-
-
-@pytest.fixture(scope="module")
-def clocked_table():
-    # the bundled library with a clocked inverter: the only library at hand
-    # whose frontiers hold more than one point
-    text = (DATA / "sfq.genlib").read_text()
-    inv = next(line for line in text.splitlines()
-               if line.split()[:2] == ["GATE", "inv"])
-    clocked = text.replace(inv, inv.replace("CLOCKED=0", "CLOCKED=1"))
-    assert clocked != text
-    return prepare_match_table(parse_library(clocked, name="sfq_clocked_inv"))
 
 
 EQUIV_CIRCUITS = [

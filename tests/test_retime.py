@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from pbmap import bench
 from pbmap.balance import MappedNetwork
@@ -8,6 +10,7 @@ from pbmap.flow import map_graph
 from pbmap.mapper import _instantiate
 from pbmap.retime import (push_to_last_level_check, retime_min_registers,
                           retimed_match_dffs)
+from test_golden_qor import CIRCUITS
 
 
 def test_push_to_last_level_examples():
@@ -53,6 +56,56 @@ def test_hoisting_beats_per_leaf_padding(table):
     assert per_leaf == 2
     # the two short-leaf pads share one register on the internal edge
     assert retimed_match_dffs(sg, heights) == 1
+
+
+def reference_retimed_match_dffs(supergate, leaf_heights):
+    """The recursive walk the closed form replaced: each cell keeps its
+    children's least common slack and pads every child by the rest."""
+    arrivals = [h + d for h, d in zip(leaf_heights, supergate.leaf_depths)]
+    target = max(arrivals)
+    leaf_pos = iter(range(supergate.n_inputs))
+
+    def walk(child):
+        if isinstance(child, int):
+            return 0, target - arrivals[next(leaf_pos)]
+        total = 0
+        residuals = []
+        for sub in child.children:
+            regs, res = walk(sub)
+            total += regs
+            residuals.append(res)
+        common = min(residuals)
+        return total + sum(r - common for r in residuals), common
+
+    regs, residual = walk(supergate)
+    assert residual == 0
+    return regs
+
+
+def _with_sub_supergates(supergates):
+    seen = {}
+    stack = list(supergates)
+    while stack:
+        sg = stack.pop()
+        if id(sg) not in seen:
+            seen[id(sg)] = sg
+            stack += [c for c in sg.children if not isinstance(c, int)]
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])
+def test_closed_form_matches_walk(lib_name, table, clocked_table):
+    tbl = table if lib_name == "bundled" else clocked_table
+    rng = random.Random(29)
+    for sg in _with_sub_supergates(tbl.supergates):
+        # internal_dffs is composed from the children, not walked
+        assert sg.internal_dffs == reference_retimed_match_dffs(
+            sg, [0] * sg.n_inputs), sg.name
+        for top in (1, 3, 8):
+            heights = [rng.randint(0, top) for _ in range(sg.n_inputs)]
+            assert (retimed_match_dffs(sg, heights)
+                    == reference_retimed_match_dffs(sg, heights)), (sg.name,
+                                                                   heights)
 
 
 def test_leaf_height_count_checked(table):
@@ -148,3 +201,71 @@ def test_retiming_monotone_and_balanced(lib, table):
         res = map_graph(g, lib, table)
         assert res.dffs_after <= res.dffs_before
         res.after.validate()
+
+
+def reference_retimed_dff(net, allow_across_splitters):
+    """The dict-built LP retime_min_registers replaced, returning the
+    retimed ``dff`` dict."""
+    edges = net.retiming_edges()
+    vertices = sorted({v for t, h, _ in edges for v in (t, h)} - {"host"})
+    vidx = {v: i for i, v in enumerate(vertices)}
+    nvar = len(vertices)
+    cost = [0.0] * nvar
+    a_ub, b_ub = [], []
+    for tail, head, w in edges:
+        if head != "host":
+            cost[vidx[head]] += 1.0
+        if tail != "host":
+            cost[vidx[tail]] -= 1.0
+        row = {}
+        if tail != "host":
+            row[vidx[tail]] = row.get(vidx[tail], 0.0) + 1.0
+        if head != "host":
+            row[vidx[head]] = row.get(vidx[head], 0.0) - 1.0
+        if row:
+            a_ub.append(row)
+            b_ub.append(float(w))
+    if not allow_across_splitters:
+        for inst in net.instances:
+            if inst.cell.kind != "splitter":
+                continue
+            drv = net.driver[inst.fanins[0]]
+            d = "host" if drv[0] == "pi" else ("inst", drv[1])
+            for a, b in ((("inst", inst.idx), d), (d, ("inst", inst.idx))):
+                row = {}
+                if a != "host":
+                    row[vidx[a]] = 1.0
+                if b != "host":
+                    row[vidx[b]] = row.get(vidx[b], 0.0) - 1.0
+                a_ub.append(row)
+                b_ub.append(0.0)
+    rows, cols, vals = [], [], []
+    for i, row in enumerate(a_ub):
+        for j, v in row.items():
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
+    a = csr_matrix((vals, (rows, cols)), shape=(len(a_ub), nvar))
+    res = linprog(cost, A_ub=a, b_ub=b_ub, bounds=[(None, None)] * nvar,
+                  method="highs")
+    assert res.success
+    r = {v: int(round(x)) for v, x in zip(vertices, res.x)}
+    r["host"] = 0
+    out = {}
+    for edge, (tail, head, w) in zip(net.edge_list(), edges):
+        wr = w + r[head] - r[tail]
+        if wr:
+            out[edge] = wr
+    return out
+
+
+@pytest.mark.parametrize("across", [True, False])
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_array_lp_matches_dict_lp(lib, table, name, across):
+    net = map_graph(CIRCUITS[name](), lib, table, retime=False).before
+    dff_in = dict(net.dff)
+    after = retime_min_registers(net, allow_across_splitters=across)
+    want = reference_retimed_dff(net, across)
+    assert list(after.dff.items()) == list(want.items())
+    assert all(type(w) is int for w in after.dff.values())
+    assert net.dff == dff_in  # the input network is left as it was
