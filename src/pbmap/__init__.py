@@ -7,7 +7,7 @@ from .cuts import Cut, CutSet, compute_cut_functions, enumerate_cuts
 from .flow import FlowResult, map_graph, prepare_match_table
 from .library import (Cell, CellLibrary, LibraryError, MatchTable, Supergate,
                       generate_supergates, parse_library)
-from .mapper import MappingError, map_dag, map_tree
+from .mapper import MappingError, map_dag
 from .netlist import NetlistError, SubjectGraph, parse_netlist, write_netlist
 from .report import MappingReport, build_report, emit
 from .retime import push_to_last_level_check, retime_min_registers, retimed_match_dffs
@@ -20,7 +20,7 @@ __all__ = [
     "NetlistError", "SubjectGraph", "Supergate", "TreeProfile",
     "build_report", "compute_cut_functions", "emit", "enumerate_cuts",
     "generate_supergates", "input_pins_from_profile", "depth_gap_buffers",
-    "push_to_last_level_check", "map_dag", "map_graph", "map_tree", "most_balanced",
+    "push_to_last_level_check", "map_dag", "map_graph", "most_balanced",
     "most_unbalanced", "parse_library", "parse_netlist",
     "prepare_match_table", "retime_min_registers", "retimed_match_dffs",
     "buffer_band_check", "write_netlist",

@@ -377,9 +377,11 @@ class MappedNetwork:
         return "\n".join(lines) + "\n"
 
     def write_verilog(self) -> str:
+        io = self._io_names()
+        clk = _free_name("clk", io)
         ports = self.pi_names + self.po_names + [n for n, _ in self.const_pos]
-        lines = [f"module {self.name} ({', '.join(ports + ['clk'])});",
-                 f"  input {', '.join(self.pi_names + ['clk'])};"]
+        lines = [f"module {self.name} ({', '.join(ports + [clk])});",
+                 f"  input {', '.join(self.pi_names + [clk])};"]
         outs = self.po_names + [n for n, _ in self.const_pos]
         if outs:
             lines.append(f"  output {', '.join(outs)};")
@@ -393,13 +395,12 @@ class MappedNetwork:
             if fmt is None:
                 conns = [f".{p}(%s)" for p in _ports(cell)]
                 if cell.is_clocked:
-                    conns.append(".clk(clk)")
+                    conns.append(f".clk({clk})")
                 fmt = gate[cell.name] = (f"  {cell.name} ".replace("%", "%%")
                                          + f"%s ({', '.join(conns)});")
             body.append(fmt % (label, *nets))
         for name, value in self.const_pos:
             body.append(f"  assign {name} = 1'b{int(value)};")
-        io = self._io_names()
         wires = sorted(self._sig_name(s, io) for s in self.driver
                        if self.driver[s][0] != "pi")
         wires += [_free_name(f"pbd{i}", io) for i in range(self.dff_total)]
@@ -414,8 +415,8 @@ def _free_name(name: str, io: set[str]) -> str:
     """A generated net name or instance label, or if a PI or PO already has
     it, the first ``<name>_<k>`` no PI or PO has.  Generated net names hold
     no ``_`` of their own, so a suffixed one meets no other generated name;
-    labels (``u<idx>``, ``u_<dff net>``) start with ``u`` and no generated
-    net does."""
+    labels (``u<idx>``, ``u_<dff net>``) start with ``u``, the Verilog clock
+    port ``clk`` with ``c``, and no generated net does."""
     if name not in io:
         return name
     k = 1

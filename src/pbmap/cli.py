@@ -1,8 +1,8 @@
 """Command-line driver: map circuits, run the tree analytics, sweep the
 identity checks, and report supergate hit rates.
 
-Exit codes: 0 success, 2 netlist parse error, 3 library error, 4 internal
-error.
+Exit codes: 0 success, 2 netlist parse or usage error, 3 library error,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -23,14 +23,20 @@ EXIT_LIBRARY = 3
 EXIT_INTERNAL = 4
 
 
+def _read_text(path, error: type[Exception]) -> str:
+    """A file's UTF-8 text; bytes that do not decode raise ``error``, so bad
+    input keeps its exit code instead of escaping as a traceback."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"not UTF-8 text (byte {e.start}: {e.reason})") from None
+
+
 def _load_library(path: str | None):
     if path is None:
-        data = (Path(__file__).parent / "data" / "sfq.genlib").read_text()
-        name = "sfq"
-    else:
-        data = Path(path).read_text()
-        name = Path(path).stem
-    return libmod.parse_library(data, name=name)
+        path = Path(__file__).parent / "data" / "sfq.genlib"
+    return libmod.parse_library(_read_text(path, libmod.LibraryError),
+                                name=Path(path).stem)
 
 
 def _fail(code: int, stage: str, err: Exception):
@@ -55,8 +61,6 @@ def main():
               help="max cuts kept per node")
 @click.option("--frontier-cap", default=8, show_default=True,
               help="max (height, dffs) points kept per node")
-@click.option("--objective", default="dffs+depth+area", show_default=True,
-              type=click.Choice(["dffs", "dffs+depth", "dffs+depth+area"]))
 @click.option("--no-retime", is_flag=True, help="report pre-retiming numbers")
 @click.option("--output", "-o", type=click.Path(), default=None,
               help="mapped netlist path (single input only)")
@@ -66,7 +70,7 @@ def main():
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="write the aggregate CSV here")
 def map_cmd(inputs, lib_path, k, supergate_depth, cut_cap, frontier_cap,
-            objective, no_retime, output, netlist_format, as_json, csv_path):
+            no_retime, output, netlist_format, as_json, csv_path):
     """Map one or more netlists (or a directory of them)."""
     try:
         lib = _load_library(lib_path)
@@ -84,25 +88,27 @@ def map_cmd(inputs, lib_path, k, supergate_depth, cut_cap, frontier_cap,
             paths.append(p)
     if not paths:
         _fail(EXIT_PARSE, "input", FileNotFoundError("no netlists found"))
+    if output and len(paths) > 1:
+        raise click.UsageError(
+            f"--output takes a single input netlist, got {len(paths)}")
 
     graphs = []
     for p in paths:
         try:
-            graphs.append((p, parse_netlist(p.read_text())))
+            graphs.append((p, parse_netlist(_read_text(p, NetlistError))))
         except NetlistError as e:
             _fail(EXIT_PARSE, f"parse {p.name}", e)
 
     try:
         results = [(p, flow.map_graph(g, lib, table, k=k, cut_cap=cut_cap,
                                       frontier_cap=frontier_cap,
-                                      objective=objective,
                                       retime=not no_retime))
                    for p, g in graphs]
     except Exception as e:  # noqa: BLE001 - surface stage + cause, per contract
         _fail(EXIT_INTERNAL, "map", e)
 
     reports = [report.build_report(res, circuit=p.stem) for p, res in results]
-    if output and len(results) == 1:
+    if output:
         net = results[0][1].after
         text = net.write_blif() if netlist_format == "blif" else net.write_verilog()
         Path(output).write_text(text)
@@ -200,7 +206,7 @@ def hit_rate_cmd(inputs, lib_path, k, supergate_depth, as_json):
     for inp in inputs:
         p = Path(inp)
         try:
-            g = parse_netlist(p.read_text())
+            g = parse_netlist(_read_text(p, NetlistError))
         except NetlistError as e:
             _fail(EXIT_PARSE, f"parse {p.name}", e)
         rows.append((p.stem, libmod.hit_rate(cutsmod.enumerate_cuts(g, k=k),
@@ -219,7 +225,7 @@ def hit_rate_cmd(inputs, lib_path, k, supergate_depth, as_json):
 def emit_cmd(input, fmt):
     """Parse a netlist and re-emit the subject graph (round-trip check)."""
     try:
-        g = parse_netlist(Path(input).read_text())
+        g = parse_netlist(_read_text(input, NetlistError))
     except NetlistError as e:
         _fail(EXIT_PARSE, "parse", e)
     click.echo(write_netlist(g, fmt), nl=False)

@@ -69,8 +69,8 @@ def prepare_match_table(lib: CellLibrary, k: int = 5, max_depth: int = 3,
 
 def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None,
               k: int = 5, max_depth: int = 3, cut_cap: int = 250,
-              frontier_cap: int = 8, objective: str = "dffs+depth+area",
-              retime: bool = True, depth_greedy: bool = False,
+              frontier_cap: int = 8, retime: bool = True,
+              depth_greedy: bool = False,
               allow_across_splitters: bool = True) -> FlowResult:
     """Map ``g`` onto ``lib``: k-cuts with their functions, the DFF DP (or
     the depth-greedy baseline), cover extraction, splitters, balancing and,
@@ -84,12 +84,10 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
         t0 = time.perf_counter()
         cutsets = cutsmod.enumerate_cuts(g, k=k, cap=cut_cap)
         if depth_greedy:
-            solutions = mapmod.map_depth_greedy(g, cutsets, table,
-                                                frontier_cap=frontier_cap)
+            solutions = mapmod.map_depth_greedy(g, cutsets, table)
         else:
             solutions = mapmod.map_dag(g, cutsets, table,
                                        frontier_cap=frontier_cap)
-            mapmod.select_best(solutions, g, objective)
         net = mapmod.extract_cover(solutions, g, cutsets, table,
                                    frontier_cap=frontier_cap)
         net.insert_splitters(lib)

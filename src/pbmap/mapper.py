@@ -1,12 +1,15 @@
 """The path-balancing mapper core: a DP over cuts that minimizes inserted
-balancing DFFs, followed by depth and area selection passes and cover
-extraction.
+balancing DFFs, and cover extraction.
 
 Every node carries a small Pareto frontier of (height, dffs) matches; a
 match's DFF count is its leaves' cumulative counts plus the retimed DFF
-count of the supergate given the chosen leaf arrival heights.  Multi-fanout
-nodes are hard cover boundaries: their frontier collapses to the single
-best point so all consumers share one implementation.
+count of the supergate given the chosen leaf arrival heights.  The frontier
+is kept sorted by (dffs, height), and of two equal points it keeps the one
+smaller by (area, jj, supergate name), the first inserted on a full tie; so
+its first point is the DFF-optimal, then shallowest, then cheapest match,
+and that point is the node's choice (``NodeSolution.best``).  Multi-fanout
+nodes are hard cover boundaries: their frontier collapses to that point so
+all consumers share one implementation.
 
 Leaf-to-input wirings come from one table cached on the match table,
 ``MatchTable.profiles``: for each (supergate, cut function, leaf heights) it
@@ -28,6 +31,9 @@ from .netlist import CONST0, SubjectGraph
 POS = "positive"
 NEG = "negative"
 
+# leaf-choice products above this size are swept by root arrival target
+PRODUCT_LIMIT = 64
+
 
 class MappingError(Exception):
     pass
@@ -44,7 +50,6 @@ class Match:
     jj: int
     leaf_heights: tuple[int, ...] = ()
     leaves: tuple[int, ...] = ()  # cut leaves in supergate input-slot order
-    alternates: list["Match"] = field(default_factory=list)
 
     @property
     def is_wire(self) -> bool:
@@ -55,8 +60,12 @@ class Match:
 class NodeSolution:
     node: int
     phase: str
-    frontier: list[Match] = field(default_factory=list)  # sorted by dffs
-    best: Match | None = None
+    frontier: list[Match] = field(default_factory=list)  # by (dffs, height)
+
+    @property
+    def best(self) -> Match:
+        """The node's choice: the frontier's first point."""
+        return self.frontier[0]
 
     @property
     def opt(self) -> int:
@@ -78,11 +87,7 @@ def _insert_pareto(frontier: list[Match], cand: Match, cap: int):
     for i, m in enumerate(frontier):
         if m.height == cand.height and m.dffs == cand.dffs:
             if _alt_key(cand) < _alt_key(m):
-                cand.alternates = m.alternates + [m]
                 frontier[i] = cand
-            else:
-                if len(m.alternates) < 4:
-                    m.alternates.append(cand)
             return
         if m.height <= cand.height and m.dffs <= cand.dffs:
             return  # dominated
@@ -96,8 +101,7 @@ def _insert_pareto(frontier: list[Match], cand: Match, cap: int):
 
 def _dominated(frontier: list[Match], height: int, dffs: int) -> bool:
     """Whether _insert_pareto would drop a (height, dffs) candidate: its scan
-    meets a dominating point before an equal one (which keeps it as an
-    alternate)."""
+    meets a dominating point before an equal one (which it may replace)."""
     for m in frontier:
         if m.height == height and m.dffs == dffs:
             return False
@@ -107,8 +111,7 @@ def _dominated(frontier: list[Match], height: int, dffs: int) -> bool:
 
 
 def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
-             out: list[Match], cap: int, phase: str, product_limit: int,
-             profiles):
+             out: list[Match], cap: int, phase: str, profiles):
     """Candidates for one (cut, supergate) pair over leaf frontier choices.
 
     Each candidate also chooses a leaf-to-input wiring: any permutation that
@@ -119,7 +122,7 @@ def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
     size = 1
     for lf in leaf_fronts:
         size *= len(lf)
-        if size > product_limit:
+        if size > PRODUCT_LIMIT:
             break
 
     def emit(choice):
@@ -138,7 +141,7 @@ def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
             )
             _insert_pareto(out, cand, cap)
 
-    if size <= product_limit:
+    if size <= PRODUCT_LIMIT:
         for choice in itertools.product(*leaf_fronts):
             emit(choice)
         return
@@ -159,9 +162,8 @@ def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
             emit(choice)
 
 
-def _solve_node(g: SubjectGraph, nid: int, phase: str,
-                cutsets: dict[int, CutSet], table: MatchTable,
-                solutions, frontier_cap: int, product_limit: int) -> NodeSolution:
+def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
+                table: MatchTable, solutions, frontier_cap: int) -> NodeSolution:
     frontier: list[Match] = []
     for cut in cutsets[nid].cuts:
         if cut.func is None:
@@ -181,108 +183,43 @@ def _solve_node(g: SubjectGraph, nid: int, phase: str,
             continue
         for sg in sgs:
             _combine(sg, cut, leaf_fronts, frontier, frontier_cap, phase,
-                     product_limit, table.profiles)
+                     table.profiles)
     if not frontier:
         raise MappingError(
             f"node {nid} ({phase}) has no matchable cut; "
             "library lacks AND/inverter coverage")
-    sol = NodeSolution(nid, phase, frontier)
-    sol.best = frontier[0]
-    return sol
+    return NodeSolution(nid, phase, frontier)
+
+
+def _wire_solutions(g: SubjectGraph) -> dict[tuple[int, str], NodeSolution]:
+    """A zero-cost wire at height 0 for every PI and the constant."""
+    srcs = g.pis + [CONST0] if g.has_const else g.pis
+    return {(s, POS): NodeSolution(s, POS, [Match(None, None, POS, 0, 0, 0.0, 0)])
+            for s in srcs}
 
 
 def map_dag(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
-            frontier_cap: int = 8, product_limit: int = 64):
+            frontier_cap: int = 8):
     """Topological DP sweep over any acyclic subject graph.
 
     Returns a dict keyed by (node_id, phase) of NodeSolution; negative-phase
-    solutions are added lazily by resolve_phase() where POs demand them.
+    solutions are added lazily by extract_cover() where POs demand them.
     """
-    solutions: dict[tuple[int, str], NodeSolution] = {}
-    for pi in g.pis:
-        wire = Match(None, None, POS, 0, 0, 0.0, 0)
-        solutions[(pi, POS)] = NodeSolution(pi, POS, [wire], wire)
-    if g.has_const:
-        wire = Match(None, None, POS, 0, 0, 0.0, 0)
-        solutions[(CONST0, POS)] = NodeSolution(CONST0, POS, [wire], wire)
+    solutions = _wire_solutions(g)
     fanout = g.fanout_counts()
     for nid in g.topo_order():
-        sol = _solve_node(g, nid, POS, cutsets, table, solutions,
-                          frontier_cap, product_limit)
+        sol = _solve_node(nid, POS, cutsets, table, solutions, frontier_cap)
         if fanout.get(nid, 0) > 1:
             # shared node: one implementation for all consumers
-            best = min(sol.frontier, key=lambda m: (m.dffs, m.height, _alt_key(m)))
-            sol.frontier = [best]
-            sol.best = best
+            del sol.frontier[1:]
         solutions[(nid, POS)] = sol
     return solutions
 
 
-def map_tree(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
-             frontier_cap: int = 8, product_limit: int = 64):
-    """map_dag restricted to trees (asserts single fanout throughout)."""
-    fanout = g.fanout_counts()
-    for nid in g.nodes:
-        if fanout[nid] > 1:
-            raise MappingError(f"map_tree called on a DAG (node {nid} has fanout "
-                               f"{fanout[nid]})")
-    return map_dag(g, cutsets, table, frontier_cap, product_limit)
-
-
-def resolve_phase(g: SubjectGraph, nid: int, phase: str, solutions,
-                  cutsets, table, frontier_cap: int = 8, product_limit: int = 64):
-    """Fetch (and lazily compute) the solution of a node in a given phase."""
-    key = (nid, phase)
-    if key not in solutions:
-        solutions[key] = _solve_node(g, nid, phase, cutsets, table, solutions,
-                                     frontier_cap, product_limit)
-    return solutions[key]
-
-
-def opt_value(solutions, nid: int) -> int:
-    return solutions[(nid, POS)].opt
-
-
-# ----------------------------------------------------------------------
-# selection passes
-# ----------------------------------------------------------------------
-
-
-def minimize_depth(solutions, g: SubjectGraph):
-    """Among DFF-optimal frontier points, select the minimum height.
-
-    Never trades DFFs for depth: points with more than the optimal DFF
-    count are not eligible.
-    """
-    for sol in solutions.values():
-        if not sol.frontier or sol.frontier[0].is_wire:
-            continue
-        opt = sol.opt
-        sol.best = min((m for m in sol.frontier if m.dffs == opt),
-                       key=lambda m: m.height)
-    return solutions
-
-
-def optimize_area(solutions, g: SubjectGraph):
-    """Among matches tied on (dffs, height), select the minimum area."""
-    for sol in solutions.values():
-        best = sol.best
-        if best is None or best.is_wire:
-            continue
-        pool = [best] + [a for a in best.alternates
-                         if a.height == best.height and a.dffs == best.dffs]
-        sol.best = min(pool, key=_alt_key)
-    return solutions
-
-
-def select_best(solutions, g: SubjectGraph, objective: str = "dffs+depth+area"):
-    for sol in solutions.values():
-        if sol.frontier:
-            sol.best = sol.frontier[0]
-    if objective in ("dffs+depth", "dffs+depth+area"):
-        minimize_depth(solutions, g)
-    if objective == "dffs+depth+area":
-        optimize_area(solutions, g)
+def select_best(solutions, g: SubjectGraph, objective=None):
+    """The identity: every node's choice is already its frontier's first
+    point.  Kept, with ``g`` and ``objective`` unused, for the benchmark's
+    traced pipeline, which still calls it."""
     return solutions
 
 
@@ -291,17 +228,10 @@ def select_best(solutions, g: SubjectGraph, objective: str = "dffs+depth+area"):
 # ----------------------------------------------------------------------
 
 
-def map_depth_greedy(g: SubjectGraph, cutsets, table,
-                     frontier_cap: int = 8, product_limit: int = 64):
+def map_depth_greedy(g: SubjectGraph, cutsets, table):
     """Classic min-height objective: per node keep the single match with the
     smallest arrival height (ties by area), ignoring DFF cost."""
-    solutions: dict[tuple[int, str], NodeSolution] = {}
-    for pi in g.pis:
-        wire = Match(None, None, POS, 0, 0, 0.0, 0)
-        solutions[(pi, POS)] = NodeSolution(pi, POS, [wire], wire)
-    if g.has_const:
-        wire = Match(None, None, POS, 0, 0, 0.0, 0)
-        solutions[(CONST0, POS)] = NodeSolution(CONST0, POS, [wire], wire)
+    solutions = _wire_solutions(g)
     for nid in g.topo_order():
         best = None
         for cut in cutsets[nid].cuts:
@@ -329,7 +259,7 @@ def map_depth_greedy(g: SubjectGraph, cutsets, table,
                     best = cand
         if best is None:
             raise MappingError(f"node {nid} has no matchable cut")
-        solutions[(nid, POS)] = NodeSolution(nid, POS, [best], best)
+        solutions[(nid, POS)] = NodeSolution(nid, POS, [best])
     return solutions
 
 
@@ -339,8 +269,11 @@ def map_depth_greedy(g: SubjectGraph, cutsets, table,
 
 
 def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
-                  frontier_cap: int = 8, product_limit: int = 64) -> MappedNetwork:
-    """Reverse traversal from the POs instantiating the chosen supergates."""
+                  frontier_cap: int = 8) -> MappedNetwork:
+    """Reverse traversal from the POs instantiating the chosen supergates.
+    A node demanded in a phase the DP did not solve (a complemented PO) is
+    solved here and added to ``solutions``; that needs ``cutsets`` and
+    ``table``."""
     net = MappedNetwork(name=g.name)
     pi_sig = {}
     for pid in g.pis:
@@ -358,8 +291,8 @@ def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
             if cutsets is None or table is None:
                 raise MappingError(
                     f"missing solution for node {nid} phase {phase}")
-            sol = resolve_phase(g, nid, phase, solutions, cutsets, table,
-                                frontier_cap, product_limit)
+            sol = solutions[(nid, phase)] = _solve_node(
+                nid, phase, cutsets, table, solutions, frontier_cap)
         match = sol.best if height is None else sol.point_at(height)
         key = (nid, phase, match.height)
         if key in sig_of:

@@ -79,7 +79,7 @@ def emit(reports, fmt: str = "text") -> str:
                 sum(r.runtime for r in reports) / n,
             ))
         return out.getvalue()
-    if fmt in ("text", "text-table"):
+    if fmt == "text":
         cols = ["circuit", "dffs_before", "dffs_after", "area", "jj",
                 "depth", "splitters", "po_pads", "hit_rate", "runtime"]
         rows = [[r.circuit, r.dffs_before, r.dffs_after, r.area, r.jj_total,

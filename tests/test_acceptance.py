@@ -19,11 +19,12 @@ from pbmap.balance import (buffer_band_check, depth_gap_buffers,
                            random_tree, tree_buffer_count, tree_leaf_depths,
                            tree_node_count)
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
-from pbmap.mapper import extract_cover, map_tree, opt_value
+from pbmap.mapper import extract_cover
 from pbmap.netlist import SubjectGraph, _and_op, _neg
 from pbmap.report import build_report
 from pbmap.retime import push_to_last_level_check, retimed_match_dffs
 from pbmap.truthtable import symmetry_perms
+from test_mapper import tree_opt
 
 K = 5
 
@@ -181,7 +182,7 @@ def test_criterion_1_tree_optimality(table, capsys):
         for shape in all_shapes(n_leaves):
             g, root = build_and_tree(shape)
             cutsets = compute_cut_functions(g, enumerate_cuts(g, k=K))
-            got = opt_value(map_tree(g, cutsets, table), root)
+            got = tree_opt(g, cutsets, table, root)
             want = min(d for _h, d in oracle(shape))
             if got != want:
                 mismatches.append((shape, got, want))
@@ -189,7 +190,7 @@ def test_criterion_1_tree_optimality(table, capsys):
     for _trial in range(500):
         g, root = random_tree_graph(rng.randint(1, 20), rng)
         cutsets = compute_cut_functions(g, enumerate_cuts(g, k=K))
-        got = opt_value(map_tree(g, cutsets, table), root)
+        got = tree_opt(g, cutsets, table, root)
         want = graph_oracle_opt(g, cutsets, table, root)
         if got != want:
             mismatches.append((g.name, got, want))
@@ -221,8 +222,8 @@ def test_criterion_2_product_term_dff_counts(lib, table, capsys):
     g.add_po(root, "F")
     free_cuts = compute_cut_functions(g, enumerate_cuts(g, k=K))
     chain_cuts = compute_cut_functions(g, enumerate_cuts(g, k=2))
-    free = opt_value(map_tree(g, free_cuts, table), root[0])
-    chain = opt_value(map_tree(g, chain_cuts, table), root[0])
+    free = tree_opt(g, free_cuts, table, root[0])
+    chain = tree_opt(g, chain_cuts, table, root[0])
     free_oracle = graph_oracle_opt(g, free_cuts, table, root[0])
     chain_oracle = graph_oracle_opt(g, chain_cuts, table, root[0])
     res = flow.map_graph(g, lib, table)

@@ -62,7 +62,7 @@ def test_mapped_corpus_invariants(lib, table):
 def test_splitter_count_matches_fanout_excess(lib, table):
     rng = random.Random(6)
     from pbmap.cuts import compute_cut_functions, enumerate_cuts
-    from pbmap.mapper import extract_cover, map_dag, select_best
+    from pbmap.mapper import extract_cover, map_dag
 
     for trial in range(10):
         g = bench.random_aig(rng.randint(25, 70), rng.randint(5, 8),
@@ -73,7 +73,7 @@ def test_splitter_count_matches_fanout_excess(lib, table):
             g = random_aig(rng.randint(25, 70), rng.randint(5, 8),
                            seed=700 + trial, n_pos=3)
         cutsets = compute_cut_functions(g, enumerate_cuts(g, k=5))
-        sols = select_best(map_dag(g, cutsets, table), g)
+        sols = map_dag(g, cutsets, table)
         net = extract_cover(sols, g, cutsets, table)
         excess = sum(len(sinks) - 1 for sinks in net.consumers().values()
                      if len(sinks) > 1)
@@ -272,6 +272,18 @@ def test_verilog_labels_never_take_io_names(lib, table):
                 declared.append(f[1])  # instance label
         assert len(declared) == len(set(declared)), sorted(declared)
         assert {"u0", "u3", "u_pbd0"} <= set(declared)
+
+
+def test_verilog_clock_never_takes_io_names(lib, table):
+    # a PI named clk and a PO named clk_1: the clock port becomes clk_2
+    text = ".model m\n.inputs clk b\n.outputs clk_1\n.names clk b clk_1\n11 1\n.end\n"
+    res = map_graph(parse_netlist(text), lib, table)
+    for net in (res.before, res.after):
+        lines = net.write_verilog().splitlines()
+        assert lines[0] == "module m (clk, b, clk_1, clk_2);"
+        assert lines[1] == "  input clk, b, clk_2;"
+        gates = [line for line in lines if ".clk(" in line]
+        assert gates and all(".clk(clk_2)" in line for line in gates)
 
 
 def test_validate_checks_po_arrival_against_depth(lib, table):

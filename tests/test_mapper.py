@@ -4,14 +4,16 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbmap import bench, flow
 from pbmap import mapper as mapmod
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
 from pbmap.flow import prepare_match_table
-from pbmap.mapper import (Match, MappingError, NodeSolution, _insert_pareto,
-                          extract_cover, map_dag, map_depth_greedy, map_tree,
-                          minimize_depth, opt_value, select_best)
+from pbmap.mapper import (Match, NodeSolution, _alt_key, _dominated,
+                          _insert_pareto, extract_cover, map_dag,
+                          map_depth_greedy)
 from pbmap.netlist import (CONST0, SubjectGraph, _and_op, _neg, _or_op,
                            balanced_reduce, random_aig)
 from pbmap.retime import retimed_match_dffs
@@ -22,6 +24,14 @@ POS = "positive"
 
 def prepared(g, k=5):
     return compute_cut_functions(g, enumerate_cuts(g, k=k))
+
+
+def tree_opt(g, cutsets, table, root):
+    """The DP's DFF optimum at ``root`` of a tree, one where no node fans
+    out."""
+    fanout = g.fanout_counts()
+    assert all(fanout[nid] <= 1 for nid in g.nodes), "not a tree"
+    return map_dag(g, cutsets, table)[(root, POS)].opt
 
 
 def chain_f():
@@ -55,13 +65,30 @@ def test_pareto_incomparable_points_kept_sorted():
     assert front[0].dffs == 1
 
 
-def test_pareto_tie_recorded_as_alternate():
+def test_pareto_tie_cheaper_point_wins_slot():
     front = []
     _insert_pareto(front, mk(3, 2, area=2.0), 8)
     _insert_pareto(front, mk(3, 2, area=1.0), 8)  # cheaper tie wins the slot
     assert len(front) == 1
     assert front[0].area == 1.0
-    assert [a.area for a in front[0].alternates] == [2.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cap=st.integers(1, 8),
+       points=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                 st.sampled_from([1.0, 1.5, 2.0]),
+                                 st.integers(0, 2)),
+                       min_size=1, max_size=24))
+def test_frontier_head_is_first_inserted_minimum(cap, points):
+    # the node's choice is frontier[0]: fed in _combine's order, it must be
+    # the first-inserted minimum by (dffs, height, area, jj, name) of every
+    # candidate, including those dropped or evicted on the way
+    front = []
+    cands = [Match(None, None, POS, h, d, area, jj) for h, d, area, jj in points]
+    for m in cands:
+        if not _dominated(front, m.height, m.dffs):
+            _insert_pareto(front, m, cap)
+    assert front[0] is min(cands, key=lambda m: (m.dffs, m.height, _alt_key(m)))
 
 
 def test_pareto_cap_enforced():
@@ -75,26 +102,13 @@ def test_chain_f_free_cover(lib, table):
     # both the 4-leaf balanced supergate and the chain's own structure admit
     # a zero-DFF cover with level-transparent inverters
     g, root = chain_f()
-    sols = map_tree(g, prepared(g), table)
-    assert opt_value(sols, root) == 0
+    assert tree_opt(g, prepared(g), table, root) == 0
 
 
 def test_chain_cover_needs_three_dffs(lib, table):
     # k=2 cuts force the chain cover: one DFF per level of arrival skew
     g, root = chain_f()
-    sols = map_tree(g, prepared(g, k=2), table)
-    assert opt_value(sols, root) == 3
-
-
-def test_map_tree_rejects_dag(table):
-    g = SubjectGraph()
-    a = (g.add_pi("a"), False)
-    b = (g.add_pi("b"), False)
-    shared = _and_op(g, a, b)
-    g.add_po(_and_op(g, shared, a), "f")
-    g.add_po(_or_op(g, shared, b), "h")
-    with pytest.raises(MappingError):
-        map_tree(g, prepared(g), table)
+    assert tree_opt(g, prepared(g, k=2), table, root) == 3
 
 
 def test_multi_fanout_frontier_collapses(table):
@@ -113,43 +127,15 @@ def test_match_cost_recomposes(table):
     # chosen match cost = sum of leaf frontier costs + retimed supergate count
     g = bench.ripple_adder(3)
     cutsets = prepared(g)
-    sols = select_best(map_dag(g, cutsets, table), g)
+    sols = map_dag(g, cutsets, table)
     for (nid, phase), sol in sols.items():
         m = sol.best
-        if m is None or m.is_wire:
+        if m.is_wire:
             continue
         leaf_dffs = 0
         for leaf, h in zip(m.leaves, m.leaf_heights):
             leaf_dffs += sols[(leaf, POS)].point_at(h).dffs
         assert m.dffs == leaf_dffs + retimed_match_dffs(m.supergate, m.leaf_heights)
-
-
-def test_minimize_depth_preserves_opt(table):
-    g = bench.alternating_chain(9)
-    cutsets = prepared(g)
-    sols = map_dag(g, cutsets, table)
-    opts = {key: sol.opt for key, sol in sols.items() if sol.frontier}
-    minimize_depth(sols, g)
-    for key, sol in sols.items():
-        if sol.best is None or sol.best.is_wire:
-            continue
-        assert sol.best.dffs == opts[key]
-        # minimal height among the DFF-optimal points
-        assert sol.best.height == min(m.height for m in sol.frontier
-                                      if m.dffs == opts[key])
-
-
-def test_area_pass_only_moves_on_ties(table):
-    g = bench.comparator(3)
-    cutsets = prepared(g)
-    sols = select_best(map_dag(g, cutsets, table), g, objective="dffs+depth")
-    pairs = {k: (s.best.height, s.best.dffs) for k, s in sols.items()
-             if s.best and not s.best.is_wire}
-    select_best(sols, g, objective="dffs+depth+area")
-    for k, sol in sols.items():
-        if sol.best is None or sol.best.is_wire:
-            continue
-        assert (sol.best.height, sol.best.dffs) == pairs[k]
 
 
 def test_extracted_cover_is_functionally_equivalent(table):
@@ -158,7 +144,7 @@ def test_extracted_cover_is_functionally_equivalent(table):
         g = random_aig(rng.randint(20, 60), rng.randint(5, 8), seed=300 + trial,
                        n_pos=3)
         cutsets = prepared(g)
-        sols = select_best(map_dag(g, cutsets, table), g)
+        sols = map_dag(g, cutsets, table)
         net = extract_cover(sols, g, cutsets, table)
         n = len(g.pis)
         mask = (1 << (1 << n)) - 1
@@ -182,7 +168,7 @@ def test_complemented_and_constant_pos(table):
     g.add_po(g.const_lit(True), "one")
     g.add_po(g.const_lit(False), "zero")
     cutsets = prepared(g)
-    sols = select_best(map_dag(g, cutsets, table), g)
+    sols = map_dag(g, cutsets, table)
     net = extract_cover(sols, g, cutsets, table)
     packed = [0b0101, 0b0011]
     got = net.simulate(packed, 0xF)
@@ -199,7 +185,7 @@ def test_depth_greedy_reaches_min_height(table):
               bench.mux_tree(2)]:
         cutsets = prepared(g)
         greedy = map_depth_greedy(g, cutsets, table)
-        sols = select_best(map_dag(g, cutsets, table), g)
+        sols = map_dag(g, cutsets, table)
         for (p, _c) in g.pos:
             if p == 0:
                 continue
@@ -211,8 +197,7 @@ def test_balanced_and_tree_is_free(table):
     lits = [(g.add_pi(f"x{i}"), False) for i in range(8)]
     root = balanced_reduce(g, lits, _and_op)
     g.add_po(root, "f")
-    sols = map_tree(g, prepared(g), table)
-    assert opt_value(sols, root[0]) == 0
+    assert tree_opt(g, prepared(g), table, root[0]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -220,8 +205,7 @@ def test_balanced_and_tree_is_free(table):
 # ----------------------------------------------------------------------
 
 
-def reference_combine(sg, cut, leaf_fronts, out, cap, phase, product_limit,
-                      profiles):
+def reference_combine(sg, cut, leaf_fronts, out, cap, phase, profiles):
     """The DP's candidate loop written out per symmetry permutation, with a
     Match built for every distinct height profile of every leaf choice; the
     table's cached ``profiles`` go unused."""
@@ -230,7 +214,7 @@ def reference_combine(sg, cut, leaf_fronts, out, cap, phase, product_limit,
     size = 1
     for lf in leaf_fronts:
         size *= len(lf)
-        if size > product_limit:
+        if size > mapmod.PRODUCT_LIMIT:
             break
 
     def emit(choice):
@@ -253,7 +237,7 @@ def reference_combine(sg, cut, leaf_fronts, out, cap, phase, product_limit,
             )
             _insert_pareto(out, cand, cap)
 
-    if size <= product_limit:
+    if size <= mapmod.PRODUCT_LIMIT:
         for choice in itertools.product(*leaf_fronts):
             emit(choice)
         return
@@ -277,10 +261,9 @@ def reference_depth_greedy(g, cutsets, table):
     """Depth-greedy baseline choosing its wiring by a min over every
     symmetry permutation."""
     wire = Match(None, None, POS, 0, 0, 0.0, 0)
-    solutions = {(pi, POS): NodeSolution(pi, POS, [wire], wire)
-                 for pi in g.pis}
+    solutions = {(pi, POS): NodeSolution(pi, POS, [wire]) for pi in g.pis}
     if g.has_const:
-        solutions[(CONST0, POS)] = NodeSolution(CONST0, POS, [wire], wire)
+        solutions[(CONST0, POS)] = NodeSolution(CONST0, POS, [wire])
     for nid in g.topo_order():
         best = None
         for cut in cutsets[nid].cuts:
@@ -306,14 +289,13 @@ def reference_depth_greedy(g, cutsets, table):
                 if best is None or key < (best.height, best.area, best.jj,
                                           best.supergate.name):
                     best = cand
-        solutions[(nid, POS)] = NodeSolution(nid, POS, [best], best)
+        solutions[(nid, POS)] = NodeSolution(nid, POS, [best])
     return solutions
 
 
 def _point(m):
     return (m.height, m.dffs, m.area, m.jj, m.leaf_heights, m.leaves,
-            m.supergate.name if m.supergate else None,
-            [(a.supergate.name, a.leaves) for a in m.alternates])
+            m.supergate.name if m.supergate else None)
 
 
 def _frontiers(solutions):
@@ -336,15 +318,14 @@ def test_profile_table_keeps_every_frontier(lib_name, table, clocked_table,
     for name, make in EQUIV_CIRCUITS:
         g = make()
         cutsets = prepared(g)
-        # product_limit=1 sends every multi-leaf choice down the greedy
+        # a product limit of 1 sends every multi-leaf choice down the greedy
         # target sweep, the DP's other caller of the candidate loop
-        for product_limit in (64, 1):
-            got = _frontiers(map_dag(g, cutsets, tbl,
-                                     product_limit=product_limit))
+        for product_limit in (mapmod.PRODUCT_LIMIT, 1):
             with monkeypatch.context() as mp:
+                mp.setattr(mapmod, "PRODUCT_LIMIT", product_limit)
+                got = _frontiers(map_dag(g, cutsets, tbl))
                 mp.setattr(mapmod, "_combine", reference_combine)
-                want = _frontiers(map_dag(g, cutsets, tbl,
-                                          product_limit=product_limit))
+                want = _frontiers(map_dag(g, cutsets, tbl))
             assert got == want, (name, product_limit)
             multi_point += sum(len(f) > 1 for f in got.values())
 

@@ -173,6 +173,34 @@ def test_cli_map_deep_alternating_chain(tmp_path):
     assert json.loads(result.output)["circuit"] == "altchain500"
 
 
+@pytest.mark.parametrize("cmd", ["map", "emit", "hit-rate"])
+def test_cli_non_utf8_netlist_exit_code(tmp_path, cmd):
+    bad = tmp_path / "bad.blif"
+    bad.write_bytes(b".model x\n.inputs a\xff\n.outputs f\n.names a f\n1 1\n.end\n")
+    result = CliRunner().invoke(main, [cmd, str(bad)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "not UTF-8" in result.output
+
+
+def test_cli_non_utf8_library_exit_code(tmp_path):
+    badlib = tmp_path / "bad.genlib"
+    badlib.write_bytes((DATA / "sfq.genlib").read_bytes() + b"# \xff\n")
+    result = CliRunner().invoke(main, ["map", "--lib", str(badlib), str(KSA4)])
+    assert result.exit_code == 3, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "not UTF-8" in result.output
+
+
+def test_cli_map_output_needs_single_input(tmp_path):
+    out = tmp_path / "out.blif"
+    result = CliRunner().invoke(main, ["map", "-o", str(out), str(KSA4),
+                                       str(KSA4)])
+    assert result.exit_code == 2
+    assert "single input" in result.output
+    assert not out.exists()
+
+
 def test_cli_library_error_exit_code(tmp_path):
     badlib = tmp_path / "bad.genlib"
     badlib.write_text("GATE and2 2.0 o=a*b;\n")  # no inverter/dff/splitter
