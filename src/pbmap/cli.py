@@ -44,6 +44,33 @@ def _fail(code: int, stage: str, err: Exception):
     sys.exit(code)
 
 
+def _load_table(lib_path: str | None, k: int, supergate_depth: int):
+    """The cell library and its match table; library errors exit 3."""
+    try:
+        lib = _load_library(lib_path)
+        return lib, flow.prepare_match_table(lib, k=k, max_depth=supergate_depth)
+    except libmod.LibraryError as e:
+        _fail(EXIT_LIBRARY, "library", e)
+
+
+def _read_netlist(path):
+    """The subject graph of a netlist file; parse errors exit 2."""
+    try:
+        return parse_netlist(_read_text(path, NetlistError))
+    except NetlistError as e:
+        _fail(EXIT_PARSE, f"parse {Path(path).name}", e)
+
+
+# out-of-range values are usage errors (exit 2): cuts have at most six
+# leaves, and a cut cap below 2 or a supergate depth below 1 leaves nodes
+# with no matchable cut
+_k_option = click.option("-k", default=5, show_default=True,
+                         type=click.IntRange(2, 6), help="max cut width")
+_depth_option = click.option("--supergate-depth", default=3, show_default=True,
+                             type=click.IntRange(min=1),
+                             help="max supergate tree depth")
+
+
 @click.group()
 def main():
     """Path-balancing technology mapper for clocked SFQ cell libraries."""
@@ -54,13 +81,10 @@ def main():
                 type=click.Path(exists=True))
 @click.option("--lib", "lib_path", type=click.Path(exists=True), default=None,
               help="genlib cell library (bundled SFQ library by default)")
-@click.option("-k", default=5, show_default=True, help="max cut width")
-@click.option("--supergate-depth", default=3, show_default=True,
-              help="max supergate tree depth")
+@_k_option
+@_depth_option
 @click.option("--cut-cap", default=250, show_default=True,
-              help="max cuts kept per node")
-@click.option("--frontier-cap", default=8, show_default=True,
-              help="max (height, dffs) points kept per node")
+              type=click.IntRange(min=2), help="max cuts kept per node")
 @click.option("--no-retime", is_flag=True, help="report pre-retiming numbers")
 @click.option("--output", "-o", type=click.Path(), default=None,
               help="mapped netlist path (single input only)")
@@ -69,14 +93,10 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="write the aggregate CSV here")
-def map_cmd(inputs, lib_path, k, supergate_depth, cut_cap, frontier_cap,
-            no_retime, output, netlist_format, as_json, csv_path):
+def map_cmd(inputs, lib_path, k, supergate_depth, cut_cap, no_retime, output,
+            netlist_format, as_json, csv_path):
     """Map one or more netlists (or a directory of them)."""
-    try:
-        lib = _load_library(lib_path)
-        table = flow.prepare_match_table(lib, k=k, max_depth=supergate_depth)
-    except libmod.LibraryError as e:
-        _fail(EXIT_LIBRARY, "library", e)
+    lib, table = _load_table(lib_path, k, supergate_depth)
 
     paths = []
     for inp in inputs:
@@ -92,16 +112,9 @@ def map_cmd(inputs, lib_path, k, supergate_depth, cut_cap, frontier_cap,
         raise click.UsageError(
             f"--output takes a single input netlist, got {len(paths)}")
 
-    graphs = []
-    for p in paths:
-        try:
-            graphs.append((p, parse_netlist(_read_text(p, NetlistError))))
-        except NetlistError as e:
-            _fail(EXIT_PARSE, f"parse {p.name}", e)
-
+    graphs = [(p, _read_netlist(p)) for p in paths]
     try:
         results = [(p, flow.map_graph(g, lib, table, k=k, cut_cap=cut_cap,
-                                      frontier_cap=frontier_cap,
                                       retime=not no_retime))
                    for p, g in graphs]
     except Exception as e:  # noqa: BLE001 - surface stage + cause, per contract
@@ -190,27 +203,19 @@ def check_identities(max_height):
 @click.argument("inputs", nargs=-1, required=True,
                 type=click.Path(exists=True))
 @click.option("--lib", "lib_path", type=click.Path(exists=True), default=None)
-@click.option("-k", default=5, show_default=True)
-@click.option("--supergate-depth", default=3, show_default=True)
+@_k_option
+@_depth_option
 @click.option("--json", "as_json", is_flag=True)
 def hit_rate_cmd(inputs, lib_path, k, supergate_depth, as_json):
     """Fraction of enumerated cut functions coverable by a supergate."""
     from . import cuts as cutsmod
 
-    try:
-        lib = _load_library(lib_path)
-        table = flow.prepare_match_table(lib, k=k, max_depth=supergate_depth)
-    except libmod.LibraryError as e:
-        _fail(EXIT_LIBRARY, "library", e)
+    _, table = _load_table(lib_path, k, supergate_depth)
     rows = []
     for inp in inputs:
-        p = Path(inp)
-        try:
-            g = parse_netlist(_read_text(p, NetlistError))
-        except NetlistError as e:
-            _fail(EXIT_PARSE, f"parse {p.name}", e)
-        rows.append((p.stem, libmod.hit_rate(cutsmod.enumerate_cuts(g, k=k),
-                                             table)))
+        g = _read_netlist(inp)
+        rows.append((Path(inp).stem,
+                     libmod.hit_rate(cutsmod.enumerate_cuts(g, k=k), table)))
     if as_json:
         click.echo(json.dumps({name: round(r, 4) for name, r in rows}, indent=2))
     else:
@@ -224,11 +229,7 @@ def hit_rate_cmd(inputs, lib_path, k, supergate_depth, as_json):
               type=click.Choice(["blif", "aag"]))
 def emit_cmd(input, fmt):
     """Parse a netlist and re-emit the subject graph (round-trip check)."""
-    try:
-        g = parse_netlist(_read_text(input, NetlistError))
-    except NetlistError as e:
-        _fail(EXIT_PARSE, "parse", e)
-    click.echo(write_netlist(g, fmt), nl=False)
+    click.echo(write_netlist(_read_netlist(input), fmt), nl=False)
 
 
 if __name__ == "__main__":

@@ -57,39 +57,34 @@ def _collector_paused():
             gc.enable()
 
 
-def prepare_match_table(lib: CellLibrary, k: int = 5, max_depth: int = 3,
-                        max_count: int = 4000,
-                        time_budget: float | None = None) -> MatchTable:
+def prepare_match_table(lib: CellLibrary, k: int = 5,
+                        max_depth: int = 3) -> MatchTable:
     with _collector_paused():
-        sgs = libmod.generate_supergates(lib, k=k, max_depth=max_depth,
-                                         max_count=max_count,
-                                         time_budget=time_budget)
+        sgs = libmod.generate_supergates(lib, k=k, max_depth=max_depth)
         return MatchTable(sgs)
 
 
 def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None,
-              k: int = 5, max_depth: int = 3, cut_cap: int = 250,
-              frontier_cap: int = 8, retime: bool = True,
+              k: int = 5, cut_cap: int = 250, retime: bool = True,
               depth_greedy: bool = False,
               allow_across_splitters: bool = True) -> FlowResult:
     """Map ``g`` onto ``lib``: k-cuts with their functions, the DFF DP (or
     the depth-greedy baseline), cover extraction, splitters, balancing and,
     if ``retime``, min-register retiming by one LP.  ``table`` is prepared
-    from ``lib`` when not given.  The whole pass runs with the cyclic
-    garbage collector paused (see ``_collector_paused``); ``runtime``
-    covers mapping through retiming, not table preparation."""
+    from ``lib`` with ``k`` and the default supergate depth when not given.
+    The whole pass runs with the cyclic garbage collector paused (see
+    ``_collector_paused``); ``runtime`` covers mapping through retiming, not
+    table preparation."""
     with _collector_paused():
         if table is None:
-            table = prepare_match_table(lib, k=k, max_depth=max_depth)
+            table = prepare_match_table(lib, k=k)
         t0 = time.perf_counter()
         cutsets = cutsmod.enumerate_cuts(g, k=k, cap=cut_cap)
         if depth_greedy:
             solutions = mapmod.map_depth_greedy(g, cutsets, table)
         else:
-            solutions = mapmod.map_dag(g, cutsets, table,
-                                       frontier_cap=frontier_cap)
-        net = mapmod.extract_cover(solutions, g, cutsets, table,
-                                   frontier_cap=frontier_cap)
+            solutions = mapmod.map_dag(g, cutsets, table)
+        net = mapmod.extract_cover(solutions, g)
         net.insert_splitters(lib)
         net.insert_balancing()
         net.validate()

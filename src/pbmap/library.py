@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import functools
 import re
-import time
 from dataclasses import dataclass, field
 
 from . import retime
-from .truthtable import (apply_cell, symmetry_perms, table_mask, tt_not,
-                         var_table)
+from .truthtable import (MAX_VARS, apply_cell, symmetry_perms, table_mask,
+                         tt_not, var_table)
 
 
 class LibraryError(Exception):
@@ -253,7 +252,10 @@ def _validate_sfq(lib: CellLibrary):
 # supergates
 # ----------------------------------------------------------------------
 
-_LEAF = -1  # marker in generation; realized as consecutive leaf indices
+# supergates kept before generation stops (GenerationStats.budget_exhausted)
+SUPERGATE_BUDGET = 4000
+# alternatives kept per function beside its best representative
+RUNNER_UPS = 4
 
 
 @dataclass
@@ -288,16 +290,6 @@ def _render_name(root: Cell, children: tuple, base: int = 0) -> str:
             parts.append(f"x{pos}")
             pos += 1
     return f"{root.name}({','.join(parts)})"
-
-
-def _lift(tt: int, m: int, offset: int, n: int) -> int:
-    """Embed a table over m vars into an n-var space at the given offset."""
-    out = 0
-    mm = (1 << m) - 1
-    for minterm in range(1 << n):
-        if (tt >> ((minterm >> offset) & mm)) & 1:
-            out |= 1 << minterm
-    return out
 
 
 def _compose(root: Cell, children: tuple) -> Supergate:
@@ -338,10 +330,11 @@ def _compose(root: Cell, children: tuple) -> Supergate:
     pos = 0
     for ch in children:
         if ch is None:
-            child_tts.append(_lift(var_table(0, 1), 1, pos, n))
+            child_tts.append(var_table(pos, n))
             pos += 1
         else:
-            child_tts.append(_lift(ch.func, ch.n_inputs, pos, n))
+            child_tts.append(apply_cell(
+                ch.func, [var_table(pos + i, n) for i in range(ch.n_inputs)], n))
             pos += ch.n_inputs
     func = apply_cell(root.func, child_tts, n)
     return Supergate(
@@ -373,18 +366,18 @@ class GenerationStats:
 
 
 def generate_supergates(lib: CellLibrary, k: int = 5, max_depth: int = 3,
-                        max_count: int = 4000, time_budget: float | None = None,
-                        runner_ups: int = 4,
                         stats: GenerationStats | None = None) -> list[Supergate]:
     """Exhaustive breadth-first composition of library gates up to
-    ``max_depth`` levels and ``k`` inputs.
+    ``max_depth`` levels and ``k`` inputs, stopping once
+    ``SUPERGATE_BUDGET`` are kept.
 
     Duplicate functions keep the best (internal_dffs, depth, area)
-    representative plus up to ``runner_ups`` alternatives with distinct
+    representative plus up to ``RUNNER_UPS`` alternatives with distinct
     leaf-depth profiles (the DP needs non-minimal-height choices too).
     """
+    if k > MAX_VARS:
+        raise ValueError(f"k must be at most {MAX_VARS}")
     stats = stats or GenerationStats()
-    deadline = time.monotonic() + time_budget if time_budget else None
     roots = sorted(lib.logic_cells(), key=lambda c: c.name)
     identity = var_table(0, 1)
 
@@ -404,7 +397,7 @@ def generate_supergates(lib: CellLibrary, k: int = 5, max_depth: int = 3,
             return False
         bucket.append(sg)
         bucket.sort(key=_sort_key)
-        if len(bucket) > 1 + runner_ups:
+        if len(bucket) > 1 + RUNNER_UPS:
             bucket.pop()
             return sg in bucket
         kept_total += 1
@@ -445,7 +438,7 @@ def generate_supergates(lib: CellLibrary, k: int = 5, max_depth: int = 3,
                 stats.generated += 1
                 if keep(sg):
                     newcomers.append(sg)
-                if kept_total >= max_count or (deadline and time.monotonic() > deadline):
+                if kept_total >= SUPERGATE_BUDGET:
                     stats.budget_exhausted = True
                     done = True
                     break

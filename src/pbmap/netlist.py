@@ -29,7 +29,6 @@ class AndNode:
     id: int
     fanin0: tuple[int, bool]
     fanin1: tuple[int, bool]
-    level: int = 0
 
 
 @dataclass
@@ -145,8 +144,7 @@ class SubjectGraph:
         levels[CONST0] = 0
         for nid in self.topo_order():
             n = self.nodes[nid]
-            n.level = 1 + max(levels[n.fanin0[0]], levels[n.fanin1[0]])
-            levels[nid] = n.level
+            levels[nid] = 1 + max(levels[n.fanin0[0]], levels[n.fanin1[0]])
         return levels
 
     @property
@@ -431,7 +429,6 @@ def _parse_blif(text: str) -> SubjectGraph:
     for name in outputs:
         g.add_po(resolve(name, None), name)
     g.sweep_dangling()
-    g.compute_levels()
     return g
 
 
@@ -575,7 +572,6 @@ def _parse_aag(text: str) -> SubjectGraph:
     for k, (lno, lit) in enumerate(out_lits):
         g.add_po(lookup(lit, lno), out_names.get(k, f"o{k}"))
     g.sweep_dangling()
-    g.compute_levels()
     return g
 
 
@@ -699,5 +695,4 @@ def random_aig(n_nodes: int, n_pis: int, seed: int, n_pos: int | None = None) ->
     if not g.pos:
         g.add_po(pool[0])
     g.sweep_dangling()
-    g.compute_levels()
     return g

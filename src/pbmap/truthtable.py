@@ -19,7 +19,6 @@ def projection(var: int, nvars: int) -> int:
     """Table of the bare variable ``var`` over an ``nvars`` input space."""
     if not 0 <= var < nvars:
         raise ValueError(f"variable {var} out of range for {nvars} inputs")
-    block = 1 << var
     tt = 0
     for m in range(1 << nvars):
         if (m >> var) & 1:

@@ -412,7 +412,7 @@ def test_criterion_5_structural_invariants(lib, table, capsys):
             if not structurally_sound(net):
                 failures.append((g.name, tag, "balance"))
         # splitter count equals total fanout excess of the raw cover
-        raw = extract_cover(res.solutions, g, res.cutsets, table)
+        raw = extract_cover(res.solutions, g)
         excess = sum(len(sinks) - 1 for sinks in raw.consumers().values()
                      if len(sinks) > 1)
         if res.before.splitter_count != excess:

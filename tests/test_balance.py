@@ -74,7 +74,7 @@ def test_splitter_count_matches_fanout_excess(lib, table):
                            seed=700 + trial, n_pos=3)
         cutsets = compute_cut_functions(g, enumerate_cuts(g, k=5))
         sols = map_dag(g, cutsets, table)
-        net = extract_cover(sols, g, cutsets, table)
+        net = extract_cover(sols, g)
         excess = sum(len(sinks) - 1 for sinks in net.consumers().values()
                      if len(sinks) > 1)
         net.insert_splitters(lib)

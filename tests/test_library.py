@@ -6,7 +6,7 @@ from pbmap.cuts import compute_cut_functions, enumerate_cuts
 from pbmap.library import (LibraryError, MatchTable, generate_supergates,
                            hit_rate, parse_library)
 from pbmap.netlist import SubjectGraph, _and_op
-from pbmap.truthtable import table_mask, tt_eval, tt_not, var_table
+from pbmap.truthtable import apply_cell, table_mask, tt_eval, tt_not, var_table
 
 MINI = """
 GATE and2   2.0 o=a*b;   # JJ=6 CLOCKED=1
@@ -110,6 +110,12 @@ def test_double_inversion_pruned(lib):
     assert all(not (sg.n_inputs == 1 and sg.func == idn) for sg in sgs)
 
 
+def test_generation_rejects_wider_than_a_truth_table(lib):
+    # supergate tables are composed from var_table, which stops at MAX_VARS
+    with pytest.raises(ValueError):
+        generate_supergates(lib, k=7, max_depth=2)
+
+
 def test_generation_scale(lib, table):
     # full generation at k=5, depth 3: a few thousand supergates
     assert 2000 < len(table.supergates) < 6000
@@ -138,6 +144,41 @@ def test_supergate_functions_match_recursive_evaluation(table):
     for sg in sample:
         for m in range(1 << sg.n_inputs):
             assert tt_eval(sg.func, m) == ev(sg, m, 0)
+
+
+def _lift(tt: int, m: int, offset: int, n: int) -> int:
+    """Embed a table over m vars into an n-var space at the given offset,
+    one minterm at a time."""
+    out = 0
+    mm = (1 << m) - 1
+    for minterm in range(1 << n):
+        if (tt >> ((minterm >> offset) & mm)) & 1:
+            out |= 1 << minterm
+    return out
+
+
+def lifted_func(sg) -> int:
+    """A supergate's table composed from its children's, each rebuilt the
+    same way and lifted to its leaf offset minterm by minterm."""
+    n = sg.n_inputs
+    child_tts = []
+    pos = 0
+    for ch in sg.children:
+        if isinstance(ch, int):
+            child_tts.append(_lift(var_table(0, 1), 1, pos, n))
+            pos += 1
+        else:
+            child_tts.append(_lift(lifted_func(ch), ch.n_inputs, pos, n))
+            pos += ch.n_inputs
+    return apply_cell(sg.root_cell.func, child_tts, n)
+
+
+@pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])
+def test_supergate_functions_match_lifted_composition(lib_name, table,
+                                                      clocked_table):
+    tbl = table if lib_name == "bundled" else clocked_table
+    for sg in tbl.supergates:
+        assert sg.func == lifted_func(sg), sg.name
 
 
 def test_supergate_cost_fields(table):

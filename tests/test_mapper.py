@@ -20,6 +20,7 @@ from pbmap.retime import retimed_match_dffs
 from pbmap.truthtable import symmetry_perms
 
 POS = "positive"
+NEG = "negative"
 
 
 def prepared(g, k=5):
@@ -43,6 +44,21 @@ def chain_f():
     n3 = _and_op(g, n2, d)
     g.add_po(n3, "F")
     return g, n3[0]
+
+
+def assert_equivalent(g, net):
+    """``net`` computes ``g``'s POs on every input pattern."""
+    n = len(g.pis)
+    mask = (1 << (1 << n)) - 1
+    packed = []
+    for i in range(n):
+        col = 0
+        for m in range(1 << n):
+            col |= ((m >> i) & 1) << m
+        packed.append(col)
+    want = [v & mask for v in g.simulate(dict(zip(g.pis, packed)))]
+    got = net.simulate(packed, mask)
+    assert [got[name] for name in g.po_names] == want
 
 
 def mk(height, dffs, area=1.0):
@@ -145,18 +161,7 @@ def test_extracted_cover_is_functionally_equivalent(table):
                        n_pos=3)
         cutsets = prepared(g)
         sols = map_dag(g, cutsets, table)
-        net = extract_cover(sols, g, cutsets, table)
-        n = len(g.pis)
-        mask = (1 << (1 << n)) - 1
-        packed = []
-        for i in range(n):
-            col = 0
-            for m in range(1 << n):
-                col |= ((m >> i) & 1) << m
-            packed.append(col)
-        want = [v & mask for v in g.simulate(dict(zip(g.pis, packed)))]
-        got = net.simulate(packed, mask)
-        assert [got[name] for name in g.po_names] == want
+        assert_equivalent(g, extract_cover(sols, g))
 
 
 def test_complemented_and_constant_pos(table):
@@ -164,18 +169,53 @@ def test_complemented_and_constant_pos(table):
     a = (g.add_pi("a"), False)
     b = (g.add_pi("b"), False)
     n = _and_op(g, a, b)
-    g.add_po(_neg(n), "nf")        # demands the negative phase lazily
+    g.add_po(_neg(n), "nf")        # the DP solves its negative phase
     g.add_po(g.const_lit(True), "one")
     g.add_po(g.const_lit(False), "zero")
     cutsets = prepared(g)
     sols = map_dag(g, cutsets, table)
-    net = extract_cover(sols, g, cutsets, table)
+    net = extract_cover(sols, g)
     packed = [0b0101, 0b0011]
     got = net.simulate(packed, 0xF)
     assert got["nf"] == 0b1110
     assert got["one"] == 0xF
     assert got["zero"] == 0
     assert net.const_pos == [("one", True), ("zero", False)]
+
+
+@pytest.mark.parametrize("mapper", [map_dag, map_depth_greedy],
+                         ids=["dp", "depth_greedy"])
+def test_cover_only_reads_the_solutions(table, mapper):
+    # both sweeps solve every (node, phase) the cover demands, complemented
+    # POs included, so the cover adds nothing to the solutions
+    g = SubjectGraph()
+    a = (g.add_pi("a"), False)
+    b = (g.add_pi("b"), False)
+    n = _and_op(g, a, b)
+    g.add_po(_neg(n), "nand")
+    g.add_po(_neg(a), "na")
+    g.add_po(n, "and")
+    sols = mapper(g, prepared(g), table)
+    before = dict(sols)
+    net = extract_cover(sols, g)
+    assert {(n[0], NEG), (a[0], NEG)} <= set(sols)
+    assert list(sols) == list(before)
+    assert all(sols[key] is sol for key, sol in before.items())
+    assert_equivalent(g, net)
+
+
+def test_frontier_cap_bounds_every_frontier(clocked_lib, clocked_table):
+    g = random_aig(150, 12, seed=3, n_pos=None)
+    cutsets = prepared(g)
+    uncapped = map_dag(g, cutsets, clocked_table)
+    assert max(len(s.frontier) for s in uncapped.values()) > 1
+    sols = map_dag(g, cutsets, clocked_table, frontier_cap=1)
+    assert all(len(s.frontier) == 1 for s in sols.values())
+    net = extract_cover(sols, g)
+    net.insert_splitters(clocked_lib)
+    net.insert_balancing()
+    net.validate()
+    assert_equivalent(g, net)
 
 
 def test_depth_greedy_reaches_min_height(table):
@@ -315,6 +355,7 @@ def test_profile_table_keeps_every_frontier(lib_name, table, clocked_table,
                                             monkeypatch):
     tbl = table if lib_name == "bundled" else clocked_table
     multi_point = 0
+    complemented = 0
     for name, make in EQUIV_CIRCUITS:
         g = make()
         cutsets = prepared(g)
@@ -329,10 +370,16 @@ def test_profile_table_keeps_every_frontier(lib_name, table, clocked_table,
             assert got == want, (name, product_limit)
             multi_point += sum(len(f) > 1 for f in got.values())
 
+        # the baseline's own choices; beside them it holds the DP's negative
+        # phase of every complemented PO, checked above through map_dag
         got = map_depth_greedy(g, cutsets, tbl)
         want = reference_depth_greedy(g, cutsets, tbl)
-        assert ({k: _point(s.best) for k, s in got.items()}
+        assert ({k: _point(got[k].best) for k in want}
                 == {k: _point(s.best) for k, s in want.items()}), name
+        neg = {(p, NEG) for p, c in g.pos if c and p != CONST0}
+        assert set(got) - set(want) == neg, name
+        complemented += len(neg)
+    assert complemented > 0
     if lib_name == "clocked_inv":
         assert multi_point > 0
 

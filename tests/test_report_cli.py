@@ -201,6 +201,18 @@ def test_cli_map_output_needs_single_input(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["map", "-k", "9"], ["map", "-k", "1"], ["map", "--cut-cap", "1"],
+    ["map", "--supergate-depth", "0"], ["hit-rate", "-k", "9"],
+    ["hit-rate", "--supergate-depth", "0"],
+])
+def test_cli_out_of_range_option_is_usage_error(args):
+    result = CliRunner().invoke(main, args + [str(KSA4)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Invalid value" in result.output
+
+
 def test_cli_library_error_exit_code(tmp_path):
     badlib = tmp_path / "bad.genlib"
     badlib.write_text("GATE and2 2.0 o=a*b;\n")  # no inverter/dff/splitter
