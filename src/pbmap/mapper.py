@@ -189,8 +189,8 @@ def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
                      table.profiles)
     if not frontier:
         raise MappingError(
-            f"node {nid} ({phase}) has no matchable cut; "
-            "library lacks AND/inverter coverage")
+            f"node {nid} ({phase}) has no matchable cut: the library or the "
+            "supergate depth cannot cover its cuts")
     return NodeSolution(nid, phase, frontier)
 
 

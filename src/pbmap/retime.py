@@ -10,9 +10,14 @@ form) minimizes the count.
 
 from __future__ import annotations
 
+import logging
+import time
+
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
+
+log = logging.getLogger(__name__)
 
 
 def retimed_match_dffs(supergate, leaf_heights) -> int:
@@ -50,6 +55,45 @@ def push_to_last_level_check(h: int, x: int) -> tuple[int, int, bool]:
 # ----------------------------------------------------------------------
 
 
+def lag_window(tail, head, weight, host):
+    """The lag window ``lo <= r <= hi`` that the legality rows
+    ``r(tail) - r(head) <= weight`` imply, per vertex ``0..host``:
+    ``hi(v)`` is the fewest DFFs on any path from ``v`` to the host,
+    ``lo(v)`` minus the fewest on any path from the host to ``v`` (``inf``
+    where no path exists).  The edges between instances form a DAG, so
+    both are one walk in topological order and one in reverse."""
+    inf = float("inf")
+    down = [inf] * (host + 1)  # fewest DFFs from the host
+    up = [inf] * (host + 1)    # fewest DFFs to the host
+    down[host] = up[host] = 0
+    out = [[] for _ in range(host)]
+    indeg = [0] * host
+    for t, h, w in zip(tail.tolist(), head.tolist(), weight.tolist()):
+        if t == host:
+            down[h] = min(down[h], w)
+        elif h == host:
+            up[t] = min(up[t], w)
+        else:
+            out[t].append((h, w))
+            indeg[h] += 1
+    order = [v for v in range(host) if not indeg[v]]
+    for v in order:  # Kahn's algorithm: order grows as the walk goes
+        dv = down[v]
+        for h, w in out[v]:
+            if dv + w < down[h]:
+                down[h] = dv + w
+            indeg[h] -= 1
+            if not indeg[h]:
+                order.append(h)
+    if len(order) != host:
+        raise ValueError("retiming graph has a cycle between instances")
+    for v in reversed(order):
+        for h, w in out[v]:
+            if w + up[h] < up[v]:
+                up[v] = w + up[h]
+    return -np.array(down, dtype=float), np.array(up, dtype=float)
+
+
 def retime_min_registers(net, allow_across_splitters: bool = True):
     """Minimize the total DFF count of a balanced MappedNetwork by register
     relocation, preserving function and every PI-to-PO clocked path length.
@@ -59,7 +103,11 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
     the LP optimum is integral).  Vertices are instance indices, with PIs
     and POs on one fixed host vertex so I/O latency is pinned; one row per
     edge in ``edge_list`` order (host-to-host edges left out), one column
-    per used instance in index order.  Returns a new MappedNetwork.
+    per used instance in index order.  Each column is bounded by its
+    ``lag_window``, built from the edge rows alone: the bounds follow from
+    the rows (the splitter rows of ``allow_across_splitters=False`` only
+    tighten them), so the feasible set and the optimum are unchanged and
+    HiGHS only takes a shorter path to it.  Returns a new MappedNetwork.
     """
     edges = net.edge_list()
     host = len(net.instances)
@@ -79,6 +127,8 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
         return net.copy()
     col = np.cumsum(used) - 1  # instance index -> LP column
     nvar = int(used.sum())
+    lo, hi = lag_window(tail, head, weight, host)
+    bounds = np.column_stack([lo[used], hi[used]])
 
     # minimize sum_e w_r(e) = W + sum_v r(v) * (indeg(v) - outdeg(v))
     cost = (np.bincount(head, minlength=host + 1)
@@ -106,8 +156,12 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
     a = csr_matrix((vals, (rows, col[pair[rows, side]])),
                    shape=(len(pair), nvar))
     b_ub = np.concatenate(rhs)[keep].astype(float)
-    res = linprog(cost, A_ub=a, b_ub=b_ub, bounds=(None, None),
-                  method="highs")
+    start = time.perf_counter()
+    res = linprog(cost, A_ub=a, b_ub=b_ub, bounds=bounds, method="highs")
+    log.debug("retiming LP %s: %d rows, %d columns (%d zero-width), "
+              "%d iterations, %.4f s", net.name, len(pair), nvar,
+              int((bounds[:, 0] == bounds[:, 1]).sum()), res.nit,
+              time.perf_counter() - start)
     if not res.success:  # identity retiming is always feasible
         raise RuntimeError(f"retiming LP failed: {res.message}")
     lag = np.zeros(host + 1, dtype=np.int64)

@@ -27,24 +27,24 @@ GOLDEN = {
 GOLDEN_TEXT = {
     "ksa16": ("7a2c671ca4b1e7abee3beacb47d3ebed75bd17b3863f90ff9b5080e97a0df5ec",
               "52fb41eb661797971fab81682ed737f385cc083159a69e5519c2d467361d6b7a",
-              "db4a1104cb87f9258828e2a104b4fce4e2412d35180281ab0f2122b33babef5c",
-              "775910f3190170065bec9672ae84a1a95389e7ae621177ac57839ed2df53659d"),
+              "2cec17d76c28b561c1d883b8c33932fc69e57d535bd9b148d19dd0a38bb777e3",
+              "47224bcd96e9efacb2ff6b9201bbcde78a73cd3b1942b8a4a4db50f6884b627a"),
     "alu8": ("f2c72201a2831d51ef153b957f5f09f4802952148bd3b7292e5382ca2be53dca",
              "1d85b7dc0a478a5aefcd67977b4d80229f912a8e57506d6fbb66af8f3a3394dd",
-             "6f5cd2c3bf5d9a6427e1c0dda107cb6dac110e1e13b11c7476fdcaed5aee448d",
-             "72a65c6d01acdbff6c0b88210a7221115f15cc842ed2ef570a036b071babe507"),
+             "42aafa25e29855d29ea9c3de5e32a253aed90d91e88d90b9fc4c367e24719899",
+             "944ce734a42c3e1a2c2854d12db7245d144e1568604316e53cb230356c092c9b"),
     "bshift16": ("2d511072f09ab47c00b462d5ce9c0326d8608031295f8218496f1be3a6c4d1a2",
                  "f69d514d4a70938664d43991949f80a8bb4cbe5f2dc58bfd4202278213efc2d3",
                  "79976a0c2f98be19cbee99af9c806c2ea7542391596a3c359ebc1760509778dd",
                  "7248061c3b7ac9750c42757dc3774691104817a62b76f568bd15f83645ccdbb4"),
     "prio16": ("f7d34e1256cc9da87a033b2d0de98f0446b1a20da4279e6aa7940f9ddcbe9809",
                "a1efa3138617eeeeb6b05fb6215e50bb7a02dd825fe08d19720fbdaeb8b32e1f",
-               "a1e6d9a150e90948a3cbd2cd5975dd6a8a0cfe59bbbe771ce9af2dae03934baa",
-               "234609ba8a6920061c23963aa762b4404b3add5127fda62c5ae47a6d758fec87"),
+               "63650a4dfcb63ba1e8dce59db5562d5ec20d0df210cf4750b64de8e17d56fce9",
+               "b3e5528e720783b6d61fb71849db816a2c1729e190912cecf27bb7310a1374db"),
     "rand200": ("cd7e95091bbd94d7e0e073f3e626ff084dce0108ce611eb2fe2e2190ec79ffa3",
                 "1232ca9eb6fb167fbe67f938e3d20ba3258e2277e3378f07d6a0037911fb8ec3",
-                "46461f18bac107f0339cc5cc258f4634bd06ae06da65e239e711604c17746117",
-                "c3590265d4f50224ad8264f1a0d204d85c54d05b85fa98c80290a0746bc62a53"),
+                "f32dc89373b6379eee5f6fb30a7470aaf9eee087b73494031b3dfdd14476f1d1",
+                "c64be066e8beb14ff9b0f386e577d3506cd4dd2d26231c99a61bf06e7e6ccdb2"),
 }
 
 CIRCUITS = {

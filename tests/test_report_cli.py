@@ -201,6 +201,17 @@ def test_cli_map_output_needs_single_input(tmp_path):
     assert not out.exists()
 
 
+def test_cli_uncoverable_node_blames_supergate_depth():
+    # depth-1 supergates are single cells: no cell of the bundled library
+    # is an AND with a complemented input
+    result = CliRunner().invoke(main, ["map", "--supergate-depth", "1",
+                                       str(KSA4)])
+    assert result.exit_code == 4
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "(positive) has no matchable cut" in result.stderr
+    assert "supergate depth" in result.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["map", "-k", "9"], ["map", "-k", "1"], ["map", "--cut-cap", "1"],
     ["map", "--supergate-depth", "0"], ["hit-rate", "-k", "9"],

@@ -1,5 +1,7 @@
+import logging
 import random
 
+import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
@@ -8,8 +10,8 @@ from pbmap import bench
 from pbmap.balance import MappedNetwork
 from pbmap.flow import map_graph
 from pbmap.mapper import _instantiate
-from pbmap.retime import (push_to_last_level_check, retime_min_registers,
-                          retimed_match_dffs)
+from pbmap.retime import (lag_window, push_to_last_level_check,
+                          retime_min_registers, retimed_match_dffs)
 from test_golden_qor import CIRCUITS
 
 
@@ -203,13 +205,39 @@ def test_retiming_monotone_and_balanced(lib, table):
         res.after.validate()
 
 
-def reference_retimed_dff(net, allow_across_splitters):
+def reference_window(edges):
+    """Lag bounds implied by the ``(tail, head, w)`` legality rows
+    ``r(tail) - r(head) <= w`` with ``r(host) = 0``, relaxed to a fixpoint:
+    ``{vertex: (lo, hi)}``, ``inf`` where no path bounds a side."""
+    inf = float("inf")
+    vertices = {v for t, h, _ in edges for v in (t, h)}
+    up = dict.fromkeys(vertices, inf)    # fewest DFFs from v to the host
+    down = dict.fromkeys(vertices, inf)  # fewest DFFs from the host to v
+    up["host"] = down["host"] = 0
+    changed = True
+    while changed:
+        changed = False
+        for tail, head, w in edges:
+            if up[head] + w < up[tail]:
+                up[tail] = up[head] + w
+                changed = True
+            if down[tail] + w < down[head]:
+                down[head] = down[tail] + w
+                changed = True
+    return {v: (-down[v], up[v]) for v in vertices}
+
+
+def reference_retimed_dff(net, allow_across_splitters, bounded=True):
     """The dict-built LP retime_min_registers replaced, returning the
-    retimed ``dff`` dict."""
+    retimed ``dff`` dict; ``bounded`` gives each column its lag window,
+    computed from the edge rows alone."""
     edges = net.retiming_edges()
     vertices = sorted({v for t, h, _ in edges for v in (t, h)} - {"host"})
     vidx = {v: i for i, v in enumerate(vertices)}
     nvar = len(vertices)
+    window = reference_window(edges)
+    bounds = ([window[v] for v in vertices] if bounded
+              else [(None, None)] * nvar)
     cost = [0.0] * nvar
     a_ub, b_ub = [], []
     for tail, head, w in edges:
@@ -246,8 +274,7 @@ def reference_retimed_dff(net, allow_across_splitters):
             cols.append(j)
             vals.append(v)
     a = csr_matrix((vals, (rows, cols)), shape=(len(a_ub), nvar))
-    res = linprog(cost, A_ub=a, b_ub=b_ub, bounds=[(None, None)] * nvar,
-                  method="highs")
+    res = linprog(cost, A_ub=a, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.success
     r = {v: int(round(x)) for v, x in zip(vertices, res.x)}
     r["host"] = 0
@@ -269,3 +296,97 @@ def test_array_lp_matches_dict_lp(lib, table, name, across):
     assert list(after.dff.items()) == list(want.items())
     assert all(type(w) is int for w in after.dff.values())
     assert net.dff == dff_in  # the input network is left as it was
+
+
+def parallel_edge_net(lib):
+    """Two PIs into one AND, one of them through two DFFs: the host has two
+    edges of different weight into the AND."""
+    and2 = next(c for c in lib.cells if c.name == "and2")
+    net = MappedNetwork(name="parallel")
+    a, b = net.add_pi("a"), net.add_pi("b")
+    f = net.add_gate(and2, [a, b])
+    net.add_po(f, "f")
+    net.dff = {(b, ("inst", 0, 1)): 2, (f, ("po", 0)): 1}
+    return net
+
+
+@pytest.mark.parametrize("name", [*CIRCUITS, "parallel"])
+def test_lag_window_is_the_rows_fixpoint(lib, table, name):
+    net = (parallel_edge_net(lib) if name == "parallel" else
+           map_graph(CIRCUITS[name](), lib, table, retime=False).before)
+    host = len(net.instances)
+    edges = net.retiming_edges()
+    index = {"host": host, **{("inst", v): v for v in range(host)}}
+    tail, head, weight = (np.array(col) for col in zip(
+        *((index[t], index[h], w) for t, h, w in edges)))
+    lo, hi = lag_window(tail, head, weight, host)
+    want = reference_window(edges)
+    got = {("inst", v): (lo[v], hi[v]) for v in range(host)
+           if ("inst", v) in want}
+    got["host"] = (lo[host], hi[host])
+    assert got == want
+
+
+def test_lag_window_rejects_a_cycle():
+    # host -> 0 -> 1 -> 0, 1 -> host: no topological order exists
+    tail, head, weight = (np.array(c) for c in ([2, 0, 1, 1], [0, 1, 0, 2],
+                                                [0, 1, 1, 0]))
+    with pytest.raises(ValueError, match="cycle"):
+        lag_window(tail, head, weight, 2)
+
+
+@pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])
+@pytest.mark.parametrize("across", [True, False])
+def test_window_keeps_the_optimum(lib, table, clocked_lib, clocked_table,
+                                  lib_name, across):
+    if lib_name == "clocked_inv":
+        lib, table = clocked_lib, clocked_table
+    for make in CIRCUITS.values():
+        net = map_graph(make(), lib, table, retime=False).before
+        after = retime_min_registers(net, allow_across_splitters=across)
+        free = reference_retimed_dff(net, across, bounded=False)
+        assert after.dff_total == sum(free.values()), net.name
+
+
+def alap_network(net):
+    """``net`` retimed by ``r = hi``: every instance as late as the rows
+    allow, so no register can move any further toward the outputs."""
+    edges = net.retiming_edges()
+    window = reference_window(edges)
+    alap = net.copy()
+    alap.dff = {}
+    for edge, (tail, head, w) in zip(net.edge_list(), edges):
+        wr = w + window[head][1] - window[tail][1]
+        if wr:
+            alap.dff[edge] = wr
+    return alap
+
+
+@pytest.mark.parametrize("name, alap_dffs, optimum", [
+    ("ksa16", 494, 225), ("alu8", 666, 270), ("rand200", 866, 441)])
+def test_retiming_an_alap_input_reaches_the_optimum(lib, table, name,
+                                                    alap_dffs, optimum):
+    # a window of [0, hi] would hold for the ASAP networks map_graph builds
+    # but freeze every lag here, where each hi is 0
+    alap = alap_network(map_graph(CIRCUITS[name](), lib, table,
+                                  retime=False).before)
+    alap.validate()
+    assert alap.dff_total == alap_dffs
+    after = retime_min_registers(alap)
+    after.validate()
+    assert after.dff_total == optimum
+
+
+def test_lp_size_logged_at_debug(lib, table, caplog):
+    net = map_graph(bench.kogge_stone_adder(16), lib, table,
+                    retime=False).before
+    with caplog.at_level(logging.DEBUG, logger="pbmap.retime"):
+        retime_min_registers(net)
+    (rec,) = [r for r in caplog.records if r.name == "pbmap.retime"]
+    assert rec.levelno == logging.DEBUG
+    rows, cols, fixed, nit, secs = rec.args[1:]
+    edges = net.retiming_edges()
+    assert rows == sum(1 for t, h, _ in edges if (t, h) != ("host", "host"))
+    assert cols == len({v for t, h, _ in edges for v in (t, h)} - {"host"})
+    assert 0 < fixed < cols
+    assert nit >= 0 and secs >= 0
