@@ -10,8 +10,8 @@ each; splitters are asynchronous and contribute none.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .library import Cell, CellLibrary
@@ -54,16 +54,13 @@ class MappedNetwork:
     def __post_init__(self):
         self._next_sig = 0
         self.driver: dict[int, tuple] = {}
+        self._topo: list[Instance] | None = None  # see topo_instances
 
     # -- construction --------------------------------------------------
 
-    def _new_sig(self) -> int:
-        s = self._next_sig
-        self._next_sig += 1
-        return s
-
     def add_pi(self, name: str) -> int:
-        sig = self._new_sig()
+        sig = self._next_sig
+        self._next_sig += 1
         self.pi_names.append(name)
         self.pi_sigs.append(sig)
         self.driver[sig] = ("pi", len(self.pi_sigs) - 1)
@@ -71,10 +68,12 @@ class MappedNetwork:
 
     def add_gate(self, cell: Cell, fanins: list[int]) -> int:
         idx = len(self.instances)
-        n_outs = 2 if cell.kind == "splitter" else 1
-        outs = [self._new_sig() for _ in range(n_outs)]
+        first = self._next_sig
+        self._next_sig += 2 if cell.kind == "splitter" else 1
+        outs = list(range(first, self._next_sig))
         inst = Instance(idx, cell, list(fanins), outs)
         self.instances.append(inst)
+        self._topo = None
         for slot, sig in enumerate(outs):
             self.driver[sig] = ("inst", idx, slot)
         return outs[0]
@@ -95,29 +94,33 @@ class MappedNetwork:
         return out
 
     def topo_instances(self) -> list[Instance]:
-        indeg = {}
-        deps: dict[int, list[int]] = {}
-        for inst in self.instances:
-            n = 0
-            for sig in inst.fanins:
-                drv = self.driver[sig]
-                if drv[0] == "inst":
-                    n += 1
-                    deps.setdefault(drv[1], []).append(inst.idx)
-            indeg[inst.idx] = n
-        ready = [i for i, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            i = heapq.heappop(ready)
-            order.append(self.instances[i])
-            for j in deps.get(i, ()):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(ready, j)
-        if len(order) != len(self.instances):
-            raise BalanceError("mapped network contains a cycle")
-        return order
+        """The instances in Kahn's order, lowest index first among the ready
+        ones.  Computed once per structure and shared by every caller:
+        ``add_gate`` and ``_rewire`` drop it, ``copy`` carries it."""
+        if self._topo is None:
+            n = len(self.instances)
+            indeg = [0] * n
+            deps: list[list[int]] = [[] for _ in range(n)]
+            for inst in self.instances:
+                for sig in inst.fanins:
+                    drv = self.driver[sig]
+                    if drv[0] == "inst":
+                        indeg[inst.idx] += 1
+                        deps[drv[1]].append(inst.idx)
+            ready = [i for i in range(n) if not indeg[i]]
+            heapq.heapify(ready)
+            order = []
+            while ready:
+                i = heapq.heappop(ready)
+                order.append(self.instances[i])
+                for j in deps[i]:
+                    indeg[j] -= 1
+                    if not indeg[j]:
+                        heapq.heappush(ready, j)
+            if len(order) != n:
+                raise BalanceError("mapped network contains a cycle")
+            self._topo = order
+        return self._topo
 
     def edge_list(self) -> list[tuple]:
         """All (sig, consumer) edges in a fixed deterministic order."""
@@ -129,15 +132,24 @@ class MappedNetwork:
             edges.append((sig, ("po", i)))
         return edges
 
-    def arrivals(self) -> dict[int, int]:
+    def arrivals(self, balanced: bool = False) -> dict[int, int]:
         """Clocked level of every signal: 0 at a PI; at a cell's outputs the
-        latest fanin arrival including its edge DFFs, plus one if clocked."""
+        latest fanin arrival including its edge DFFs, plus one if clocked.
+        With ``balanced``, a cell whose fanins do not arrive together raises
+        BalanceError."""
         h = {sig: 0 for sig in self.pi_sigs}
+        dff = self.dff
         for inst in self.topo_instances():
-            arr = max(h[f] + self.dff.get((f, ("inst", inst.idx, pin)), 0)
-                      for pin, f in enumerate(inst.fanins))
+            idx = inst.idx
+            arrs = [h[f] + dff.get((f, ("inst", idx, pin)), 0)
+                    for pin, f in enumerate(inst.fanins)]
+            arr = max(arrs)
+            if balanced and min(arrs) != arr:
+                raise BalanceError(
+                    f"unbalanced fanins at {inst.cell.name} #{idx}: {arrs}")
+            arr += inst.cell.is_clocked
             for sig in inst.outs:
-                h[sig] = arr + inst.cell.is_clocked
+                h[sig] = arr
         return h
 
     # -- splitter insertion --------------------------------------------
@@ -154,8 +166,9 @@ class MappedNetwork:
         cons = self.consumers()
         po_height = max((h[s] for s in self.pos), default=0)
         # estimated DFFs each sink's edge would need, snapshotted before any
-        # rewiring: fewer = more critical
-        gate_target = {inst.idx: max(h[f] for f in inst.fanins)
+        # rewiring: fewer = more critical.  A cell's latest fanin arrives
+        # at its output's arrival less its clock.
+        gate_target = {inst.idx: h[inst.out] - inst.cell.is_clocked
                        for inst in self.instances}
 
         def criticality(sig, key):
@@ -177,6 +190,7 @@ class MappedNetwork:
             self._rewire(sinks[-1], cur)
 
     def _rewire(self, consumer_key, new_sig):
+        self._topo = None
         if consumer_key[0] == "inst":
             _, idx, pin = consumer_key
             self.instances[idx].fanins[pin] = new_sig
@@ -192,7 +206,7 @@ class MappedNetwork:
         self.dff = {}
         h = self.arrivals()
         for inst in self.instances:
-            target = max(h[f] for f in inst.fanins)
+            target = h[inst.out] - inst.cell.is_clocked  # the latest fanin
             for pin, f in enumerate(inst.fanins):
                 if h[f] < target:
                     self.dff[(f, ("inst", inst.idx, pin))] = target - h[f]
@@ -237,26 +251,22 @@ class MappedNetwork:
     # -- validation ----------------------------------------------------
 
     def validate(self):
-        """Every cell's fanins arrive together, every PO arrives at
-        ``depth`` and no signal has fanout above one.  Retiming keeps every
-        PI-to-PO register count, so a retimed network keeps its depth."""
-        h = self.arrivals()
-        for inst in self.instances:
-            arrs = [h[f] + self.dff.get((f, ("inst", inst.idx, pin)), 0)
-                    for pin, f in enumerate(inst.fanins)]
-            if len(set(arrs)) > 1:
-                raise BalanceError(
-                    f"unbalanced fanins at {inst.cell.name} #{inst.idx}: {arrs}")
+        """Every cell's fanins arrive together (checked by the arrival
+        walk), every PO arrives at ``depth`` and no signal is read twice,
+        i.e. has fanout above one.  Retiming keeps every PI-to-PO register
+        count, so a retimed network keeps its depth."""
+        h = self.arrivals(balanced=True)
         po_arr = {h[s] + self.dff.get((s, ("po", i)), 0)
                   for i, s in enumerate(self.pos)}
         if po_arr - {self.depth}:
             raise BalanceError(f"PO arrivals {sorted(po_arr)} differ from "
                                f"depth {self.depth}")
-        cons = self.consumers()
-        for sig, sinks in cons.items():
-            if len(sinks) > 1:
-                raise BalanceError(f"signal {sig} has fanout {len(sinks)} "
-                                   "after splitter insertion")
+        reads = [f for inst in self.instances for f in inst.fanins] + self.pos
+        if len(set(reads)) < len(reads):
+            sig, n = next((sig, n) for sig, n in Counter(reads).items()
+                          if n > 1)
+            raise BalanceError(f"signal {sig} has fanout {n} after splitter "
+                               "insertion")
         return True
 
     # -- simulation ----------------------------------------------------
@@ -306,6 +316,8 @@ class MappedNetwork:
         net.splitter_cell = self.splitter_cell
         net._next_sig = self._next_sig
         net.driver = dict(self.driver)
+        if self._topo is not None:
+            net._topo = [net.instances[i.idx] for i in self._topo]
         return net
 
     # -- emission ------------------------------------------------------
@@ -314,61 +326,78 @@ class MappedNetwork:
         return (set(self.pi_names) | set(self.po_names)
                 | {name for name, _ in self.const_pos})
 
-    def _sig_name(self, sig: int, io: set[str]) -> str:
-        drv = self.driver[sig]
-        if drv[0] == "pi":
-            return self.pi_names[drv[1]]
-        return _free_name(f"n{sig}", io)
+    def _net_names(self, io: set[str]) -> list[str]:
+        """Every signal's net name, indexed by signal: a PI's own name, else
+        ``n<sig>``."""
+        names = _free_names([f"n{sig}" for sig in range(self._next_sig)], io)
+        for name, sig in zip(self.pi_names, self.pi_sigs):
+            names[sig] = name
+        return names
 
-    def _edge_source(self, sig: int, consumer: tuple, count, io: set[str]):
-        """Yield a record per DFF on one edge, each reading the one before,
-        and return the net the consumer reads.  ``count`` numbers the DFFs
-        ``pbd<n>`` in file order."""
-        src = self._sig_name(sig, io)
-        for _ in range(self.dff.get((sig, consumer), 0)):
-            q = _free_name(f"pbd{next(count)}", io)
-            yield _free_name(f"u_{q}", io), self.dff_cell, (src, q)
-            src = q
-        return src
-
-    def _records(self):
-        """The netlist in file order, shared by both writers: a ``(label,
-        cell, nets)`` record per edge DFF (just before its consumer) and per
-        instance, its nets in the order of ``_ports(cell)``; then a
-        ``(name, None, net)`` record per PO."""
+    def _records(self, io: set[str], names: list[str]):
+        """The netlist in file order, shared by both writers: a ``(cell,
+        labels, rows)`` record per instance and per edge's DFF chain (just
+        before its consumer), with a label and a row of nets, in the order
+        of ``_ports(cell)``, per cell written; then a ``(None, name, net)``
+        record per PO.  A chain's DFFs drive ``pbd<n>``, numbered in file
+        order, each reading the one before.  A PO named like a PI but
+        driven by another net raises BalanceError: the net would have two
+        drivers."""
         if self.dff and self.dff_cell is None:
             raise BalanceError("network has DFFs but no DFF cell")
-        count = itertools.count()
-        io = self._io_names()
+        dff, first = self.dff, 0
+
+        def chain(sig, consumer):
+            """The DFF chain record of one edge (None if it has no DFF) and
+            the net the consumer reads."""
+            nonlocal first
+            src = names[sig]
+            n = dff.get((sig, consumer))
+            if not n:
+                return None, src
+            qs = _free_names([f"pbd{i}" for i in range(first, first + n)], io)
+            first += n
+            return (self.dff_cell, _free_names([f"u_{q}" for q in qs], io),
+                    list(zip([src, *qs], qs))), qs[-1]
+
         for inst in self.instances:
             nets = []
             for pin, f in enumerate(inst.fanins):
-                src = yield from self._edge_source(f, ("inst", inst.idx, pin),
-                                                   count, io)
+                rec, src = chain(f, ("inst", inst.idx, pin))
+                if rec:
+                    yield rec
                 nets.append(src)
-            nets += [self._sig_name(s, io) for s in inst.outs]
-            yield _free_name(f"u{inst.idx}", io), inst.cell, tuple(nets)
+            nets += [names[s] for s in inst.outs]
+            yield inst.cell, (_free_name(f"u{inst.idx}", io),), (tuple(nets),)
+        pis = set(self.pi_names)
         for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
-            src = yield from self._edge_source(sig, ("po", i), count, io)
-            yield name, None, src
+            rec, src = chain(sig, ("po", i))
+            if name in pis and src != name:
+                raise BalanceError(f"PO {name} is named like a PI but driven "
+                                   f"by net {src}: net {name} would have two "
+                                   "drivers")
+            if rec:
+                yield rec
+            yield None, name, src
 
     def write_blif(self) -> str:
+        io = self._io_names()
         lines = [f".model {self.name}",
                  f".inputs {' '.join(self.pi_names)}",
                  f".outputs {' '.join(self.po_names + [n for n, _ in self.const_pos])}"]
         # cell name -> %-template of its line over its nets; a '%' in a
         # genlib cell name is doubled, pin names are identifiers
         gate = {}
-        for label, cell, nets in self._records():
-            if cell is None:
-                if nets != label:
-                    lines += [f".names {nets} {label}", "1 1"]
+        for cell, labels, rows in self._records(io, self._net_names(io)):
+            if cell is None:  # a PO: its name and the net it reads
+                if rows != labels:
+                    lines += [f".names {rows} {labels}", "1 1"]
                 continue
             fmt = gate.get(cell.name)
             if fmt is None:
                 fmt = gate[cell.name] = (f".gate {cell.name} ".replace("%", "%%")
                                          + " ".join(f"{p}=%s" for p in _ports(cell)))
-            lines.append(fmt % nets)
+            lines += [fmt % nets for nets in rows]
         for name, value in self.const_pos:
             lines.append(f".names {name}")
             if value:
@@ -378,6 +407,7 @@ class MappedNetwork:
 
     def write_verilog(self) -> str:
         io = self._io_names()
+        names = self._net_names(io)
         clk = _free_name("clk", io)
         ports = self.pi_names + self.po_names + [n for n, _ in self.const_pos]
         lines = [f"module {self.name} ({', '.join(ports + [clk])});",
@@ -387,9 +417,9 @@ class MappedNetwork:
             lines.append(f"  output {', '.join(outs)};")
         body = []
         gate = {}  # cell name -> %-template of its line over label and nets
-        for label, cell, nets in self._records():
-            if cell is None:
-                body.append(f"  assign {label} = {nets};")
+        for cell, labels, rows in self._records(io, names):
+            if cell is None:  # a PO: its name and the net it reads
+                body.append(f"  assign {labels} = {rows};")
                 continue
             fmt = gate.get(cell.name)
             if fmt is None:
@@ -398,12 +428,12 @@ class MappedNetwork:
                     conns.append(f".clk({clk})")
                 fmt = gate[cell.name] = (f"  {cell.name} ".replace("%", "%%")
                                          + f"%s ({', '.join(conns)});")
-            body.append(fmt % (label, *nets))
+            body += [fmt % (label, *nets) for label, nets in zip(labels, rows)]
         for name, value in self.const_pos:
             body.append(f"  assign {name} = 1'b{int(value)};")
-        wires = sorted(self._sig_name(s, io) for s in self.driver
+        wires = sorted(names[s] for s in self.driver
                        if self.driver[s][0] != "pi")
-        wires += [_free_name(f"pbd{i}", io) for i in range(self.dff_total)]
+        wires += _free_names([f"pbd{i}" for i in range(self.dff_total)], io)
         if wires:
             lines.append(f"  wire {', '.join(wires)};")
         lines.extend(body)
@@ -423,6 +453,11 @@ def _free_name(name: str, io: set[str]) -> str:
     while f"{name}_{k}" in io:
         k += 1
     return f"{name}_{k}"
+
+
+def _free_names(names: list[str], io: set[str]) -> list[str]:
+    """``_free_name`` of every name; ``names`` itself when none collides."""
+    return names if io.isdisjoint(names) else [_free_name(n, io) for n in names]
 
 
 def _ports(cell: Cell) -> tuple[str, ...]:

@@ -123,8 +123,12 @@ def map_cmd(inputs, lib_path, k, supergate_depth, cut_cap, no_retime, output,
     reports = [report.build_report(res, circuit=p.stem) for p, res in results]
     if output:
         net = results[0][1].after
-        text = net.write_blif() if netlist_format == "blif" else net.write_verilog()
-        Path(output).write_text(text)
+        try:
+            text = (net.write_blif() if netlist_format == "blif"
+                    else net.write_verilog())
+            Path(output).write_text(text)
+        except Exception as e:  # noqa: BLE001 - surface stage + cause, per contract
+            _fail(EXIT_INTERNAL, "write", e)
     if csv_path:
         Path(csv_path).write_text(report.emit(reports, "csv"))
     click.echo(report.emit(reports, "json" if as_json else "text"), nl=False)

@@ -24,8 +24,6 @@ class FlowResult:
     after: MappedNetwork    # balanced, post-retiming (same net if retime off)
     hit_rate: float
     runtime: float          # map + balance + retime wall clock, seconds
-    solutions: dict
-    cutsets: dict
 
     @property
     def dffs_before(self) -> int:
@@ -73,8 +71,9 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
     if ``retime``, min-register retiming by one LP.  ``table`` is prepared
     from ``lib`` with ``k`` and the default supergate depth when not given.
     The whole pass runs with the cyclic garbage collector paused (see
-    ``_collector_paused``); ``runtime`` covers mapping through retiming, not
-    table preparation."""
+    ``_collector_paused``), and the cut sets and DP solutions are freed
+    before the pause ends, so no later collection scans them; ``runtime``
+    covers mapping through retiming, not table preparation."""
     with _collector_paused():
         if table is None:
             table = prepare_match_table(lib, k=k)
@@ -85,6 +84,7 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
         else:
             solutions = mapmod.map_dag(g, cutsets, table)
         net = mapmod.extract_cover(solutions, g)
+        del solutions
         net.insert_splitters(lib)
         net.insert_balancing()
         net.validate()
@@ -96,4 +96,5 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
             after = net
         runtime = time.perf_counter() - t0
         rate = libmod.hit_rate(cutsets, table)
-        return FlowResult(g, net, after, rate, runtime, solutions, cutsets)
+        del cutsets
+        return FlowResult(g, net, after, rate, runtime)

@@ -19,7 +19,7 @@ from pbmap.balance import (buffer_band_check, depth_gap_buffers,
                            random_tree, tree_buffer_count, tree_leaf_depths,
                            tree_node_count)
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
-from pbmap.mapper import extract_cover
+from pbmap.mapper import extract_cover, map_dag
 from pbmap.netlist import SubjectGraph, _and_op, _neg
 from pbmap.report import build_report
 from pbmap.retime import push_to_last_level_check, retimed_match_dffs
@@ -412,7 +412,7 @@ def test_criterion_5_structural_invariants(lib, table, capsys):
             if not structurally_sound(net):
                 failures.append((g.name, tag, "balance"))
         # splitter count equals total fanout excess of the raw cover
-        raw = extract_cover(res.solutions, g)
+        raw = extract_cover(map_dag(g, enumerate_cuts(g, k=K), table), g)
         excess = sum(len(sinks) - 1 for sinks in raw.consumers().values()
                      if len(sinks) > 1)
         if res.before.splitter_count != excess:

@@ -104,6 +104,52 @@ def fanout4_net(lib):
     return net, src
 
 
+def kahn_order(net):
+    """Instance indices in Kahn's order, lowest ready index first, computed
+    from scratch: the smallest index whose driving instances are all
+    placed."""
+    driver = {sig: inst.idx for inst in net.instances for sig in inst.outs}
+    preds = [{driver[f] for f in inst.fanins if f in driver}
+             for inst in net.instances]
+    placed, order = set(), []
+    while len(order) < len(net.instances):
+        i = min(i for i in range(len(preds))
+                if i not in placed and preds[i] <= placed)
+        placed.add(i)
+        order.append(i)
+    return order
+
+
+def test_topological_order_follows_structure_edits(lib):
+    net, _src = fanout4_net(lib)
+    before = net.topo_instances()
+    assert [i.idx for i in before] == kahn_order(net)
+    assert net.topo_instances() is before  # computed once per structure
+    # each edit on its own: a new cell, then a sink moved behind a later one
+    and2 = next(c for c in lib.cells if c.name == "and2")
+    last = net.add_gate(and2, net.pi_sigs)
+    assert [i.idx for i in net.topo_instances()] == kahn_order(net)
+    net._rewire(("inst", 1, 0), last)
+    assert [i.idx for i in net.topo_instances()] == kahn_order(net)
+    assert net.topo_instances()[-1].idx != len(net.instances) - 1
+    net, _src = fanout4_net(lib)
+    net.topo_instances()
+    net.insert_splitters(lib)
+    assert net.splitter_count > 0
+    assert [i.idx for i in net.topo_instances()] == kahn_order(net)
+    net.insert_balancing()
+    cp = net.copy()
+    # the copy carries the order, over its own instances
+    assert [i.idx for i in cp.topo_instances()] == kahn_order(cp)
+    assert all(i is cp.instances[i.idx] for i in cp.topo_instances())
+    # a splitter added to the copy changes the copy's order only
+    orig = [i.idx for i in net.topo_instances()]
+    cp.insert_splitters(lib)
+    cp._rewire(("po", 0), cp.add_gate(lib.splitter, [cp.pos[0]]))
+    assert [i.idx for i in cp.topo_instances()] == kahn_order(cp)
+    assert [i.idx for i in net.topo_instances()] == orig
+
+
 def test_fanout4_gets_three_splitters_critical_first(lib):
     net, src = fanout4_net(lib)
     excess = sum(len(s) - 1 for s in net.consumers().values() if len(s) > 1)
@@ -254,6 +300,27 @@ def test_internal_nets_never_take_io_names(lib, table, case):
             assert io <= set(driven)
 
 
+# PO a is PI a delayed by pad DFFs: writing it drives net a a second time
+PO_NAMED_LIKE_PI = (".model m\n.inputs a b c\n.outputs a f\n"
+                    ".names a b t\n11 1\n.names t c f\n11 1\n.end\n")
+
+
+def test_po_named_like_a_pi_is_never_written(lib, table):
+    res = map_graph(parse_netlist(PO_NAMED_LIKE_PI), lib, table)
+    for net in (res.before, res.after):
+        assert net.dff.get((net.pos[0], ("po", 0)), 0) > 0
+        for write in (net.write_blif, net.write_verilog):
+            with pytest.raises(BalanceError, match="PO a is named like a PI"):
+                write()
+
+
+def test_po_that_is_its_own_pi_is_written(lib, table):
+    # an undelayed PO on the PI of its name: the BLIF reads one driver
+    text = ".model w\n.inputs a b\n.outputs a\n.end\n"
+    net = map_graph(parse_netlist(text), lib, table).after
+    assert net.write_blif() == ".model w\n.inputs a b\n.outputs a\n.end\n"
+
+
 def test_verilog_labels_never_take_io_names(lib, table):
     # PIs named like instance 0's label and DFF 0's label, a PO named like
     # instance 3's
@@ -294,6 +361,25 @@ def test_validate_checks_po_arrival_against_depth(lib, table):
         with pytest.raises(BalanceError, match="differ from depth"):
             net.validate()
         net.depth -= 1
+
+
+def test_validate_rejects_a_signal_read_twice(lib, table):
+    # balanced without splitters: arrivals and depth hold, fanout does not
+    net, _src = fanout4_net(lib)
+    net.insert_balancing()
+    with pytest.raises(BalanceError, match=r"signal \d+ has fanout 3 after"):
+        net.validate()
+    # one more read of a mapped signal: a second PO on PO 0's net, padded
+    # like PO 0, so only the fanout is wrong
+    res = map_graph(bench.ksa4(), lib, table)
+    for net in (res.before, res.after):
+        net.validate()
+        pad = net.dff.get((net.pos[0], ("po", 0)), 0)
+        net.add_po(net.pos[0], "again")
+        if pad:
+            net.dff[(net.pos[0], ("po", len(net.pos) - 1))] = pad
+        with pytest.raises(BalanceError, match="has fanout 2"):
+            net.validate()
 
 
 def test_validate_catches_imbalance(lib):

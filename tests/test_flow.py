@@ -1,12 +1,16 @@
 """The mapping pass runs with the cyclic garbage collector paused.  That is
 safe only while the pass builds no reference cycles: reference counting
-must free everything it makes.  These tests check both halves."""
+must free everything it makes.  These tests check both halves, and that the
+pass's scratch (cut sets, DP solutions) is gone before the pause ends."""
 
 import gc
+import weakref
 
 import pytest
 
 from pbmap import bench, flow
+from pbmap import cuts as cutsmod
+from pbmap import mapper as mapmod
 from pbmap.library import parse_library
 from pbmap.mapper import MappingError
 from pbmap.netlist import random_aig
@@ -79,3 +83,40 @@ def test_collector_state_restored(lib, table, enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("flow_name", list(FLOWS))
+def test_map_graph_frees_its_scratch(lib, table, monkeypatch, flow_name):
+    # weak references to one cut set and one DP solution, taken as the pass
+    # makes them; with the collector off, only reference counting frees
+    # them, and they must be dead by the time the pause ends
+    refs, at_pause_end = [], []
+
+    def spy(real):
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            refs.append(weakref.ref(next(iter(out.values()))))
+            return out
+        return call
+
+    class Collector:  # flow's view of gc: enabled, and ending the pause
+        isenabled = staticmethod(lambda: True)
+        disable = staticmethod(lambda: None)
+        enable = staticmethod(lambda: at_pause_end.append(
+            [ref() for ref in refs]))
+
+    for mod, name in ((cutsmod, "enumerate_cuts"), (mapmod, "map_dag"),
+                      (mapmod, "map_depth_greedy")):
+        monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
+    monkeypatch.setattr(flow, "gc", Collector)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        res = flow.map_graph(bench.ksa4(), lib, table, **FLOWS[flow_name])
+        assert len(refs) == 2
+        assert at_pause_end == [[None, None]]
+        assert [ref() for ref in refs] == [None, None]
+        assert not hasattr(res, "cutsets") and not hasattr(res, "solutions")
+    finally:
+        if was:
+            gc.enable()

@@ -21,6 +21,8 @@ GOLDEN = {
     "bshift16": (384, 12, 2340, 236, 8),
     "prio16": (80, 63, 839, 50, 9),
     "rand200": (654, 441, 5764, 418, 9),
+    # long DFF chains on every carry: guards the writers' chain expansion
+    "rca64": (19596, 12030, 53821, 564, 127),
 }
 
 # circuit: sha256 of (before BLIF, before Verilog, after BLIF, after Verilog)
@@ -45,6 +47,10 @@ GOLDEN_TEXT = {
                 "1232ca9eb6fb167fbe67f938e3d20ba3258e2277e3378f07d6a0037911fb8ec3",
                 "f32dc89373b6379eee5f6fb30a7470aaf9eee087b73494031b3dfdd14476f1d1",
                 "c64be066e8beb14ff9b0f386e577d3506cd4dd2d26231c99a61bf06e7e6ccdb2"),
+    "rca64": ("fcd018dea97882f114fb2af6bd7649b21ee7b2cb04ca544cd4fac6282ee4a3cd",
+              "539db13901f06939972ccd7b32f2bde07c3649d326c70408a1a172b33f5a19dd",
+              "3dbe82341f3d01adcab65e4f4aac718df583967ef6fe34e46ba683eb5fb00cac",
+              "31225236f725c67adc849fead01bf3a2887fd16df298a571fd944c079ba5b60c"),
 }
 
 CIRCUITS = {
@@ -53,6 +59,7 @@ CIRCUITS = {
     "bshift16": lambda: bench.barrel_shifter(16),
     "prio16": lambda: bench.priority_encoder(16),
     "rand200": lambda: random_aig(200, 16, seed=5, n_pos=None),
+    "rca64": lambda: bench.ripple_adder(64),
 }
 
 

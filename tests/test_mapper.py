@@ -400,11 +400,12 @@ def test_deep_alternating_chain_maps(lib, table):
 
 def test_profile_cache_is_freed_with_its_table(lib):
     tbl = prepare_match_table(lib, k=5, max_depth=2)
-    res = flow.map_graph(bench.ksa4(), lib, tbl)
+    g = bench.ksa4()
+    sols = map_dag(g, enumerate_cuts(g, k=5), tbl)
     assert tbl.profiles.cache_info().currsize > 0
     # a supergate the DP matched, so one the wiring table was asked about
-    ref = weakref.ref(next(m.supergate for sol in res.solutions.values()
+    ref = weakref.ref(next(m.supergate for sol in sols.values()
                            for m in sol.frontier if m.supergate))
-    del tbl, res
+    del tbl, sols
     gc.collect()
     assert ref() is None

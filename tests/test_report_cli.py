@@ -201,6 +201,20 @@ def test_cli_map_output_needs_single_input(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["blif", "verilog"])
+def test_cli_po_named_like_a_pi_exits_4(tmp_path, fmt):
+    src = tmp_path / "m.blif"
+    src.write_text(".model m\n.inputs a b c\n.outputs a f\n"
+                   ".names a b t\n11 1\n.names t c f\n11 1\n.end\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["map", "-o", str(out),
+                                       "--netlist-format", fmt, str(src)])
+    assert result.exit_code == 4
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error [write]: PO a is named like a PI" in result.stderr
+    assert not out.exists()
+
+
 def test_cli_uncoverable_node_blames_supergate_depth():
     # depth-1 supergates are single cells: no cell of the bundled library
     # is an AND with a complemented input
