@@ -1,8 +1,6 @@
 """Path-balancing technology mapper for clocked SFQ cell libraries."""
 
-from .balance import (MappedNetwork, TreeProfile, input_pins_from_profile,
-                      depth_gap_buffers, most_balanced, most_unbalanced,
-                      buffer_band_check)
+from .balance import MappedNetwork
 from .cuts import Cut, CutSet, compute_cut_functions, enumerate_cuts
 from .flow import FlowResult, map_graph, prepare_match_table
 from .library import (Cell, CellLibrary, LibraryError, MatchTable, Supergate,
@@ -10,7 +8,10 @@ from .library import (Cell, CellLibrary, LibraryError, MatchTable, Supergate,
 from .mapper import MappingError, map_dag
 from .netlist import NetlistError, SubjectGraph, parse_netlist, write_netlist
 from .report import MappingReport, build_report, emit
-from .retime import push_to_last_level_check, retime_min_registers, retimed_match_dffs
+from .retime import retime_min_registers, retimed_match_dffs
+from .trees import (TreeProfile, buffer_band_check, depth_gap_buffers,
+                    input_pins_from_profile, most_balanced, most_unbalanced,
+                    push_to_last_level_check)
 
 __version__ = "0.1.0"
 

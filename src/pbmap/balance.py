@@ -1,5 +1,4 @@
-"""Path-balancing insertion on a mapped cover, plus the balanced-tree
-analytics (input-pin/buffer profile algebra and its extremal trees).
+"""Path-balancing insertion on a mapped cover.
 
 A MappedNetwork holds primitive cell instances; balancing DFFs live as
 integer weights on edges, not as instances, so retiming is a pure
@@ -10,7 +9,6 @@ each; splitters are asynchronous and contribute none.
 from __future__ import annotations
 
 import heapq
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -231,10 +229,6 @@ class MappedNetwork:
         return sum(1 for i in self.instances if i.cell.kind == "splitter")
 
     @property
-    def gate_count(self) -> int:
-        return sum(1 for i in self.instances if i.cell.kind != "splitter")
-
-    @property
     def area(self) -> float:
         a = sum(i.cell.area for i in self.instances)
         if self.dff_cell:
@@ -406,13 +400,20 @@ class MappedNetwork:
         return "\n".join(lines) + "\n"
 
     def write_verilog(self) -> str:
+        """A PO named like a PI raises BalanceError: a Verilog port is an
+        input or an output, never both."""
+        outs = self.po_names + [n for n, _ in self.const_pos]
+        pis = set(self.pi_names)
+        both = next((name for name in outs if name in pis), None)
+        if both is not None:
+            raise BalanceError(f"PO {both} is named like a PI: a Verilog "
+                               "port is an input or an output, not both")
         io = self._io_names()
         names = self._net_names(io)
         clk = _free_name("clk", io)
-        ports = self.pi_names + self.po_names + [n for n, _ in self.const_pos]
-        lines = [f"module {self.name} ({', '.join(ports + [clk])});",
+        ports = self.pi_names + outs + [clk]
+        lines = [f"module {self.name} ({', '.join(ports)});",
                  f"  input {', '.join(self.pi_names + [clk])};"]
-        outs = self.po_names + [n for n, _ in self.const_pos]
         if outs:
             lines.append(f"  output {', '.join(outs)};")
         body = []
@@ -467,195 +468,3 @@ def _ports(cell: Cell) -> tuple[str, ...]:
     if cell.kind == "splitter":
         return ins + (cell.out_name, f"{cell.out_name}2")
     return ins + (cell.out_name,)
-
-
-# ----------------------------------------------------------------------
-# balanced-tree analytics
-# ----------------------------------------------------------------------
-#
-# Trees of 2-input gates balanced to height H are described by a buffer
-# profile y_2..y_H: padding a subtree away at level x removes 2^(H-x)
-# input pins, so  n = 2^H - sum y_x * 2^(H-x).
-
-
-@dataclass
-class TreeProfile:
-    H: int
-    y: tuple[int, ...]  # y_2 .. y_H
-
-    @property
-    def n(self) -> int:
-        return input_pins_from_profile(self.H, self.y)
-
-    @property
-    def N(self) -> int:
-        return self.n - 1  # a tree of 2-input gates has one more pin than nodes
-
-    @property
-    def Y(self) -> int:
-        return sum(self.y)
-
-
-def input_pins_from_profile(H: int, y) -> int:
-    if H < 1:
-        raise ValueError("height must be >= 1")
-    y = tuple(y)
-    if len(y) != max(H - 1, 0):
-        raise ValueError(f"profile for height {H} needs {H - 1} entries y_2..y_H")
-    if any(v < 0 for v in y):
-        raise ValueError("negative buffer count in profile")
-    n = 2 ** H - sum(v * 2 ** (H - x) for x, v in enumerate(y, start=2))
-    if n <= 0:
-        raise ValueError("profile prunes more pins than the full tree has")
-    return n
-
-
-# -- tree construction and measurement (tuples: leaf = None, node = (l, r)) --
-
-
-def tree_leaf_depths(tree, depth: int = 1) -> list[int]:
-    if tree is None:
-        return [depth - 1]
-    l, r = tree
-    return tree_leaf_depths(l, depth + 1) + tree_leaf_depths(r, depth + 1)
-
-
-def tree_node_count(tree) -> int:
-    if tree is None:
-        return 0
-    l, r = tree
-    return 1 + tree_node_count(l) + tree_node_count(r)
-
-
-def tree_height(tree) -> int:
-    if tree is None:
-        return 0
-    l, r = tree
-    return 1 + max(tree_height(l), tree_height(r))
-
-
-def measure_tree(tree) -> TreeProfile:
-    """Chain-buffer profile of a concrete tree: a pin at depth d < H needs
-    one pad per level d+1..H, so y_x counts pins shallower than x."""
-    depths = tree_leaf_depths(tree)
-    h = max(depths)
-    y = [sum(1 for d in depths if d < x) for x in range(2, h + 1)]
-    return TreeProfile(h, tuple(y))
-
-
-def tree_buffer_count(tree) -> int:
-    depths = tree_leaf_depths(tree)
-    h = max(depths)
-    return sum(h - d for d in depths)
-
-
-def caterpillar(x: int):
-    """Height-x chain: each level adds one pin."""
-    t = (None, None)
-    for _ in range(x - 1):
-        t = (t, None)
-    return t
-
-
-def double_caterpillar(x: int):
-    """Two height-(x-1) chains under a common root."""
-    return (caterpillar(x - 1), caterpillar(x - 1))
-
-
-def random_tree(n_nodes: int, seed: int = 0):
-    rng = random.Random(seed)
-
-    # grow by repeatedly replacing a random leaf with a node
-    def grow(t, path):
-        if not path:
-            return (None, None)
-        side, rest = path[0], path[1:]
-        l, r = t
-        return (grow(l, rest), r) if side == 0 else (l, grow(r, rest))
-
-    t = (None, None)
-    for _ in range(n_nodes - 1):
-        # random walk to a leaf
-        path = []
-        cur = t
-        while cur is not None:
-            side = rng.randint(0, 1)
-            path.append(side)
-            cur = cur[side]
-        t = grow(t, path)
-    return t
-
-
-def most_unbalanced(x: int) -> TreeProfile:
-    """Max-buffer tree of height x: a chain for x <= 3, two chains under a
-    root for larger x."""
-    if x < 1:
-        raise ValueError("height must be >= 1")
-    tree = caterpillar(x) if x <= 3 else double_caterpillar(x)
-    return measure_tree(tree)
-
-
-def most_balanced(x: int, n: int) -> TreeProfile:
-    """Min-buffer profile of height x with n pins: greedily prune the
-    largest subtrees first (maximum y_2, then y_3, ...), keeping at least
-    one fertile node per level."""
-    if x < 1:
-        raise ValueError("height must be >= 1")
-    if not (x + 1 <= n <= 2 ** x):
-        raise ValueError(f"no height-{x} tree has {n} input pins")
-    deficit = 2 ** x - n
-    y = []
-    fertile = 2  # both level-1 nodes of any height>=2 tree can have children
-    for lvl in range(2, x + 1):
-        slots = 2 * fertile
-        take = min(slots - 1, deficit // 2 ** (x - lvl))
-        y.append(take)
-        deficit -= take * 2 ** (x - lvl)
-        fertile = slots - take
-    if x == 1:
-        if deficit:
-            raise ValueError("inconsistent profile")
-        return TreeProfile(1, ())
-    if deficit:
-        raise ValueError(f"no feasible profile for height {x}, pins {n}")
-    prof = TreeProfile(x, tuple(y))
-    assert prof.n == n and fertile == n
-    return prof
-
-
-def max_depth_gap(n: int, x: int) -> int:
-    """Largest p with a pin at level x-p in a height-x tree of n pins."""
-    return n - 1 - x
-
-
-def depth_gap_buffers(x: int, p: int) -> int:
-    """Buffer count of the extremal tree whose shallowest pin sits p levels
-    above the deepest: a comb over the top x-p-1 levels plus 2p full-length
-    pin chains."""
-    if not 1 <= p <= x - 1:
-        raise ValueError(f"p must be in 1..{x - 1}")
-    return (x - p - 1) * (x - p - 2) // 2 + 2 * p * x + p - 2 * p * p
-
-
-def depth_gap_pad_lengths(x: int, p: int) -> tuple[list[int], list[int]]:
-    """The per-pin pad lengths behind the depth-gap buffer count: comb pins padded by
-    0..x-p-2, plus 2p pins padded by x, x-1, ..., x-2p+1."""
-    if not 1 <= p <= x - 1:
-        raise ValueError(f"p must be in 1..{x - 1}")
-    comb = list(range(0, x - p - 1))
-    chains = [x - i for i in range(2 * p)]
-    return comb, chains
-
-
-def buffer_band_check(x: int, p: int):
-    """No balanced tree can land its buffer-count difference strictly
-    between 1 and p; the difference is (-x^2 + 4(p+1)x - 2p - 3p^2 - 3)/2,
-    and a half-integral value cannot be a buffer count at all."""
-    if x < 4:
-        raise ValueError("requires height >= 4")
-    if not 1 <= p <= x - 1:
-        raise ValueError(f"p must be in 1..{x - 1}")
-    num = -x * x + 4 * (p + 1) * x - 2 * p - 3 * p * p - 3
-    y_diff = num // 2 if num % 2 == 0 else num / 2
-    holds = not (num % 2 == 0 and 1 < num // 2 < p)
-    return y_diff, holds

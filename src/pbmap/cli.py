@@ -13,9 +13,8 @@ from pathlib import Path
 
 import click
 
-from . import balance, flow, report
+from . import flow, report, trees
 from . import library as libmod
-from . import retime as retimemod
 from .netlist import NetlistError, parse_netlist, write_netlist
 
 EXIT_PARSE = 2
@@ -135,18 +134,20 @@ def map_cmd(inputs, lib_path, k, supergate_depth, cut_cap, no_retime, output,
 
 
 @main.command("analyze-tree")
-@click.option("--height", "-x", type=int, required=True)
+@click.option("--height", "-x", type=click.IntRange(min=1), required=True)
 @click.option("--pins", "-n", type=int, default=None,
               help="input pin count (defaults to the most unbalanced tree)")
 def analyze_tree(height, pins):
-    """Buffer profile and identity checks for a balanced tree shape."""
-    try:
-        if pins is None:
-            prof = balance.most_unbalanced(height)
-        else:
-            prof = balance.most_balanced(height, pins)
-    except ValueError as e:
-        _fail(EXIT_INTERNAL, "analytics", e)
+    """Buffer profile and identity checks for a balanced tree shape.
+
+    A pin count no tree of that height has is a usage error (exit 2)."""
+    if pins is None:
+        prof = trees.most_unbalanced(height)
+    else:
+        try:
+            prof = trees.most_balanced(height, pins)
+        except ValueError as e:
+            raise click.UsageError(f"--pins: {e}") from None
     doc = {
         "height": prof.H,
         "y": {f"y{x}": v for x, v in enumerate(prof.y, start=2)},
@@ -169,12 +170,12 @@ def check_identities(max_height):
         if not ok:
             failures.append(name)
 
-    ok = all(balance.measure_tree(balance.random_tree(n, seed=n)).N + 1
-             == balance.measure_tree(balance.random_tree(n, seed=n)).n
+    ok = all(trees.measure_tree(trees.random_tree(n, seed=n)).N + 1
+             == trees.measure_tree(trees.random_tree(n, seed=n)).n
              for n in range(1, 60))
     check("pin count = node count + 1 (random trees)", ok)
 
-    ok = all(balance.most_unbalanced(x).Y
+    ok = all(trees.most_unbalanced(x).Y
              == (x * (x - 1) // 2 if x <= 3 else (x - 2) * (x - 1))
              for x in range(1, 11))
     check("most-unbalanced closed forms", ok)
@@ -182,19 +183,19 @@ def check_identities(max_height):
     ok = True
     for x in range(2, 7):
         for n in range(x + 1, 2 ** x + 1):
-            prof = balance.most_balanced(x, n)
+            prof = trees.most_balanced(x, n)
             if prof.n != n:
                 ok = False
     check("most-balanced profile consistency", ok)
 
-    ok = all(balance.buffer_band_check(x, p)[1]
+    ok = all(trees.buffer_band_check(x, p)[1]
              for x in range(4, 201) for p in range(1, x))
     check("no tree lands in the forbidden buffer-difference band", ok)
 
     ok = True
     for h in range(2, max_height + 1):
         for x in range(1, h):
-            e7, e8, same = retimemod.push_to_last_level_check(h, x)
+            e7, e8, same = trees.push_to_last_level_check(h, x)
             if not same or e7 != 2 ** (h - x + 1) - 2:
                 ok = False
     check("push-to-last-level buffer sums agree", ok)

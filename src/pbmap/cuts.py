@@ -37,13 +37,6 @@ class Cut:
     leaves: tuple[int, ...]  # sorted node ids
     func: int | None = None
 
-    @property
-    def signature(self) -> int:
-        sig = 0
-        for leaf in self.leaves:
-            sig |= 1 << (leaf & SIG_MASK)
-        return sig
-
     def is_trivial_for(self, root: int) -> bool:
         return self.leaves == (root,)
 

@@ -2,7 +2,9 @@
 
 The genlib dialect is the classic ``GATE <name> <area> <out>=<expr>;`` form
 with ``PIN`` lines, extended by ``#JJ=<n>`` and ``#CLOCKED=<0|1>`` trailing
-annotations (which double as comments for tools that ignore them).
+annotations (which double as comments for tools that ignore them).  ``PIN``
+lines are accepted but not read: a clocked cell is one level, whatever its
+pin delays.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ class Cell:
     func: int | None  # truth table over n_inputs; None for dff/splitter
     area: float
     jj_count: int
-    delay: float
     is_clocked: bool
     kind: str  # logic | dff | splitter | inverter
     pin_names: tuple[str, ...] = ()
@@ -38,7 +39,6 @@ class Cell:
 class CellLibrary:
     cells: list[Cell]
     name: str = "library"
-    sfq_mode: bool = True
 
     def __post_init__(self):
         self.by_name = {c.name: c for c in self.cells}
@@ -168,9 +168,6 @@ _GATE_RE = re.compile(
     r"GATE\s+(?P<name>\S+)\s+(?P<area>[\d.eE+-]+)\s+(?P<out>\w+)\s*=\s*(?P<expr>[^;]+);",
     re.S,
 )
-_PIN_RE = re.compile(
-    r"PIN\s+(?P<pin>\S+)\s+\S+\s+\S+\s+\S+\s+(?P<rb>[\d.eE+-]+)\s+\S+\s+(?P<fb>[\d.eE+-]+)\s+\S+"
-)
 _JJ_RE = re.compile(r"\bJJ\s*=\s*(\d+)")
 _CLOCKED_RE = re.compile(r"\bCLOCKED\s*=\s*([01])")
 
@@ -201,13 +198,10 @@ def parse_library(text: str, name: str = "library", sfq_mode: bool = True) -> Ce
         area = float(m.group("area"))
         parser = _ExprParser(m.group("expr"))
         tree = parser.parse()
-        pin_delays = {p.group("pin"): max(float(p.group("rb")), float(p.group("fb")))
-                      for p in _PIN_RE.finditer(stripped)}
         pins = list(parser.vars)
         nvars = len(pins)
         var_index = {v: i for i, v in enumerate(pins)}
         func = _eval_expr(tree, var_index, nvars) if nvars else None
-        delay = max(pin_delays.values(), default=0.0)
 
         kind = "logic"
         lname = cname.lower()
@@ -222,10 +216,10 @@ def parse_library(text: str, name: str = "library", sfq_mode: bool = True) -> Ce
             func = None
         elif nvars == 1 and func == tt_not(var_table(0, 1), 1):
             kind = "inverter"
-        cells.append(Cell(cname, nvars, func, area, jj_count, delay,
+        cells.append(Cell(cname, nvars, func, area, jj_count,
                           is_clocked, kind, tuple(pins), m.group("out")))
 
-    lib = CellLibrary(cells, name=name, sfq_mode=sfq_mode)
+    lib = CellLibrary(cells, name=name)
     if sfq_mode:
         _validate_sfq(lib)
     return lib

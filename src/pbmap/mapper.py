@@ -70,10 +70,6 @@ class NodeSolution:
         """The node's choice: the frontier's first point."""
         return self.frontier[0]
 
-    @property
-    def opt(self) -> int:
-        return self.frontier[0].dffs
-
     def point_at(self, height: int) -> Match:
         for m in self.frontier:
             if m.height == height:

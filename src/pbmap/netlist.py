@@ -36,7 +36,8 @@ class SubjectGraph:
     name: str = "top"
     pis: list[int] = field(default_factory=list)
     pi_names: dict[int, str] = field(default_factory=dict)
-    nodes: dict[int, AndNode] = field(default_factory=dict)
+    # filled by add_and only, in creation order, so it stays topological
+    nodes: dict[int, AndNode] = field(default_factory=dict, init=False)
     pos: list[tuple[int, bool]] = field(default_factory=list)
     po_names: list[str] = field(default_factory=list)
     has_const: bool = False
@@ -44,7 +45,6 @@ class SubjectGraph:
     def __post_init__(self):
         self._next_id = 1
         self._strash: dict[tuple, int] = {}
-        self._topo: list[int] | None = None
         self._fanout: dict[int, int] | None = None
 
     # ------------------------------------------------------------------
@@ -55,7 +55,7 @@ class SubjectGraph:
         self._next_id += 1
         self.pis.append(nid)
         self.pi_names[nid] = name if name is not None else f"pi{len(self.pis)}"
-        self._invalidate()
+        self._fanout = None
         return nid
 
     def const_lit(self, value: bool) -> tuple[int, bool]:
@@ -88,16 +88,12 @@ class SubjectGraph:
             self._next_id += 1
             self.nodes[nid] = AndNode(nid, f0, f1)
             self._strash[key] = nid
-            self._invalidate()
+            self._fanout = None
         return (nid, False)
 
     def add_po(self, lit: tuple[int, bool], name: str | None = None):
         self.pos.append(lit)
         self.po_names.append(name if name is not None else f"po{len(self.pos)}")
-
-    def _invalidate(self):
-        self._topo = None
-        self._fanout = None
 
     # ------------------------------------------------------------------
     # queries
@@ -105,52 +101,11 @@ class SubjectGraph:
     def is_pi(self, nid: int) -> bool:
         return nid in self.pi_names
 
-    def fanins(self, nid: int) -> tuple[tuple[int, bool], tuple[int, bool]]:
-        n = self.nodes[nid]
-        return n.fanin0, n.fanin1
-
     def topo_order(self) -> list[int]:
-        """Internal nodes in topological order (fanins first)."""
-        if self._topo is not None:
-            return self._topo
-        indeg = {}
-        fanouts: dict[int, list[int]] = {}
-        for nid, n in self.nodes.items():
-            deps = [f for f, _ in (n.fanin0, n.fanin1) if f in self.nodes]
-            indeg[nid] = len(deps)
-            for d in deps:
-                fanouts.setdefault(d, []).append(nid)
-        ready = sorted(n for n, d in indeg.items() if d == 0)
-        order = []
-        import heapq
-
-        heap = list(ready)
-        heapq.heapify(heap)
-        while heap:
-            nid = heapq.heappop(heap)
-            order.append(nid)
-            for f in fanouts.get(nid, ()):
-                indeg[f] -= 1
-                if indeg[f] == 0:
-                    heapq.heappush(heap, f)
-        if len(order) != len(self.nodes):
-            raise NetlistError("cycle detected in subject graph")
-        self._topo = order
-        return order
-
-    def compute_levels(self) -> dict[int, int]:
-        """Longest PI-distance in gate count; PIs and the constant are 0."""
-        levels = {nid: 0 for nid in self.pis}
-        levels[CONST0] = 0
-        for nid in self.topo_order():
-            n = self.nodes[nid]
-            levels[nid] = 1 + max(levels[n.fanin0[0]], levels[n.fanin1[0]])
-        return levels
-
-    @property
-    def depth(self) -> int:
-        levels = self.compute_levels()
-        return max((levels[p] for p, _ in self.pos), default=0)
+        """Internal nodes in topological order (fanins first): node order.
+        ``add_and`` only takes fanins that already exist and ids only grow,
+        so every node comes after its fanins."""
+        return list(self.nodes)
 
     def fanout_counts(self) -> dict[int, int]:
         if self._fanout is not None:
@@ -187,7 +142,7 @@ class SubjectGraph:
                 tuple(sorted((n.fanin0, n.fanin1))): nid
                 for nid, n in self.nodes.items()
             }
-            self._invalidate()
+            self._fanout = None
 
     # ------------------------------------------------------------------
     # structural identity

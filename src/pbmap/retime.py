@@ -39,17 +39,6 @@ def retimed_match_dffs(supergate, leaf_heights) -> int:
     return regs
 
 
-def push_to_last_level_check(h: int, x: int) -> tuple[int, int, bool]:
-    """Compare the two buffer-contribution sums for a node pushed from level
-    ``x`` to the last level ``h``; both must equal ``2^(h-x+1) - 2``."""
-    if not 1 <= x < h:
-        raise ValueError("requires 1 <= x < h")
-    per_child_sum = 2 * sum(2 ** j for j in range(0, h - x))          # 2*(2^{h-x-1}+...+1)
-    per_level_sum = sum(2 ** j for j in range(1, h - x + 1))          # 2^{h-x}+...+2
-    closed = 2 ** (h - x + 1) - 2
-    return per_child_sum, per_level_sum, per_child_sum == per_level_sum == closed
-
-
 # ----------------------------------------------------------------------
 # global min-register retiming on a mapped network
 # ----------------------------------------------------------------------

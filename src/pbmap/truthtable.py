@@ -73,23 +73,6 @@ def apply_cell(cell_tt: int, child_tts: list[int], nvars: int) -> int:
     return out
 
 
-def support(tt: int, nvars: int) -> tuple[int, ...]:
-    """Indices of variables the function actually depends on."""
-    deps = []
-    for v in range(nvars):
-        hi = 0
-        lo = 0
-        for m in range(1 << nvars):
-            bit = (tt >> m) & 1
-            if (m >> v) & 1:
-                hi |= bit << (m & ~(1 << v))
-            else:
-                lo |= bit << m
-        if hi != lo:
-            deps.append(v)
-    return tuple(deps)
-
-
 @functools.lru_cache(maxsize=None)
 def symmetry_perms(tt: int, nvars: int) -> tuple[tuple[int, ...], ...]:
     """Input permutations under which the function is invariant.

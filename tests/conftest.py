@@ -4,6 +4,7 @@ import pytest
 
 from pbmap.flow import prepare_match_table
 from pbmap.library import parse_library
+from pbmap.netlist import CONST0
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "pbmap" / "data"
 
@@ -33,3 +34,49 @@ def clocked_lib():
 @pytest.fixture(scope="session")
 def clocked_table(clocked_lib):
     return prepare_match_table(clocked_lib)
+
+
+def subject_levels(g) -> dict[int, int]:
+    """Longest PI distance of every node in AND gates; PIs and the constant
+    are at 0.  Walks ``g.nodes`` in order, which is topological."""
+    levels = dict.fromkeys([CONST0, *g.pis], 0)
+    for nid, n in g.nodes.items():
+        levels[nid] = 1 + max(levels[n.fanin0[0]], levels[n.fanin1[0]])
+    return levels
+
+
+def subject_depth(g) -> int:
+    levels = subject_levels(g)
+    return max((levels[p] for p, _ in g.pos), default=0)
+
+
+# -- tree oracles: nested tuples, a pin is None and a gate (l, r) ------------
+
+
+def tree_node_count(tree) -> int:
+    if tree is None:
+        return 0
+    l, r = tree
+    return 1 + tree_node_count(l) + tree_node_count(r)
+
+
+def tree_height(tree) -> int:
+    if tree is None:
+        return 0
+    l, r = tree
+    return 1 + max(tree_height(l), tree_height(r))
+
+
+def tree_buffer_count(tree) -> int:
+    """Chain buffers that pad every pin down to the deepest one."""
+    def depths(t, d):
+        return [d] if t is None else depths(t[0], d + 1) + depths(t[1], d + 1)
+
+    ds = depths(tree, 0)
+    return sum(max(ds) - d for d in ds)
+
+
+def depth_gap_pad_lengths(x: int, p: int) -> tuple[list[int], list[int]]:
+    """The per-pin pad lengths behind ``depth_gap_buffers(x, p)``: comb pins
+    padded by 0..x-p-2, plus 2p pins padded by x, x-1, ..., x-2p+1."""
+    return list(range(0, x - p - 1)), [x - i for i in range(2 * p)]

@@ -13,17 +13,17 @@ import random
 from functools import lru_cache
 
 from pbmap import bench, flow
-from pbmap.balance import (buffer_band_check, depth_gap_buffers,
-                           depth_gap_pad_lengths, input_pins_from_profile,
-                           measure_tree, most_balanced, most_unbalanced,
-                           random_tree, tree_buffer_count, tree_leaf_depths,
-                           tree_node_count)
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
 from pbmap.mapper import extract_cover, map_dag
 from pbmap.netlist import SubjectGraph, _and_op, _neg
 from pbmap.report import build_report
-from pbmap.retime import push_to_last_level_check, retimed_match_dffs
+from pbmap.retime import retimed_match_dffs
+from pbmap.trees import (buffer_band_check, depth_gap_buffers,
+                         input_pins_from_profile, measure_tree, most_balanced,
+                         most_unbalanced, push_to_last_level_check,
+                         random_tree, tree_leaf_depths)
 from pbmap.truthtable import symmetry_perms
+from conftest import depth_gap_pad_lengths, tree_buffer_count, tree_node_count
 from test_mapper import tree_opt
 
 K = 5

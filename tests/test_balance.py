@@ -4,19 +4,17 @@ import re
 import pytest
 
 from pbmap import bench
-from pbmap.balance import (BalanceError, MappedNetwork, TreeProfile,
-                           caterpillar, double_caterpillar,
-                           input_pins_from_profile, max_depth_gap,
-                           depth_gap_buffers, depth_gap_pad_lengths, measure_tree,
-                           most_balanced, most_unbalanced,
-                           random_tree,
-                           tree_buffer_count, tree_height, tree_leaf_depths,
-                           tree_node_count, buffer_band_check)
+from pbmap.balance import BalanceError, MappedNetwork
 from pbmap.flow import map_graph
 from pbmap.library import parse_library
 from pbmap.netlist import parse_netlist
+from pbmap.trees import (buffer_band_check, caterpillar, depth_gap_buffers,
+                         double_caterpillar, input_pins_from_profile,
+                         measure_tree, most_balanced, most_unbalanced,
+                         random_tree, tree_leaf_depths)
 
-from conftest import DATA
+from conftest import (DATA, depth_gap_pad_lengths, tree_buffer_count,
+                      tree_height, tree_node_count)
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +319,15 @@ def test_po_that_is_its_own_pi_is_written(lib, table):
     assert net.write_blif() == ".model w\n.inputs a b\n.outputs a\n.end\n"
 
 
+def test_po_that_is_its_own_pi_has_no_verilog(lib, table):
+    # Verilog would declare port a twice, as input and as output, and
+    # assign it to itself
+    text = ".model w\n.inputs a b\n.outputs a\n.end\n"
+    net = map_graph(parse_netlist(text), lib, table).after
+    with pytest.raises(BalanceError, match="PO a is named like a PI"):
+        net.write_verilog()
+
+
 def test_verilog_labels_never_take_io_names(lib, table):
     # PIs named like instance 0's label and DFF 0's label, a PO named like
     # instance 3's
@@ -397,7 +404,7 @@ def test_validate_catches_imbalance(lib):
 
 
 # ----------------------------------------------------------------------
-# tree analytics
+# tree analytics (pbmap.trees)
 # ----------------------------------------------------------------------
 
 
@@ -435,6 +442,15 @@ def test_caterpillar_profiles():
     assert sorted(tree_leaf_depths(t)) == [1, 2, 3, 3]
     prof = measure_tree(t)
     assert prof.H == 3 and prof.N == 3 and prof.Y == 3
+
+
+def test_measure_tree_deeper_than_the_recursion_limit():
+    x = 5000
+    prof = measure_tree(caterpillar(x))
+    assert prof.H == x
+    assert prof.Y == (x - 1) * x // 2
+    assert prof.y[:3] == (1, 2, 3)
+    assert prof.N == x
 
 
 def test_most_unbalanced_closed_forms():
@@ -499,11 +515,6 @@ def test_most_balanced_minimal_over_profiles():
             prof = most_balanced(x, n)
             assert prof.n == n
             assert prof.Y == min(ys)
-
-
-def test_max_depth_gap_bound():
-    assert max_depth_gap(2 * 4, 4) == 3
-    assert max_depth_gap(5, 4) == 0
 
 
 def test_depth_gap_buffer_values_and_construction():

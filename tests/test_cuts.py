@@ -9,6 +9,8 @@ from pbmap.cuts import (Cut, compute_cut_functions, cone_function,
 from pbmap.netlist import SubjectGraph, _and_op, random_aig
 from pbmap.truthtable import tt_eval, var_table
 
+from conftest import subject_levels
+
 
 def two_level_tree():
     """Root over two ANDs whose fanins are themselves ANDs of PIs."""
@@ -78,12 +80,6 @@ def test_cap_truncates():
         assert len(cs.cuts) <= 4
 
 
-def test_cut_signature_subset_filter():
-    c1 = Cut((3, 5))
-    c2 = Cut((3, 5, 9))
-    assert c1.signature & c2.signature == c1.signature
-
-
 def test_and_cut_function():
     g = SubjectGraph()
     a = (g.add_pi("a"), False)
@@ -124,7 +120,7 @@ def test_cone_function_matches_exhaustive_simulation():
     for trial in range(50):
         g = random_aig(rng.randint(15, 45), rng.randint(4, 7), seed=100 + trial)
         cutsets = compute_cut_functions(g, enumerate_cuts(g, k=5))
-        levels = g.compute_levels()
+        levels = subject_levels(g)
         for nid, cs in cutsets.items():
             if nid not in g.nodes or levels[nid] > 4:
                 continue
@@ -143,7 +139,8 @@ def _sim_cone(g, root, leaves, minterm):
     def ev(nid):
         if nid in vals:
             return vals[nid]
-        f0, f1 = g.fanins(nid)
+        n = g.nodes[nid]
+        f0, f1 = n.fanin0, n.fanin1
         a = ev(f0[0]) ^ int(f0[1])
         b = ev(f1[0]) ^ int(f1[1])
         vals[nid] = a & b

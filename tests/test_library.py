@@ -41,7 +41,6 @@ GATE split 0.5 o=a; # CLOCKED=0
     lib = parse_library(text)
     by = {c.name: c for c in lib.cells}
     assert by["nand2"].func == 0b0111
-    assert by["nand2"].delay == pytest.approx(1.0)
     assert by["inv"].kind == "inverter"
     assert by["split"].kind == "splitter"
     assert by["dff"].kind == "dff"

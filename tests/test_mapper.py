@@ -32,7 +32,7 @@ def tree_opt(g, cutsets, table, root):
     out."""
     fanout = g.fanout_counts()
     assert all(fanout[nid] <= 1 for nid in g.nodes), "not a tree"
-    return map_dag(g, cutsets, table)[(root, POS)].opt
+    return map_dag(g, cutsets, table)[(root, POS)].best.dffs
 
 
 def chain_f():
@@ -395,7 +395,7 @@ def test_deep_alternating_chain_maps(lib, table):
     res = flow.map_graph(bench.alternating_chain(500), lib, table)
     res.before.validate()
     res.after.validate()
-    assert res.before.gate_count > 0
+    assert any(i.cell.kind != "splitter" for i in res.before.instances)
 
 
 def test_profile_cache_is_freed_with_its_table(lib):

@@ -1,11 +1,15 @@
+import heapq
 import random
 
 import pytest
 
 from pbmap import bench
-from pbmap.netlist import (CONST0, NetlistError, SubjectGraph, _and_op, _neg,
-                           _or_op, _xor_op, balanced_reduce, parse_netlist,
-                           random_aig, write_aag, write_blif, write_netlist)
+from pbmap.netlist import (CONST0, AndNode, NetlistError, SubjectGraph, _and_op,
+                           _neg, _or_op, _xor_op, balanced_reduce,
+                           parse_netlist, random_aig, write_aag, write_blif,
+                           write_netlist)
+
+from conftest import subject_depth
 
 
 def chain4():
@@ -41,11 +45,11 @@ def test_add_and_constant_folding():
 
 def test_levels_and_depth_chain_vs_balanced():
     g = chain4()
-    assert g.depth == 3
+    assert subject_depth(g) == 3
     g2 = SubjectGraph()
     lits = [(g2.add_pi(x), False) for x in "abcd"]
     g2.add_po(balanced_reduce(g2, lits, _and_op), "F")
-    assert g2.depth == 2
+    assert subject_depth(g2) == 2
 
 
 def test_balanced_reduce_structure():
@@ -53,7 +57,7 @@ def test_balanced_reduce_structure():
     lits = [(g.add_pi(f"x{i}"), False) for i in range(7)]
     out = balanced_reduce(g, lits, _and_op)
     g.add_po(out, "f")
-    assert g.depth == 3  # ceil(log2(7))
+    assert subject_depth(g) == 3  # ceil(log2(7))
     assert len(g.nodes) == 6
 
 
@@ -170,7 +174,7 @@ def and_chain_blif(depth: int) -> str:
 def test_blif_deep_chain_parses():
     g = parse_netlist(and_chain_blif(5000), fmt="blif")
     assert len(g.nodes) == 5000
-    assert g.depth == 5000
+    assert subject_depth(g) == 5000
     a, b = g.pis
     assert g.simulate({a: 0b0101, b: 0b0011}) == [0b0001]
 
@@ -227,3 +231,85 @@ def test_sweep_dangling_removes_dead_cone():
     g.sweep_dangling()
     assert len(g.nodes) < before
     assert len(g.nodes) == 1
+
+
+# ----------------------------------------------------------------------
+# node order is topological order
+# ----------------------------------------------------------------------
+
+
+def kahn_order(g):
+    """Kahn's order of the AND nodes, smallest id first among the ready
+    ones, from the fanin edges alone."""
+    indeg, fanouts = {}, {}
+    for nid, n in g.nodes.items():
+        deps = [f for f, _ in (n.fanin0, n.fanin1) if f in g.nodes]
+        indeg[nid] = len(deps)
+        for d in deps:
+            fanouts.setdefault(d, []).append(nid)
+    ready = [nid for nid, d in indeg.items() if not d]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for f in fanouts.get(nid, ()):
+            indeg[f] -= 1
+            if not indeg[f]:
+                heapq.heappush(ready, f)
+    assert len(order) == len(g.nodes), "cycle"
+    return order
+
+
+def shuffled_blif(g, seed):
+    """``write_blif(g)`` with its ``.names`` records in a seeded random
+    order, so most records come before the ones defining their inputs."""
+    head, *body = write_blif(g).split("\n.names ")
+    last = body[-1].split("\n.end")[0]
+    records = body[:-1] + [last]
+    random.Random(seed).shuffle(records)
+    return "\n.names ".join([head, *records]) + "\n.end\n"
+
+
+def _order_cases():
+    yield "ksa16", bench.kogge_stone_adder(16)
+    yield "alu8", bench.alu(8)
+    yield "rca16", bench.ripple_adder(16)
+    yield "bshift16", bench.barrel_shifter(16)
+    yield "prio16", bench.priority_encoder(16)
+    yield "mux4", bench.mux_tree(4)
+    yield "cmp8", bench.comparator(8)
+    yield "dec4", bench.one_hot_decoder(4)
+    yield "parity9", bench.parity(9)
+    yield "altchain40", bench.alternating_chain(40)
+    for seed in range(5):
+        # few POs: sweep_dangling drops most of the graph
+        yield f"rand{seed}", random_aig(200, 10, seed=seed, n_pos=3)
+    for seed in range(3):
+        g = random_aig(150, 8, seed=20 + seed)
+        yield f"blif{seed}", parse_netlist(shuffled_blif(g, seed), fmt="blif")
+        yield f"aag{seed}", parse_netlist(write_aag(g), fmt="aag")
+
+
+@pytest.mark.parametrize("name,g", list(_order_cases()))
+def test_node_order_is_topological(name, g):
+    for nid, n in g.nodes.items():
+        assert n.fanin0[0] < nid and n.fanin1[0] < nid, (name, nid)
+    assert g.topo_order() == kahn_order(g)
+
+
+def test_shuffled_blif_is_out_of_dependency_order():
+    g = random_aig(150, 8, seed=20)
+    text = shuffled_blif(g, 0)
+    records = [line.split()[1:] for line in text.splitlines()
+               if line.startswith(".names")]
+    defined_at = {rec[-1]: i for i, rec in enumerate(records)}
+    assert any(defined_at.get(net, -1) > i
+               for i, rec in enumerate(records) for net in rec[:-1])
+    g2 = parse_netlist(text, fmt="blif")
+    assert g2.signature() == g.signature()
+
+
+def test_nodes_cannot_be_passed_in():
+    with pytest.raises(TypeError):
+        SubjectGraph(nodes={3: AndNode(3, (1, False), (2, False))})

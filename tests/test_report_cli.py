@@ -215,6 +215,24 @@ def test_cli_po_named_like_a_pi_exits_4(tmp_path, fmt):
     assert not out.exists()
 
 
+def test_cli_po_that_is_its_own_pi_has_no_verilog(tmp_path):
+    # the BLIF of the same network is valid; Verilog would declare port a
+    # as both input and output
+    src = tmp_path / "w.blif"
+    src.write_text(".model w\n.inputs a b\n.outputs a\n.end\n")
+    out = tmp_path / "w.v"
+    result = CliRunner().invoke(main, ["map", "-o", str(out),
+                                       "--netlist-format", "verilog", str(src)])
+    assert result.exit_code == 4
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error [write]: PO a is named like a PI" in result.stderr
+    assert not out.exists()
+    blif = tmp_path / "w.blif.out"
+    result = CliRunner().invoke(main, ["map", "-o", str(blif), str(src)])
+    assert result.exit_code == 0
+    assert blif.read_text() == ".model w\n.inputs a b\n.outputs a\n.end\n"
+
+
 def test_cli_uncoverable_node_blames_supergate_depth():
     # depth-1 supergates are single cells: no cell of the bundled library
     # is an AND with a complemented input
@@ -264,6 +282,23 @@ def test_cli_analyze_tree_default_is_most_unbalanced():
     doc = json.loads(result.output)
     assert doc["nodes"] == 9  # two chains under a root
     assert doc["buffers"] == 12
+
+
+@pytest.mark.parametrize("args", [["-x", "0"], ["-x", "4", "-n", "100"],
+                                  ["-x", "4", "-n", "4"]])
+def test_cli_analyze_tree_bad_shape_is_usage_error(args):
+    result = CliRunner().invoke(main, ["analyze-tree", *args])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_cli_analyze_tree_taller_than_the_recursion_limit():
+    result = CliRunner().invoke(main, ["analyze-tree", "-x", "3000"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["height"] == 3000
+    assert doc["buffers"] == 2998 * 2999
+    assert doc["nodes"] == 2 * 3000 - 1
 
 
 def test_cli_check_identities_all_ok():

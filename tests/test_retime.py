@@ -10,8 +10,8 @@ from pbmap import bench
 from pbmap.balance import MappedNetwork
 from pbmap.flow import map_graph
 from pbmap.mapper import _instantiate
-from pbmap.retime import (lag_window, push_to_last_level_check,
-                          retime_min_registers, retimed_match_dffs)
+from pbmap.retime import lag_window, retime_min_registers, retimed_match_dffs
+from pbmap.trees import push_to_last_level_check
 from test_golden_qor import CIRCUITS
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import itertools
 
-from pbmap.truthtable import (MAX_VARS, apply_cell, projection, support,
+from pbmap.truthtable import (MAX_VARS, apply_cell, projection,
                               symmetry_perms, table_mask, tt_eval,
                               tt_eval_packed, tt_not, var_table)
 
@@ -73,20 +73,6 @@ def test_apply_cell_random_against_pointwise():
         for m in range(1 << nvars):
             idx = sum(tt_eval(c, m) << i for i, c in enumerate(children))
             assert tt_eval(got, m) == tt_eval(cell, idx)
-
-
-def test_support_detects_dependence():
-    n = 3
-    assert support(var_table(1, n), n) == (1,)
-    assert support(0, n) == ()
-    assert support(table_mask(n), n) == ()
-    xor3 = 0
-    for m in range(8):
-        if bin(m).count("1") % 2:
-            xor3 |= 1 << m
-    assert support(xor3, n) == (0, 1, 2)
-    # x0 & x2 ignores x1
-    assert support(var_table(0, n) & var_table(2, n), n) == (0, 2)
 
 
 def test_symmetry_perms_known_functions():
