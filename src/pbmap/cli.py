@@ -170,8 +170,8 @@ def check_identities(max_height):
         if not ok:
             failures.append(name)
 
-    ok = all(trees.measure_tree(trees.random_tree(n, seed=n)).N + 1
-             == trees.measure_tree(trees.random_tree(n, seed=n)).n
+    # random_tree(n) has n gates, so n + 1 pins
+    ok = all(trees.measure_tree(trees.random_tree(n, seed=n)).n == n + 1
              for n in range(1, 60))
     check("pin count = node count + 1 (random trees)", ok)
 

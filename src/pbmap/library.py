@@ -10,6 +10,7 @@ pin delays.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -372,7 +373,8 @@ def generate_supergates(lib: CellLibrary, k: int = 5, max_depth: int = 3,
     if k > MAX_VARS:
         raise ValueError(f"k must be at most {MAX_VARS}")
     stats = stats or GenerationStats()
-    roots = sorted(lib.logic_cells(), key=lambda c: c.name)
+    roots = sorted((c for c in lib.logic_cells() if c.n_inputs),
+                   key=lambda c: c.name)
     identity = var_table(0, 1)
 
     by_func: dict[tuple[int, int], list[Supergate]] = {}
@@ -397,31 +399,16 @@ def generate_supergates(lib: CellLibrary, k: int = 5, max_depth: int = 3,
         kept_total += 1
         return True
 
-    levels: list[list[Supergate]] = []
-    current = []
-    for cell in roots:
-        if cell.n_inputs == 0:
-            continue
-        sg = _compose(cell, tuple(None for _ in range(cell.n_inputs)))
-        stats.generated += 1
-        if keep(sg):
-            current.append(sg)
-    levels.append(sorted(current, key=_sort_key))
-
-    for level in range(2, max_depth + 1):
-        prev_pool = [sg for lv in levels for sg in lv]
+    pool: list[Supergate] = []  # kept by an earlier level, evicted or not
+    done = False
+    for level in range(1, max_depth + 1):
+        # child options: None (leaf) or any supergate of a lower level
+        opts: list = [None] + pool
         newcomers = []
-        done = False
         for cell in roots:
             if done:
                 break
-            # child options: None (leaf) or any kept supergate of lower level
-            opts: list = [None] + prev_pool
-            if cell.n_inputs == 1:
-                combos = ((a,) for a in opts)
-            else:
-                combos = ((a, b) for a in opts for b in opts)
-            for combo in combos:
+            for combo in itertools.product(opts, repeat=cell.n_inputs):
                 child_levels = [0 if c is None else c.struct_level for c in combo]
                 if max(child_levels) != level - 1:
                     continue  # must use at least one child from the frontier
@@ -436,14 +423,13 @@ def generate_supergates(lib: CellLibrary, k: int = 5, max_depth: int = 3,
                     stats.budget_exhausted = True
                     done = True
                     break
-        levels.append(sorted(newcomers, key=_sort_key))
+        pool += sorted(newcomers, key=_sort_key)
         if done:
             break
 
-    result = [sg for lv in levels for sg in lv]
-    # drop entries evicted from their bucket after being added to a level
-    result = [sg for sg in result if sg in by_func.get((sg.n_inputs, sg.func), ())]
-    result.sort(key=lambda s: (s.n_inputs, s.func, _sort_key(s)))
+    # the buckets hold exactly the kept supergates not evicted since
+    result = sorted((sg for bucket in by_func.values() for sg in bucket),
+                    key=lambda s: (s.n_inputs, s.func, _sort_key(s)))
     stats.kept = len(result)
     return result
 

@@ -15,7 +15,8 @@ Leaf-to-input wirings come from one table cached on the match table,
 ``MatchTable.profiles``: for each (supergate, cut function, leaf heights) it
 holds one wiring per distinct permuted height profile with its root height and
 retimed DFF count, so neither the DP nor the depth-greedy baseline re-walks
-the symmetry permutations per candidate.
+the symmetry permutations per candidate.  The two share one sweep and differ
+only in the rule that turns a (cut, supergate) pair into frontier points.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ class MappingError(Exception):
 @dataclass
 class Match:
     supergate: Supergate | None
-    cut: Cut | None
-    phase: str
     height: int
     dffs: int
     area: float
@@ -62,7 +61,6 @@ class Match:
 @dataclass
 class NodeSolution:
     node: int
-    phase: str
     frontier: list[Match] = field(default_factory=list)  # by (dffs, height)
 
     @property
@@ -109,9 +107,20 @@ def _dominated(frontier: list[Match], height: int, dffs: int) -> bool:
     return False
 
 
+def _match(sg: Supergate, cut: Cut, choice, perm, height: int,
+           sg_dffs: int) -> Match:
+    """``sg`` over ``cut`` on the leaf points ``choice``, wired by ``perm``."""
+    return Match(sg, height, sum(m.dffs for m in choice) + sg_dffs,
+                 sg.area + sum(m.area for m in choice),
+                 sg.jj_count + sum(m.jj for m in choice),
+                 tuple(choice[p].height for p in perm),
+                 tuple(cut.leaves[p] for p in perm))
+
+
 def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
-             out: list[Match], cap: int, phase: str, profiles):
-    """Candidates for one (cut, supergate) pair over leaf frontier choices.
+             out: list[Match], cap: int, profiles):
+    """The DP's rule: Pareto candidates for one (cut, supergate) pair over
+    leaf frontier choices.
 
     Each candidate also chooses a leaf-to-input wiring: any permutation that
     fixes the cut function is a legal binding, and skew-sensitive costs make
@@ -126,19 +135,11 @@ def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
 
     def emit(choice):
         leaf_dffs = sum(m.dffs for m in choice)
-        area = sg.area + sum(m.area for m in choice)
-        jj = sg.jj_count + sum(m.jj for m in choice)
         base = tuple(m.height for m in choice)
         for perm, height, sg_dffs in profiles(sg, cut.func, base):
-            dffs = leaf_dffs + sg_dffs
-            if _dominated(out, height, dffs):
-                continue
-            cand = Match(
-                supergate=sg, cut=cut, phase=phase, height=height, dffs=dffs,
-                area=area, jj=jj, leaf_heights=tuple(base[p] for p in perm),
-                leaves=tuple(cut.leaves[p] for p in perm),
-            )
-            _insert_pareto(out, cand, cap)
+            if not _dominated(out, height, leaf_dffs + sg_dffs):
+                _insert_pareto(
+                    out, _match(sg, cut, choice, perm, height, sg_dffs), cap)
 
     if size <= PRODUCT_LIMIT:
         for choice in itertools.product(*leaf_fronts):
@@ -161,8 +162,26 @@ def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
             emit(choice)
 
 
+def _greedy(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
+            out: list[Match], cap: int, profiles):
+    """The depth-greedy rule: ``out`` holds the one match least by (height,
+    area, jj, name), the first on a tie, ignoring DFF cost.  The wiring is
+    chosen by arrival height alone, ties broken by the height profile."""
+    choice = [lf[0] for lf in leaf_fronts]
+    base = tuple(m.height for m in choice)
+    perm, height, sg_dffs = min(profiles(sg, cut.func, base),
+                                key=lambda e: (e[1], tuple(base[p] for p in e[0])))
+    best = out[0] if out else None
+    if best is not None and height > best.height:
+        return
+    cand = _match(sg, cut, choice, perm, height, sg_dffs)
+    if best is None or height < best.height or _alt_key(cand) < _alt_key(best):
+        out[:] = [cand]
+
+
 def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
-                table: MatchTable, solutions, frontier_cap: int) -> NodeSolution:
+                table: MatchTable, solutions, frontier_cap: int,
+                combine) -> NodeSolution:
     frontier: list[Match] = []
     for cut in cutsets[nid].cuts:
         if cut.func is None:
@@ -170,61 +189,49 @@ def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
         sgs = table.lookup(cut.func, len(cut.leaves), phase)
         if not sgs:
             continue
-        leaf_fronts = []
-        missing = False
-        for leaf in cut.leaves:
-            sol = solutions.get((leaf, POS))
-            if sol is None:
-                missing = True
-                break
-            leaf_fronts.append(sol.frontier)
-        if missing:
-            continue
+        leaf_fronts = [solutions[(leaf, POS)].frontier for leaf in cut.leaves]
         for sg in sgs:
-            _combine(sg, cut, leaf_fronts, frontier, frontier_cap, phase,
-                     table.profiles)
+            combine(sg, cut, leaf_fronts, frontier, frontier_cap, table.profiles)
     if not frontier:
         raise MappingError(
             f"node {nid} ({phase}) has no matchable cut: the library or the "
             "supergate depth cannot cover its cuts")
-    return NodeSolution(nid, phase, frontier)
+    return NodeSolution(nid, frontier)
 
 
-def _wire_solutions(g: SubjectGraph) -> dict[tuple[int, str], NodeSolution]:
-    """A zero-cost wire at height 0 for every PI and the constant."""
-    srcs = g.pis + [CONST0] if g.has_const else g.pis
-    return {(s, POS): NodeSolution(s, POS, [Match(None, None, POS, 0, 0, 0.0, 0)])
-            for s in srcs}
+def _sweep(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
+           frontier_cap: int, combine):
+    """Topological sweep over any acyclic subject graph, ``combine`` adding
+    each (cut, supergate) pair's candidates to a node's frontier.
 
-
-def _solve_complemented_pos(g: SubjectGraph, cutsets, table, solutions,
-                            frontier_cap: int):
-    """Add the negative phase of every complemented PO's driver, PIs
-    included, from the finished positive-phase solutions."""
-    for p, c in g.pos:
-        if c and p != CONST0 and (p, NEG) not in solutions:
-            solutions[(p, NEG)] = _solve_node(p, NEG, cutsets, table,
-                                              solutions, frontier_cap)
-
-
-def map_dag(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
-            frontier_cap: int = FRONTIER_CAP):
-    """Topological DP sweep over any acyclic subject graph.
-
-    Returns a dict keyed by (node_id, phase) of NodeSolution: the positive
-    phase of every node, and the negative phase of every complemented PO's
-    driver.
+    Returns a dict keyed by (node_id, phase) of NodeSolution: a zero-cost
+    wire at height 0 for every PI and the constant, the positive phase of
+    every node, and the negative phase of every complemented PO's driver,
+    PIs included, solved by the DP's ``_combine`` from the finished positive
+    phases.
     """
-    solutions = _wire_solutions(g)
+    wire = Match(None, 0, 0, 0.0, 0)
+    srcs = g.pis + [CONST0] if g.has_const else g.pis
+    solutions = {(s, POS): NodeSolution(s, [wire]) for s in srcs}
     fanout = g.fanout_counts()
     for nid in g.topo_order():
-        sol = _solve_node(nid, POS, cutsets, table, solutions, frontier_cap)
+        sol = _solve_node(nid, POS, cutsets, table, solutions, frontier_cap,
+                          combine)
         if fanout.get(nid, 0) > 1:
             # shared node: one implementation for all consumers
             del sol.frontier[1:]
         solutions[(nid, POS)] = sol
-    _solve_complemented_pos(g, cutsets, table, solutions, frontier_cap)
+    for p, c in g.pos:
+        if c and p != CONST0 and (p, NEG) not in solutions:
+            solutions[(p, NEG)] = _solve_node(p, NEG, cutsets, table, solutions,
+                                              frontier_cap, _combine)
     return solutions
+
+
+def map_dag(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
+            frontier_cap: int = FRONTIER_CAP):
+    """The DFF DP: every node keeps a Pareto frontier (see ``_sweep``)."""
+    return _sweep(g, cutsets, table, frontier_cap, _combine)
 
 
 def select_best(solutions, g: SubjectGraph, objective=None):
@@ -234,46 +241,11 @@ def select_best(solutions, g: SubjectGraph, objective=None):
     return solutions
 
 
-# ----------------------------------------------------------------------
-# depth-greedy reference mapper (baseline for comparisons)
-# ----------------------------------------------------------------------
-
-
 def map_depth_greedy(g: SubjectGraph, cutsets, table):
-    """Classic min-height objective: per node keep the single match with the
-    smallest arrival height (ties by area), ignoring DFF cost.  Complemented
-    POs get the DP's negative-phase solve, as in ``map_dag``."""
-    solutions = _wire_solutions(g)
-    for nid in g.topo_order():
-        best = None
-        for cut in cutsets[nid].cuts:
-            sgs = table.lookup(cut.func, len(cut.leaves), POS)
-            if not sgs:
-                continue
-            leaf_ms = [solutions[(leaf, POS)].best for leaf in cut.leaves]
-            base = tuple(m.height for m in leaf_ms)
-            for sg in sgs:
-                # wiring chosen by arrival height alone (DFF-oblivious),
-                # ties broken by the height profile for determinism
-                perm, height, sg_dffs = min(
-                    table.profiles(sg, cut.func, base),
-                    key=lambda e: (e[1], tuple(base[p] for p in e[0])))
-                heights = tuple(base[p] for p in perm)
-                dffs = sum(m.dffs for m in leaf_ms) + sg_dffs
-                cand = Match(sg, cut, POS, height, dffs,
-                             sg.area + sum(m.area for m in leaf_ms),
-                             sg.jj_count + sum(m.jj for m in leaf_ms), heights,
-                             tuple(cut.leaves[p] for p in perm))
-                key = (cand.height, cand.area, cand.jj,
-                       sg.name)
-                if best is None or key < (best.height, best.area, best.jj,
-                                          best.supergate.name):
-                    best = cand
-        if best is None:
-            raise MappingError(f"node {nid} has no matchable cut")
-        solutions[(nid, POS)] = NodeSolution(nid, POS, [best])
-    _solve_complemented_pos(g, cutsets, table, solutions, FRONTIER_CAP)
-    return solutions
+    """The depth-greedy baseline: the DP's sweep with a min-height rule, one
+    match per node (``_greedy``).  Complemented POs get the DP's
+    negative-phase solve, as in ``map_dag``."""
+    return _sweep(g, cutsets, table, FRONTIER_CAP, _greedy)
 
 
 # ----------------------------------------------------------------------

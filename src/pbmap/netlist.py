@@ -252,11 +252,12 @@ def _parse_blif(text: str) -> SubjectGraph:
         if line.endswith("\\"):
             buf += line[:-1] + " "
             continue
-        buf += line
-        lines.append((buf_line, buf))
+        buf = (buf + line).strip()  # a bare "\" joins to nothing
+        if buf:
+            lines.append((buf_line, buf))
         buf = ""
-    if buf:
-        lines.append((buf_line, buf))
+    if buf.strip():
+        lines.append((buf_line, buf.strip()))
 
     g = SubjectGraph()
     inputs: list[str] = []

@@ -1,6 +1,8 @@
 """Mapped networks compute their subject graph's function on circuits too
 wide to check exhaustively: seeded random patterns, simulated bit-parallel
-on the subject graph and on the mapped network before and after retiming."""
+on the subject graph and on the mapped network before and after retiming.
+Each circuit is mapped by the DP under the bundled library, and then by the
+depth-greedy baseline and by the DP under the clocked-inverter library."""
 
 import random
 
@@ -20,11 +22,8 @@ CIRCUITS = {
 PATTERNS = 1024  # bit-parallel: one int per signal
 
 
-@pytest.mark.parametrize("name", list(CIRCUITS))
-def test_wide_circuit_equivalence_on_random_patterns(lib, table, name):
-    g = CIRCUITS[name]()
+def assert_equivalent_on_random_patterns(name, g, res):
     assert len(g.pis) > 10
-    res = flow.map_graph(g, lib, table)
     rng = random.Random(f"equivalence:{name}")
     mask = (1 << PATTERNS) - 1
     packed = [rng.getrandbits(PATTERNS) for _ in g.pis]
@@ -35,3 +34,21 @@ def test_wide_circuit_equivalence_on_random_patterns(lib, table, name):
         got = net.simulate([by_name[n] for n in net.pi_names], mask)
         bad = sorted(po for po in want if got[po] != want[po])
         assert not bad, (tag, len(bad), bad[:3])
+
+
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_wide_circuit_equivalence_on_random_patterns(lib, table, name):
+    g = CIRCUITS[name]()
+    assert_equivalent_on_random_patterns(name, g, flow.map_graph(g, lib, table))
+
+
+@pytest.mark.parametrize("variant", ["depth_greedy", "clocked_inv"])
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_wide_circuit_equivalence_variants(lib, table, clocked_lib,
+                                           clocked_table, name, variant):
+    g = CIRCUITS[name]()
+    if variant == "depth_greedy":
+        res = flow.map_graph(g, lib, table, depth_greedy=True)
+    else:
+        res = flow.map_graph(g, clocked_lib, clocked_table)
+    assert_equivalent_on_random_patterns(name, g, res)

@@ -1,5 +1,7 @@
 """Golden QoR snapshot: the exact figures of the default flow on a small
-corpus with the bundled library.
+corpus with the bundled library, and of two variants: the depth-greedy
+baseline, and the default flow under the clocked-inverter library (the
+library of the benchmark's ``clocked_inv.genlib``).
 
 A change meant to leave the mapper's results alone (a speed-up, a refactor)
 must keep every figure here.  A change that moves QoR on purpose updates the
@@ -53,6 +55,35 @@ GOLDEN_TEXT = {
               "31225236f725c67adc849fead01bf3a2887fd16df298a571fd944c079ba5b60c"),
 }
 
+# (variant, circuit): (dffs_before, dffs_after, jj_total, splitters, depth,
+#                      sha256 of the four netlist texts, in GOLDEN_TEXT's order)
+GOLDEN_VARIANTS = {
+    ("depth_greedy", "ksa16"): (269, 220, 4475, 349, 10,
+        "c4e7a17a30f28bef56d8cfc7ed6061fdb18e927b854f9e1b5eb6b158cb17fe3f"),
+    ("depth_greedy", "alu8"): (464, 270, 2411, 133, 18,
+        "6c48ff7ea5c03dcbeae94523a583d0842b05a9a3f70f900f36ba572397e15cfc"),
+    ("depth_greedy", "bshift16"): (384, 12, 2340, 236, 8,
+        "264bcd8a74aa5dc18af3bdccb92eb45007799ea0a9a703491ad004240460f4aa"),
+    ("depth_greedy", "prio16"): (80, 63, 839, 50, 9,
+        "46b439aaf251f28df7270aa9464d76d6e4648f689b64b9fd2d8014fd7ee50c9b"),
+    ("depth_greedy", "rand200"): (678, 439, 5702, 415, 9,
+        "d52702f559eb8f946e918d42680975dfa146cd4ce03b007004cf3e2723bcbe5f"),
+    ("depth_greedy", "rca64"): (19657, 12030, 53882, 564, 127,
+        "8a2b9f029d0a62cbbddfe9af18fa23a3cb323f02c8009cd4cff06fb45bace220"),
+    ("clocked_inv", "ksa16"): (222, 196, 3787, 273, 12,
+        "efc4bd0cbbc7172f8da5a87283a6a814cf0826167f41a3dca98920dd46c2eefe"),
+    ("clocked_inv", "alu8"): (421, 260, 2408, 131, 18,
+        "0e038709da636d26400da2d90546d236d121c9444c5e87db3f614930b25bd6ac"),
+    ("clocked_inv", "bshift16"): (624, 76, 3860, 316, 11,
+        "d84dd075eccd7c626278975f1042d3d9824ad9c5bf0b5e69a26614ca0c2fa06f"),
+    ("clocked_inv", "prio16"): (94, 79, 919, 50, 12,
+        "fd42569fe9cd144f0017da85957a1e264ce8d1fe184bd72c8b68b71871e03757"),
+    ("clocked_inv", "rand200"): (655, 505, 5756, 373, 11,
+        "3a1fcbd69c500a9bb17d76bc240407298db3de22aab22d5057f68ab25fb9de61"),
+    ("clocked_inv", "rca64"): (19472, 12030, 52528, 379, 127,
+        "cf3858e6225f43243c6e5bcc9261b9cba69c329ea04897c1ccc3106944eca1a3"),
+}
+
 CIRCUITS = {
     "ksa16": lambda: bench.kogge_stone_adder(16),
     "alu8": lambda: bench.alu(8),
@@ -71,6 +102,23 @@ def mapped(lib, table):
         if name not in cache:
             cache[name] = flow.map_graph(CIRCUITS[name](), lib, table)
         return cache[name]
+    return get
+
+
+@pytest.fixture(scope="module")
+def mapped_variant(lib, table, clocked_lib, clocked_table):
+    cache = {}
+
+    def get(variant, name):
+        if (variant, name) not in cache:
+            if variant == "depth_greedy":
+                res = flow.map_graph(CIRCUITS[name](), lib, table,
+                                     depth_greedy=True)
+            else:
+                res = flow.map_graph(CIRCUITS[name](), clocked_lib,
+                                     clocked_table)
+            cache[variant, name] = res
+        return cache[variant, name]
     return get
 
 
@@ -96,3 +144,15 @@ def test_golden_netlist_text(name, mapped):
         po_arr = {h[s] + net.dff.get((s, ("po", i)), 0)
                   for i, s in enumerate(net.pos)}
         assert po_arr == {net.depth}
+
+
+@pytest.mark.parametrize("variant,name", list(GOLDEN_VARIANTS))
+def test_golden_variant(variant, name, mapped_variant):
+    res = mapped_variant(variant, name)
+    digest = hashlib.sha256()
+    for net in (res.before, res.after):
+        for text in (net.write_blif(), net.write_verilog()):
+            digest.update(text.encode())
+    got = (res.dffs_before, res.dffs_after, res.after.jj_count,
+           res.after.splitter_count, res.after.depth, digest.hexdigest())
+    assert got == GOLDEN_VARIANTS[variant, name]

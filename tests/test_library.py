@@ -103,6 +103,36 @@ def test_depth1_supergates_are_primitives(lib):
         assert sg.internal_dffs == 0
 
 
+def eval_children(sg, leaf_bits):
+    """The value of ``sg``'s cell tree on its leaves, consumed left to right
+    as ``_instantiate`` wires them; each cell evaluated by its own table."""
+    pin_bits = 0
+    for i, c in enumerate(sg.children):
+        if isinstance(c, int):
+            bit = next(leaf_bits)
+        else:
+            bit = eval_children(c, leaf_bits)
+        pin_bits |= bit << i
+    return tt_eval(sg.root_cell.func, pin_bits)
+
+
+def test_wide_roots_take_supergate_children():
+    # a 3-input root composes with three children, so and3 over a supergate
+    # is generated; each supergate's table is its cell tree's function
+    lib = parse_library(MINI + "GATE and3 3.0 o=a*b*c; # JJ=9 CLOCKED=1\n"
+                        "GATE or2 2.0 o=a+b; # JJ=6 CLOCKED=1\n", sfq_mode=False)
+    sgs = generate_supergates(lib, k=5, max_depth=2)
+    assert any(sg.root_cell.name == "and3"
+               and not all(isinstance(c, int) for c in sg.children)
+               for sg in sgs)
+    for sg in sgs:
+        assert sum(1 if isinstance(c, int) else c.n_inputs
+                   for c in sg.children) == sg.n_inputs
+        for m in range(1 << sg.n_inputs):
+            leaf_bits = iter((m >> j) & 1 for j in range(sg.n_inputs))
+            assert eval_children(sg, leaf_bits) == tt_eval(sg.func, m), sg.name
+
+
 def test_double_inversion_pruned(lib):
     sgs = generate_supergates(lib, k=5, max_depth=2)
     idn = var_table(0, 1)

@@ -62,7 +62,7 @@ def assert_equivalent(g, net):
 
 
 def mk(height, dffs, area=1.0):
-    return Match(None, None, POS, height, dffs, area, 0)
+    return Match(None, height, dffs, area, 0)
 
 
 def test_pareto_dominated_point_dropped():
@@ -100,7 +100,7 @@ def test_frontier_head_is_first_inserted_minimum(cap, points):
     # the first-inserted minimum by (dffs, height, area, jj, name) of every
     # candidate, including those dropped or evicted on the way
     front = []
-    cands = [Match(None, None, POS, h, d, area, jj) for h, d, area, jj in points]
+    cands = [Match(None, h, d, area, jj) for h, d, area, jj in points]
     for m in cands:
         if not _dominated(front, m.height, m.dffs):
             _insert_pareto(front, m, cap)
@@ -245,7 +245,7 @@ def test_balanced_and_tree_is_free(table):
 # ----------------------------------------------------------------------
 
 
-def reference_combine(sg, cut, leaf_fronts, out, cap, phase, profiles):
+def reference_combine(sg, cut, leaf_fronts, out, cap, profiles):
     """The DP's candidate loop written out per symmetry permutation, with a
     Match built for every distinct height profile of every leaf choice; the
     table's cached ``profiles`` go unused."""
@@ -271,7 +271,7 @@ def reference_combine(sg, cut, leaf_fronts, out, cap, phase, profiles):
             dffs = leaf_dffs + retimed_match_dffs(sg, heights)
             height = max(h + d for h, d in zip(heights, depths))
             cand = Match(
-                supergate=sg, cut=cut, phase=phase, height=height, dffs=dffs,
+                supergate=sg, height=height, dffs=dffs,
                 area=area, jj=jj, leaf_heights=heights,
                 leaves=tuple(cut.leaves[p] for p in perm),
             )
@@ -300,10 +300,10 @@ def reference_combine(sg, cut, leaf_fronts, out, cap, phase, profiles):
 def reference_depth_greedy(g, cutsets, table):
     """Depth-greedy baseline choosing its wiring by a min over every
     symmetry permutation."""
-    wire = Match(None, None, POS, 0, 0, 0.0, 0)
-    solutions = {(pi, POS): NodeSolution(pi, POS, [wire]) for pi in g.pis}
+    wire = Match(None, 0, 0, 0.0, 0)
+    solutions = {(pi, POS): NodeSolution(pi, [wire]) for pi in g.pis}
     if g.has_const:
-        solutions[(CONST0, POS)] = NodeSolution(CONST0, POS, [wire])
+        solutions[(CONST0, POS)] = NodeSolution(CONST0, [wire])
     for nid in g.topo_order():
         best = None
         for cut in cutsets[nid].cuts:
@@ -321,7 +321,7 @@ def reference_depth_greedy(g, cutsets, table):
                 height = max(h + d for h, d in zip(heights, sg.leaf_depths))
                 dffs = (sum(m.dffs for m in leaf_ms)
                         + retimed_match_dffs(sg, heights))
-                cand = Match(sg, cut, POS, height, dffs,
+                cand = Match(sg, height, dffs,
                              sg.area + sum(m.area for m in leaf_ms),
                              sg.jj_count + sum(m.jj for m in leaf_ms), heights,
                              tuple(cut.leaves[p] for p in perm))
@@ -329,7 +329,7 @@ def reference_depth_greedy(g, cutsets, table):
                 if best is None or key < (best.height, best.area, best.jj,
                                           best.supergate.name):
                     best = cand
-        solutions[(nid, POS)] = NodeSolution(nid, POS, [best])
+        solutions[(nid, POS)] = NodeSolution(nid, [best])
     return solutions
 
 

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 from click.testing import CliRunner
 
-from pbmap import bench
+from pbmap import bench, trees
 from pbmap.cli import main
 from pbmap.flow import map_graph
 from pbmap.netlist import write_blif
@@ -307,6 +307,16 @@ def test_cli_check_identities_all_ok():
     assert result.exit_code == 0
     assert "FAIL" not in result.output
     assert result.output.count("ok  ") == 5
+
+
+def test_cli_check_identities_pin_count_can_fail(monkeypatch):
+    # a measure that sees one gate too many must fail the pin check
+    real = trees.measure_tree
+    monkeypatch.setattr(trees, "measure_tree",
+                        lambda tree: real((tree, None)))
+    result = CliRunner().invoke(main, ["check-identities", "--max-height", "4"])
+    assert result.exit_code == 1
+    assert "FAIL pin count = node count + 1 (random trees)" in result.output
 
 
 def test_cli_hit_rate():
