@@ -48,9 +48,10 @@ class CutSet:
     truncated: int = 0  # cuts dropped by the per-node cap
 
 
-def _prune_dominated(merged: list[tuple[tuple[int, ...], frozenset]],
-                     sigs: list[int]) -> list[tuple[tuple[int, ...], frozenset]]:
-    """Drop every leaf set that has a strict subset in ``merged``.
+def _prune_dominated(merged: list[tuple[int, tuple[int, ...], frozenset]],
+                     sigs: list[int]) -> list[tuple[int, tuple[int, ...], frozenset]]:
+    """Drop every (size, leaves, leaf set) entry whose set has a strict
+    subset in ``merged``.
 
     The sets are distinct and sorted by size, so a strict subset comes
     earlier, and testing the kept sets suffices: a dropped set's own subset
@@ -59,14 +60,15 @@ def _prune_dominated(merged: list[tuple[tuple[int, ...], frozenset]],
     keep = []
     kept: list[tuple[int, frozenset]] = []
     shorter = 0  # kept[:shorter] are shorter than the current set
-    for (ls, leaf_set), sig in zip(merged, sigs):
-        if keep and len(keep[-1][0]) < len(ls):
+    for entry, sig in zip(merged, sigs):
+        if keep and keep[-1][0] < entry[0]:
             shorter = len(kept)
+        leaf_set = entry[2]
         for ksig, kset in kept[:shorter]:
             if not ksig & ~sig and kset < leaf_set:
                 break
         else:
-            keep.append((ls, leaf_set))
+            keep.append(entry)
             kept.append((sig, leaf_set))
     return keep
 
@@ -87,8 +89,11 @@ def enumerate_cuts(g: SubjectGraph, k: int = 5, cap: int = 250,
     sets: dict[int, list[frozenset]] = {}
     # (func, leaf positions, nvars) -> stretched table; lives for this call
     stretched: dict[tuple[int, tuple[int, ...], int], int] = {}
+    masks = [table_mask(n) for n in range(k + 1)]
 
     def stretch(cut: Cut, ls: tuple[int, ...]) -> int:
+        if cut.leaves == ls:
+            return cut.func
         key = (cut.func, tuple(map(ls.index, cut.leaves)), len(ls))
         tt = stretched.get(key)
         if tt is None:
@@ -120,16 +125,16 @@ def enumerate_cuts(g: SubjectGraph, k: int = 5, cap: int = 250,
                 union = set0 | sets1[j]
                 if len(union) <= k and union not in first:
                     first[union] = (i, j)
-        merged = sorted(((tuple(sorted(u)), u) for u in first),
-                        key=lambda e: (len(e[0]), e[0]))
+        # leaves are distinct, so the sort never compares two sets
+        merged = sorted((len(u), tuple(sorted(u)), u) for u in first)
         if prune_dominated:
             merged = _prune_dominated(
                 merged, [sigs0[first[u][0]] | sigs1[first[u][1]]
-                         for _, u in merged])
+                         for _, _, u in merged])
         own = 1 << (nid & SIG_MASK)
         cs = CutSet(nid, [Cut((nid,), TRIVIAL_FUNC)])
         node_sigs, node_cones, node_sets = [own], [0], [frozenset((nid,))]
-        for ls, leaf_set in merged:
+        for width, ls, leaf_set in merged:
             if len(cs.cuts) >= cap:
                 cs.truncated += 1
                 continue
@@ -137,7 +142,7 @@ def enumerate_cuts(g: SubjectGraph, k: int = 5, cap: int = 250,
             if cones0[i] & sigs1[j] or cones1[j] & sigs0[i]:
                 func = cone_function(g, nid, ls)
             else:
-                mask = table_mask(len(ls))
+                mask = masks[width]
                 t0 = stretch(cuts0[i], ls)
                 t1 = stretch(cuts1[j], ls)
                 func = (t0 ^ mask if neg0 else t0) & (t1 ^ mask if neg1 else t1)

@@ -83,8 +83,14 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
             solutions = mapmod.map_depth_greedy(g, cutsets, table)
         else:
             solutions = mapmod.map_dag(g, cutsets, table)
+        del cutsets
         net = mapmod.extract_cover(solutions, g)
-        del solutions
+        # library.hit_rate's terms, counted by the positive-phase sweep
+        pos = [sol for (_, phase), sol in solutions.items()
+               if phase == mapmod.POS]
+        cuts = sum(sol.cuts for sol in pos)
+        rate = sum(sol.hits for sol in pos) / cuts if cuts else 0.0
+        del solutions, pos
         net.insert_splitters(lib)
         net.insert_balancing()
         net.validate()
@@ -95,6 +101,4 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
         else:
             after = net
         runtime = time.perf_counter() - t0
-        rate = libmod.hit_rate(cutsets, table)
-        del cutsets
         return FlowResult(g, net, after, rate, runtime)

@@ -10,7 +10,6 @@ pin delays.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -353,6 +352,24 @@ def _sort_key(sg: Supergate):
     return (sg.internal_dffs, sg.depth, sg.area, sg.jj_count, sg.name)
 
 
+def _child_tuples(opts: list, widths: list[int], slots: int, room: int,
+                  prefix: tuple = ()):
+    """``prefix`` extended by each tuple of ``itertools.product(opts,
+    repeat=slots)`` at most ``room`` leaves wide, in the product's order;
+    an option is ``None`` (one leaf) or a supergate, of width ``widths[i]``.
+    A prefix is dropped as soon as it leaves too little width for one leaf
+    per slot still open, so no wider tuple is built."""
+    if slots == 1:
+        for o, w in zip(opts, widths):
+            if w <= room:
+                yield prefix + (o,)
+        return
+    for o, w in zip(opts, widths):
+        if w + slots - 1 <= room:
+            yield from _child_tuples(opts, widths, slots - 1, room - w,
+                                     prefix + (o,))
+
+
 @dataclass
 class GenerationStats:
     generated: int = 0
@@ -404,17 +421,15 @@ def generate_supergates(lib: CellLibrary, k: int = 5, max_depth: int = 3,
     for level in range(1, max_depth + 1):
         # child options: None (leaf) or any supergate of a lower level
         opts: list = [None] + pool
+        widths = [1 if o is None else o.n_inputs for o in opts]
         newcomers = []
         for cell in roots:
             if done:
                 break
-            for combo in itertools.product(opts, repeat=cell.n_inputs):
+            for combo in _child_tuples(opts, widths, cell.n_inputs, k):
                 child_levels = [0 if c is None else c.struct_level for c in combo]
                 if max(child_levels) != level - 1:
                     continue  # must use at least one child from the frontier
-                width = sum(1 if c is None else c.n_inputs for c in combo)
-                if width > k:
-                    continue
                 sg = _compose(cell, combo)
                 stats.generated += 1
                 if keep(sg):
@@ -439,14 +454,23 @@ def generate_supergates(lib: CellLibrary, k: int = 5, max_depth: int = 3,
 # ----------------------------------------------------------------------
 
 
+def dominates(height: int, dffs: int, height2: int, dffs2: int) -> bool:
+    """Whether a (height, dffs) frontier point makes one at (height2, dffs2)
+    redundant: it arrives no later and needs no more DFFs.  The DP's
+    frontier insert and ``MatchTable.options`` both prune by this one test;
+    it is shift-invariant in dffs, so options that share their leaves' DFF
+    sum can be pruned before that sum is added."""
+    return height <= height2 and dffs <= dffs2
+
+
 def _profiles(sg: Supergate, func: int, base: tuple[int, ...]):
     """Distinct wirings of ``sg`` onto a cut of function ``func`` whose leaves
     arrive at ``base``: one (perm, root_height, retimed_dffs) entry per
     distinct permuted height profile ``tuple(base[p] for p in perm)``, in
     first-occurrence order over ``symmetry_perms`` (frontier tie-breaking
     depends on that order).  The profiles themselves are not kept; a caller
-    rebuilds one only for a candidate it keeps, so the cache holds no height
-    tuples.  Cached per table by ``MatchTable.profiles``."""
+    rebuilds one only for a candidate it keeps, so no cache holds height
+    tuples."""
     depths = sg.leaf_depths
     seen = set()
     out = []
@@ -460,10 +484,35 @@ def _profiles(sg: Supergate, func: int, base: tuple[int, ...]):
     return tuple(out)
 
 
+def _prune_options(entries) -> tuple:
+    """The (height, sg_dffs, supergate, perm) ``entries`` of one leaf choice,
+    in order, less those that cannot reach a frontier whatever the choice's
+    leaf costs: an entry strictly dominated in (height, sg_dffs) by another,
+    and one equal in (height, sg_dffs) to an earlier entry of the same
+    supergate, which ties it in area and JJs too.  Equal entries of
+    different supergates are kept: the frontier breaks their tie on area
+    summed with the leaves', and float sums can round two areas together."""
+    front: list[tuple[int, int]] = []  # the undominated (height, sg_dffs)
+    for h, d, _, _ in entries:
+        if not any(dominates(fh, fd, h, d) for fh, fd in front):
+            front = [(fh, fd) for fh, fd in front
+                     if not dominates(h, d, fh, fd)] + [(h, d)]
+    seen = set()
+    kept = []
+    for entry in entries:
+        key = (entry[0], entry[1], id(entry[2]))
+        if key[:2] in front and key not in seen:
+            seen.add(key)
+            kept.append(entry)
+    return tuple(kept)
+
+
 class MatchTable:
     """Exact-function lookup from canonical cut truth tables to supergates,
-    with the wiring table of its supergates (``profiles``, see
-    ``_profiles``): it lives and is freed with the table."""
+    with two wiring caches that live and are freed with the table:
+    ``options`` for the DP, one pruned list per cut function and leaf
+    heights, and ``profiles`` (see ``_profiles``) per supergate for the
+    depth-greedy baseline and the DP's target sweep."""
 
     def __init__(self, supergates: list[Supergate]):
         self.table: dict[tuple[int, int], list[Supergate]] = {}
@@ -473,6 +522,7 @@ class MatchTable:
             lst.sort(key=_sort_key)
         self.supergates = supergates
         self.profiles = functools.lru_cache(maxsize=None)(_profiles)
+        self.option_cache: dict[tuple, tuple] = {}
 
     def lookup(self, func: int, nvars: int, phase: str = "positive") -> list[Supergate]:
         if phase == "negative":
@@ -480,6 +530,21 @@ class MatchTable:
         elif phase != "positive":
             raise ValueError(f"unknown phase '{phase}'")
         return self.table.get((nvars, func), [])
+
+    def options(self, func: int, nvars: int, phase: str,
+                base: tuple[int, ...]) -> tuple:
+        """Every (height, sg_dffs, supergate, perm) that matches a cut of
+        ``func`` over ``nvars`` leaves arriving at ``base`` in ``phase``:
+        the supergates in ``lookup`` order, each wired by its ``_profiles``
+        in order, pruned by ``_prune_options``.  Cached per table."""
+        key = (func, nvars, phase, base)
+        opts = self.option_cache.get(key)
+        if opts is None:
+            opts = self.option_cache[key] = _prune_options(
+                [(height, dffs, sg, perm)
+                 for sg in self.lookup(func, nvars, phase)
+                 for perm, height, dffs in _profiles(sg, func, base)])
+        return opts
 
 
 def hit_rate(cutsets, table: MatchTable) -> float:

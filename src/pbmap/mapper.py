@@ -11,12 +11,15 @@ and that point is the node's choice (``NodeSolution.best``).  Multi-fanout
 nodes are hard cover boundaries: their frontier collapses to that point so
 all consumers share one implementation.
 
-Leaf-to-input wirings come from one table cached on the match table,
-``MatchTable.profiles``: for each (supergate, cut function, leaf heights) it
-holds one wiring per distinct permuted height profile with its root height and
-retimed DFF count, so neither the DP nor the depth-greedy baseline re-walks
-the symmetry permutations per candidate.  The two share one sweep and differ
-only in the rule that turns a (cut, supergate) pair into frontier points.
+Leaf-to-input wirings come from the match table.  For the DP,
+``MatchTable.options`` holds, per (cut function, phase, leaf heights), every
+(supergate, wiring) pair with its root height and retimed DFF count, less
+those that no leaf cost can bring onto a frontier; so the DP reads one
+table per cut and leaf choice.  The depth-greedy baseline and the DP's
+target sweep for large leaf products read ``MatchTable.profiles``, one
+wiring per distinct permuted height profile of one supergate.  The two
+rules share one sweep: both feed candidate points, plain tuples, through a
+node's frontier, and a ``Match`` is built only for the points it keeps.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .balance import MappedNetwork
-from .cuts import Cut, CutSet
-from .library import MatchTable, Supergate
+from .cuts import CutSet
+from .library import MatchTable, Supergate, dominates
 from .netlist import CONST0, SubjectGraph
 
 POS = "positive"
@@ -62,6 +65,10 @@ class Match:
 class NodeSolution:
     node: int
     frontier: list[Match] = field(default_factory=list)  # by (dffs, height)
+    # non-trivial cuts of the node, and those with a match in this phase:
+    # the terms of ``library.hit_rate``, counted as the sweep looks them up
+    cuts: int = 0
+    hits: int = 0
 
     @property
     def best(self) -> Match:
@@ -76,133 +83,148 @@ class NodeSolution:
             f"no frontier point of node {self.node} at height {height}")
 
 
-def _alt_key(m: Match):
-    return (m.area, m.jj, m.supergate.name if m.supergate else "")
+# A candidate point is a tuple (height, dffs, alt, supergate, perm, choice,
+# leaves): alt = (area, jj, supergate name) breaks (height, dffs) ties, and
+# the supergate sits over the cut ``leaves`` on the leaf points ``choice``,
+# leaf ``perm[i]`` wired to its input slot i.
 
 
-def _insert_pareto(frontier: list[Match], cand: Match, cap: int):
-    for i, m in enumerate(frontier):
-        if m.height == cand.height and m.dffs == cand.dffs:
-            if _alt_key(cand) < _alt_key(m):
+def _insert(frontier: list[tuple], cand: tuple, cap: int):
+    """Add the candidate point ``cand`` to a node's Pareto frontier of
+    points, kept sorted by (dffs, height) and at most ``cap`` long.  A point
+    equal in (height, dffs) keeps the smaller alt, the first inserted on a
+    full tie; one that another ``dominates`` is dropped or evicted."""
+    height, dffs = cand[0], cand[1]
+    for i, p in enumerate(frontier):
+        if p[0] == height and p[1] == dffs:
+            if cand[2] < p[2]:
                 frontier[i] = cand
             return
-        if m.height <= cand.height and m.dffs <= cand.dffs:
-            return  # dominated
-    frontier[:] = [m for m in frontier
-                   if not (cand.height <= m.height and cand.dffs <= m.dffs)]
+        if dominates(p[0], p[1], height, dffs):
+            return
+    frontier[:] = [p for p in frontier
+                   if not dominates(height, dffs, p[0], p[1])]
     frontier.append(cand)
-    frontier.sort(key=lambda m: (m.dffs, m.height))
-    if len(frontier) > cap:
-        del frontier[cap:]
+    frontier.sort(key=lambda p: (p[1], p[0]))
+    del frontier[cap:]
 
 
-def _dominated(frontier: list[Match], height: int, dffs: int) -> bool:
-    """Whether _insert_pareto would drop a (height, dffs) candidate: its scan
-    meets a dominating point before an equal one (which it may replace)."""
-    for m in frontier:
-        if m.height == height and m.dffs == dffs:
-            return False
-        if m.height <= height and m.dffs <= dffs:
-            return True
-    return False
+def _emit(frontier: list[tuple], cap: int, choice, leaves, options):
+    """Insert one candidate per (height, sg_dffs, supergate, perm) of
+    ``options``, all over the leaf points ``choice`` of the cut ``leaves``,
+    whose costs are summed once."""
+    leaf_dffs = leaf_area = leaf_jj = 0  # summed as sum() would
+    for m in choice:
+        leaf_dffs += m.dffs
+        leaf_area += m.area
+        leaf_jj += m.jj
+    for height, sg_dffs, sg, perm in options:
+        _insert(frontier, (height, leaf_dffs + sg_dffs,
+                           (sg.area + leaf_area, sg.jj_count + leaf_jj,
+                            sg.name), sg, perm, choice, leaves), cap)
 
 
-def _match(sg: Supergate, cut: Cut, choice, perm, height: int,
-           sg_dffs: int) -> Match:
-    """``sg`` over ``cut`` on the leaf points ``choice``, wired by ``perm``."""
-    return Match(sg, height, sum(m.dffs for m in choice) + sg_dffs,
-                 sg.area + sum(m.area for m in choice),
-                 sg.jj_count + sum(m.jj for m in choice),
+def _match(point) -> Match:
+    """The Match of a candidate point a node's frontier kept."""
+    height, dffs, (area, jj, _), sg, perm, choice, leaves = point
+    return Match(sg, height, dffs, area, jj,
                  tuple(choice[p].height for p in perm),
-                 tuple(cut.leaves[p] for p in perm))
+                 tuple(leaves[p] for p in perm))
 
 
-def _combine(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
-             out: list[Match], cap: int, profiles):
-    """The DP's rule: Pareto candidates for one (cut, supergate) pair over
-    leaf frontier choices.
+def _combine(table: MatchTable, cut, phase: str, sgs: list[Supergate],
+             leaf_fronts: list[list[Match]], out: list[tuple], cap: int):
+    """The DP's rule: Pareto candidates for one cut over its leaf frontier
+    choices.
 
     Each candidate also chooses a leaf-to-input wiring: any permutation that
     fixes the cut function is a legal binding, and skew-sensitive costs make
-    the choice matter, so every distinct permuted height profile is emitted.
+    the choice matter, so every distinct permuted height profile is a
+    candidate (``MatchTable.options``).
     """
-    depths = sg.leaf_depths
     size = 1
     for lf in leaf_fronts:
         size *= len(lf)
         if size > PRODUCT_LIMIT:
             break
-
-    def emit(choice):
-        leaf_dffs = sum(m.dffs for m in choice)
-        base = tuple(m.height for m in choice)
-        for perm, height, sg_dffs in profiles(sg, cut.func, base):
-            if not _dominated(out, height, leaf_dffs + sg_dffs):
-                _insert_pareto(
-                    out, _match(sg, cut, choice, perm, height, sg_dffs), cap)
-
     if size <= PRODUCT_LIMIT:
+        nvars = len(cut.leaves)
         for choice in itertools.product(*leaf_fronts):
-            emit(choice)
+            base = tuple(m.height for m in choice)
+            _emit(out, cap, choice, cut.leaves,
+                  table.options(cut.func, nvars, phase, base))
         return
-    # too many combinations: sweep candidate root arrival targets, greedily
-    # picking the cheapest feasible frontier point per leaf
-    targets = sorted({m.height + d for lf, d in zip(leaf_fronts, depths) for m in lf})
-    for target in targets:
-        choice = []
-        ok = True
-        for lf, d in zip(leaf_fronts, depths):
-            feas = [m for m in lf if m.height + d <= target]
-            if not feas:
-                ok = False
-                break
-            choice.append(min(feas, key=lambda m: (m.dffs + (target - d - m.height),
-                                                   -m.height)))
-        if ok:
-            emit(choice)
+    # too many combinations: per supergate, sweep candidate root arrival
+    # targets, greedily picking the cheapest feasible frontier point per leaf
+    for sg in sgs:
+        depths = sg.leaf_depths
+        targets = sorted({m.height + d for lf, d in zip(leaf_fronts, depths)
+                          for m in lf})
+        for target in targets:
+            choice = []
+            for lf, d in zip(leaf_fronts, depths):
+                feas = [m for m in lf if m.height + d <= target]
+                if not feas:
+                    break
+                choice.append(min(feas, key=lambda m: (
+                    m.dffs + (target - d - m.height), -m.height)))
+            else:
+                base = tuple(m.height for m in choice)
+                _emit(out, cap, choice, cut.leaves,
+                      [(height, sg_dffs, sg, perm) for perm, height, sg_dffs
+                       in table.profiles(sg, cut.func, base)])
 
 
-def _greedy(sg: Supergate, cut: Cut, leaf_fronts: list[list[Match]],
-            out: list[Match], cap: int, profiles):
-    """The depth-greedy rule: ``out`` holds the one match least by (height,
-    area, jj, name), the first on a tie, ignoring DFF cost.  The wiring is
-    chosen by arrival height alone, ties broken by the height profile."""
-    choice = [lf[0] for lf in leaf_fronts]
+def _greedy(table: MatchTable, cut, phase: str, sgs: list[Supergate],
+            leaf_fronts: list[list[Match]], out: list[tuple], cap: int):
+    """The depth-greedy rule: ``out`` holds the one point least by (height,
+    alt), the first on a tie, ignoring DFF cost, over each leaf's first
+    point.  A supergate's wiring is chosen by arrival height alone, ties
+    broken by the permuted height profile."""
+    choice = tuple(lf[0] for lf in leaf_fronts)
     base = tuple(m.height for m in choice)
-    perm, height, sg_dffs = min(profiles(sg, cut.func, base),
-                                key=lambda e: (e[1], tuple(base[p] for p in e[0])))
-    best = out[0] if out else None
-    if best is not None and height > best.height:
-        return
-    cand = _match(sg, cut, choice, perm, height, sg_dffs)
-    if best is None or height < best.height or _alt_key(cand) < _alt_key(best):
-        out[:] = [cand]
+    leaf_area = sum(m.area for m in choice)
+    leaf_jj = sum(m.jj for m in choice)
+    for sg in sgs:
+        entries = table.profiles(sg, cut.func, base)
+        height = min(e[1] for e in entries)
+        alt = (sg.area + leaf_area, sg.jj_count + leaf_jj, sg.name)
+        if out and (out[0][0], out[0][2]) <= (height, alt):
+            continue
+        perm, _, sg_dffs = min(
+            (e for e in entries if e[1] == height),
+            key=lambda e: tuple(base[p] for p in e[0]))
+        out[:] = [(height, sum(m.dffs for m in choice) + sg_dffs, alt, sg,
+                   perm, choice, cut.leaves)]
 
 
 def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
                 table: MatchTable, solutions, frontier_cap: int,
-                combine) -> NodeSolution:
-    frontier: list[Match] = []
+                rule) -> NodeSolution:
+    points: list[tuple] = []
+    cuts = hits = 0
     for cut in cutsets[nid].cuts:
         if cut.func is None:
             raise MappingError("cut functions not computed")
         sgs = table.lookup(cut.func, len(cut.leaves), phase)
-        if not sgs:
-            continue
-        leaf_fronts = [solutions[(leaf, POS)].frontier for leaf in cut.leaves]
-        for sg in sgs:
-            combine(sg, cut, leaf_fronts, frontier, frontier_cap, table.profiles)
-    if not frontier:
+        if not cut.is_trivial_for(nid):
+            cuts += 1
+            hits += bool(sgs)
+        if sgs:
+            rule(table, cut, phase, sgs,
+                 [solutions[(leaf, POS)].frontier for leaf in cut.leaves],
+                 points, frontier_cap)
+    if not points:
         raise MappingError(
             f"node {nid} ({phase}) has no matchable cut: the library or the "
             "supergate depth cannot cover its cuts")
-    return NodeSolution(nid, frontier)
+    return NodeSolution(nid, [_match(p) for p in points], cuts, hits)
 
 
 def _sweep(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
-           frontier_cap: int, combine):
-    """Topological sweep over any acyclic subject graph, ``combine`` adding
-    each (cut, supergate) pair's candidates to a node's frontier.
+           frontier_cap: int, rule):
+    """Topological sweep over any acyclic subject graph, ``rule`` adding
+    each matched cut's candidate points to a node's frontier.
 
     Returns a dict keyed by (node_id, phase) of NodeSolution: a zero-cost
     wire at height 0 for every PI and the constant, the positive phase of
@@ -216,7 +238,7 @@ def _sweep(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
     fanout = g.fanout_counts()
     for nid in g.topo_order():
         sol = _solve_node(nid, POS, cutsets, table, solutions, frontier_cap,
-                          combine)
+                          rule)
         if fanout.get(nid, 0) > 1:
             # shared node: one implementation for all consumers
             del sol.frontier[1:]

@@ -11,7 +11,7 @@ import pytest
 from pbmap import bench, flow
 from pbmap import cuts as cutsmod
 from pbmap import mapper as mapmod
-from pbmap.library import parse_library
+from pbmap.library import hit_rate, parse_library
 from pbmap.mapper import MappingError
 from pbmap.netlist import random_aig
 from pbmap.report import build_report
@@ -120,3 +120,18 @@ def test_map_graph_frees_its_scratch(lib, table, monkeypatch, flow_name):
     finally:
         if was:
             gc.enable()
+
+
+@pytest.mark.parametrize("depth_greedy", [False, True],
+                         ids=["dp", "depth_greedy"])
+@pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])
+def test_hit_rate_counted_by_the_sweep(lib, table, clocked_lib, clocked_table,
+                                       lib_name, depth_greedy):
+    # the pass counts cuts and hits as the sweep looks them up; the figure
+    # must be the one a second lookup of every cut gives
+    library, tbl = ((lib, table) if lib_name == "bundled"
+                    else (clocked_lib, clocked_table))
+    for g in bench.corpus():
+        res = flow.map_graph(g, library, tbl, retime=False,
+                             depth_greedy=depth_greedy)
+        assert res.hit_rate == hit_rate(cutsmod.enumerate_cuts(g), tbl), g.name

@@ -1,10 +1,12 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
-from pbmap.library import (LibraryError, MatchTable, generate_supergates,
-                           hit_rate, parse_library)
+from pbmap.library import (LibraryError, MatchTable, _child_tuples,
+                           generate_supergates, hit_rate, parse_library)
 from pbmap.netlist import SubjectGraph, _and_op
 from pbmap.truthtable import apply_cell, table_mask, tt_eval, tt_not, var_table
 
@@ -137,6 +139,24 @@ def test_double_inversion_pruned(lib):
     sgs = generate_supergates(lib, k=5, max_depth=2)
     idn = var_table(0, 1)
     assert all(not (sg.n_inputs == 1 and sg.func == idn) for sg in sgs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_child_tuples_are_the_product_within_width(n):
+    # generation reads its child tuples in itertools.product's order, less
+    # those wider than k; the order decides which supergates the budget keeps
+    opts = [None] + [SimpleNamespace(n_inputs=w) for w in (3, 1, 2, 4, 2)]
+    widths = [1 if o is None else o.n_inputs for o in opts]
+    for k in range(1, 8):
+        want = [c for c in itertools.product(opts, repeat=n)
+                if sum(1 if o is None else o.n_inputs for o in c) <= k]
+        assert list(_child_tuples(opts, widths, n, k)) == want, k
+
+
+def test_generation_keeps_within_k(lib):
+    for k in (2, 3, 4):
+        sgs = generate_supergates(lib, k=k, max_depth=3)
+        assert max(sg.n_inputs for sg in sgs) == k
 
 
 def test_generation_rejects_wider_than_a_truth_table(lib):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,9 @@ from pbmap import bench, flow
 from pbmap import mapper as mapmod
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
 from pbmap.flow import prepare_match_table
-from pbmap.mapper import (Match, NodeSolution, _alt_key, _dominated,
-                          _insert_pareto, extract_cover, map_dag,
-                          map_depth_greedy)
+from pbmap.library import _prune_options, dominates
+from pbmap.mapper import (Match, NodeSolution, _emit, _insert, extract_cover,
+                          map_dag, map_depth_greedy)
 from pbmap.netlist import (CONST0, SubjectGraph, _and_op, _neg, _or_op,
                            balanced_reduce, random_aig)
 from pbmap.retime import retimed_match_dffs
@@ -61,32 +62,33 @@ def assert_equivalent(g, net):
     assert [got[name] for name in g.po_names] == want
 
 
-def mk(height, dffs, area=1.0):
-    return Match(None, height, dffs, area, 0)
+def mk(height, dffs, area=1.0, jj=0):
+    """A candidate point of the DP's frontier insert, with no supergate."""
+    return (height, dffs, (area, jj, ""), None, (), (), ())
 
 
 def test_pareto_dominated_point_dropped():
     front = []
-    _insert_pareto(front, mk(3, 2), 8)
-    _insert_pareto(front, mk(5, 2), 8)  # same dffs, taller: dominated
-    assert [(m.height, m.dffs) for m in front] == [(3, 2)]
+    _insert(front, mk(3, 2), 8)
+    _insert(front, mk(5, 2), 8)  # same dffs, taller: dominated
+    assert [p[:2] for p in front] == [(3, 2)]
 
 
 def test_pareto_incomparable_points_kept_sorted():
     front = []
-    _insert_pareto(front, mk(3, 2), 8)
-    _insert_pareto(front, mk(5, 1), 8)
-    assert [(m.height, m.dffs) for m in front] == [(5, 1), (3, 2)]
+    _insert(front, mk(3, 2), 8)
+    _insert(front, mk(5, 1), 8)
+    assert [p[:2] for p in front] == [(5, 1), (3, 2)]
     # frontier[0] is the DFF-optimal point
-    assert front[0].dffs == 1
+    assert front[0][1] == 1
 
 
 def test_pareto_tie_cheaper_point_wins_slot():
     front = []
-    _insert_pareto(front, mk(3, 2, area=2.0), 8)
-    _insert_pareto(front, mk(3, 2, area=1.0), 8)  # cheaper tie wins the slot
+    _insert(front, mk(3, 2, area=2.0), 8)
+    _insert(front, mk(3, 2, area=1.0), 8)  # cheaper tie wins the slot
     assert len(front) == 1
-    assert front[0].area == 1.0
+    assert front[0][2][0] == 1.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -100,18 +102,45 @@ def test_frontier_head_is_first_inserted_minimum(cap, points):
     # the first-inserted minimum by (dffs, height, area, jj, name) of every
     # candidate, including those dropped or evicted on the way
     front = []
-    cands = [Match(None, h, d, area, jj) for h, d, area, jj in points]
-    for m in cands:
-        if not _dominated(front, m.height, m.dffs):
-            _insert_pareto(front, m, cap)
-    assert front[0] is min(cands, key=lambda m: (m.dffs, m.height, _alt_key(m)))
+    cands = [mk(h, d, area, jj) for h, d, area, jj in points]
+    for p in cands:
+        _insert(front, p, cap)
+    assert front[0] is min(cands, key=lambda p: (p[1], p[0], p[2]))
 
 
 def test_pareto_cap_enforced():
     front = []
     for i in range(12):
-        _insert_pareto(front, mk(12 - i, i), 4)
+        _insert(front, mk(12 - i, i), 4)
     assert len(front) <= 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(choices=st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from([0.0, 0.1, 0.2, 1.5]),
+              # (height, sg_dffs, supergate) per option of the choice
+              st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                 st.integers(0, 3)),
+                       min_size=1, max_size=10)),
+    min_size=1, max_size=6))
+def test_pruned_options_keep_the_frontier(choices):
+    # MatchTable.options prunes each leaf choice's options before the leaf
+    # costs are added; fed through the frontier insert, what is left must
+    # keep the same points, down to the first-inserted of tied ones.  Two
+    # supergates tie on area and JJs, and 0.1 + 0.2 rounds past 0.3.
+    sgs = [SimpleNamespace(area=a, jj_count=jj, name=f"sg{i}")
+           for i, (a, jj) in enumerate([(0.2, 2), (0.2, 2), (0.1, 1),
+                                        (0.3, 1)])]
+    pruned, plain = [], []
+    for n, (leaf_dffs, leaf_area, entries) in enumerate(choices):
+        choice = (Match(None, 0, leaf_dffs, leaf_area, 0),)
+        # a distinct perm per option tells which of two tied ones is kept
+        options = [(h, d, sgs[i], (n, j)) for j, (h, d, i) in enumerate(entries)]
+        _emit(plain, 8, choice, (), options)
+        _emit(pruned, 8, choice, (), _prune_options(options))
+    # heights 0-4: no antichain outgrows the cap, so the pruning is exact
+    assert len(plain) <= 5
+    assert pruned == plain
 
 
 def test_chain_f_free_cover(lib, table):
@@ -245,10 +274,33 @@ def test_balanced_and_tree_is_free(table):
 # ----------------------------------------------------------------------
 
 
-def reference_combine(sg, cut, leaf_fronts, out, cap, profiles):
-    """The DP's candidate loop written out per symmetry permutation, with a
-    Match built for every distinct height profile of every leaf choice; the
-    table's cached ``profiles`` go unused."""
+def reference_insert(frontier, cand, cap):
+    """The DP's frontier rule on Match objects: a point equal in (height,
+    dffs) keeps the smaller (area, jj, name), the first on a full tie; a
+    dominated one is dropped or evicted; the frontier is sorted by (dffs,
+    height) and cut to ``cap``."""
+    def alt(m):
+        return (m.area, m.jj, m.supergate.name if m.supergate else "")
+
+    for i, m in enumerate(frontier):
+        if m.height == cand.height and m.dffs == cand.dffs:
+            if alt(cand) < alt(m):
+                frontier[i] = cand
+            return
+        if dominates(m.height, m.dffs, cand.height, cand.dffs):
+            return
+    frontier[:] = [m for m in frontier
+                   if not dominates(cand.height, cand.dffs, m.height, m.dffs)]
+    frontier.append(cand)
+    frontier.sort(key=lambda m: (m.dffs, m.height))
+    del frontier[cap:]
+
+
+def reference_combine(sg, cut, leaf_fronts, out, cap):
+    """The DP's candidate loop for one (cut, supergate) pair written out per
+    symmetry permutation, with a Match built for every distinct height
+    profile of every leaf choice; neither of the table's wiring caches is
+    read."""
     depths = sg.leaf_depths
     perms = symmetry_perms(cut.func, len(cut.leaves))
     size = 1
@@ -275,7 +327,7 @@ def reference_combine(sg, cut, leaf_fronts, out, cap, profiles):
                 area=area, jj=jj, leaf_heights=heights,
                 leaves=tuple(cut.leaves[p] for p in perm),
             )
-            _insert_pareto(out, cand, cap)
+            reference_insert(out, cand, cap)
 
     if size <= mapmod.PRODUCT_LIMIT:
         for choice in itertools.product(*leaf_fronts):
@@ -295,6 +347,32 @@ def reference_combine(sg, cut, leaf_fronts, out, cap, profiles):
                 m.dffs + (target - d - m.height), -m.height)))
         if ok:
             emit(choice)
+
+
+def reference_map_dag(g, cutsets, table, cap=mapmod.FRONTIER_CAP):
+    """The DP sweep with ``reference_combine`` per (cut, supergate) pair:
+    frontier lists keyed by (node, phase)."""
+    wire = Match(None, 0, 0, 0.0, 0)
+    srcs = g.pis + [CONST0] if g.has_const else g.pis
+    sols = {(s, POS): [wire] for s in srcs}
+
+    def solve(nid, phase):
+        front = []
+        for cut in cutsets[nid].cuts:
+            for sg in table.lookup(cut.func, len(cut.leaves), phase):
+                reference_combine(sg, cut, [sols[(leaf, POS)]
+                                            for leaf in cut.leaves],
+                                  front, cap)
+        return front
+
+    fanout = g.fanout_counts()
+    for nid in g.topo_order():
+        front = solve(nid, POS)
+        sols[(nid, POS)] = front[:1] if fanout.get(nid, 0) > 1 else front
+    for p, c in g.pos:
+        if c and p != CONST0 and (p, NEG) not in sols:
+            sols[(p, NEG)] = solve(p, NEG)
+    return sols
 
 
 def reference_depth_greedy(g, cutsets, table):
@@ -360,13 +438,13 @@ def test_profile_table_keeps_every_frontier(lib_name, table, clocked_table,
         g = make()
         cutsets = prepared(g)
         # a product limit of 1 sends every multi-leaf choice down the greedy
-        # target sweep, the DP's other caller of the candidate loop
+        # target sweep, the DP's other caller of the frontier insert
         for product_limit in (mapmod.PRODUCT_LIMIT, 1):
             with monkeypatch.context() as mp:
                 mp.setattr(mapmod, "PRODUCT_LIMIT", product_limit)
                 got = _frontiers(map_dag(g, cutsets, tbl))
-                mp.setattr(mapmod, "_combine", reference_combine)
-                want = _frontiers(map_dag(g, cutsets, tbl))
+                want = {key: [_point(m) for m in front] for key, front
+                        in reference_map_dag(g, cutsets, tbl).items()}
             assert got == want, (name, product_limit)
             multi_point += sum(len(f) > 1 for f in got.values())
 
@@ -399,13 +477,47 @@ def test_deep_alternating_chain_maps(lib, table):
 
 
 def test_profile_cache_is_freed_with_its_table(lib):
+    # both wiring caches: the DP's options and the baseline's profiles
     tbl = prepare_match_table(lib, k=5, max_depth=2)
     g = bench.ksa4()
-    sols = map_dag(g, enumerate_cuts(g, k=5), tbl)
-    assert tbl.profiles.cache_info().currsize > 0
-    # a supergate the DP matched, so one the wiring table was asked about
+    cutsets = enumerate_cuts(g, k=5)
+    sols = map_dag(g, cutsets, tbl)
+    map_depth_greedy(g, cutsets, tbl)
+    assert tbl.option_cache and tbl.profiles.cache_info().currsize > 0
+    # a supergate the DP matched, so one the wiring caches were asked about
     ref = weakref.ref(next(m.supergate for sol in sols.values()
                            for m in sol.frontier if m.supergate))
     del tbl, sols
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])
+def test_match_built_only_for_kept_points(lib_name, table, clocked_table,
+                                          monkeypatch):
+    # candidates stay plain tuples: the DP builds one Match per point a
+    # node's solve returns (before a multi-fanout frontier collapses) and
+    # one shared wire for the PIs and the constant
+    tbl = table if lib_name == "bundled" else clocked_table
+    built, returned = [], []
+
+    class CountedMatch(Match):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    solve = mapmod._solve_node
+
+    def counted_solve(*args):
+        sol = solve(*args)
+        returned.append(len(sol.frontier))
+        return sol
+
+    monkeypatch.setattr(mapmod, "Match", CountedMatch)
+    monkeypatch.setattr(mapmod, "_solve_node", counted_solve)
+    g = random_aig(150, 12, seed=3, n_pos=None)
+    sols = map_dag(g, prepared(g), tbl)
+    assert any(c for _, c in g.pos)  # negative phases are solved too
+    assert len(built) == sum(returned) + 1
+    assert all(type(m) is CountedMatch
+               for sol in sols.values() for m in sol.frontier)
