@@ -9,9 +9,8 @@ from .mapper import MappingError, map_dag
 from .netlist import NetlistError, SubjectGraph, parse_netlist, write_netlist
 from .report import MappingReport, build_report, emit
 from .retime import retime_min_registers, retimed_match_dffs
-from .trees import (TreeProfile, buffer_band_check, depth_gap_buffers,
-                    input_pins_from_profile, most_balanced, most_unbalanced,
-                    push_to_last_level_check)
+from .trees import (TreeProfile, buffer_band_check, input_pins_from_profile,
+                    most_balanced, most_unbalanced, push_to_last_level_check)
 
 __version__ = "0.1.0"
 
@@ -20,7 +19,7 @@ __all__ = [
     "MappedNetwork", "MappingError", "MappingReport", "MatchTable",
     "NetlistError", "SubjectGraph", "Supergate", "TreeProfile",
     "build_report", "compute_cut_functions", "emit", "enumerate_cuts",
-    "generate_supergates", "input_pins_from_profile", "depth_gap_buffers",
+    "generate_supergates", "input_pins_from_profile",
     "push_to_last_level_check", "map_dag", "map_graph", "most_balanced",
     "most_unbalanced", "parse_library", "parse_netlist",
     "prepare_match_table", "retime_min_registers", "retimed_match_dffs",

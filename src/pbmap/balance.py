@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .library import Cell, CellLibrary
-from .truthtable import tt_eval_packed
+from .truthtable import apply_cell
 
 
 class BalanceError(Exception):
@@ -274,7 +274,7 @@ class MappedNetwork:
             if inst.cell.kind in ("dff", "splitter"):
                 v = ins[0]
             else:
-                v = tt_eval_packed(inst.cell.func, inst.cell.n_inputs, ins, mask)
+                v = apply_cell(inst.cell.func, ins, mask)
             for sig in inst.outs:
                 vals[sig] = v
         out = {name: vals[sig] for name, sig in zip(self.po_names, self.pos)}

@@ -23,12 +23,15 @@ EXIT_INTERNAL = 4
 
 
 def _read_text(path, error: type[Exception]) -> str:
-    """A file's UTF-8 text; bytes that do not decode raise ``error``, so bad
-    input keeps its exit code instead of escaping as a traceback."""
+    """A file's UTF-8 text; a file that cannot be read (a directory, say) or
+    bytes that do not decode raise ``error``, so bad input keeps its exit
+    code instead of escaping as a traceback."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise error(f"not UTF-8 text (byte {e.start}: {e.reason})") from None
+    except OSError as e:
+        raise error(f"cannot read {path}: {e.strerror or e}") from None
 
 
 def _load_library(path: str | None):
@@ -61,8 +64,7 @@ def _read_netlist(path):
 
 
 # out-of-range values are usage errors (exit 2): cuts have at most six
-# leaves, and a cut cap below 2 or a supergate depth below 1 leaves nodes
-# with no matchable cut
+# leaves, and a supergate depth below 1 leaves nodes with no matchable cut
 _k_option = click.option("-k", default=5, show_default=True,
                          type=click.IntRange(2, 6), help="max cut width")
 _depth_option = click.option("--supergate-depth", default=3, show_default=True,
@@ -82,8 +84,6 @@ def main():
               help="genlib cell library (bundled SFQ library by default)")
 @_k_option
 @_depth_option
-@click.option("--cut-cap", default=250, show_default=True,
-              type=click.IntRange(min=2), help="max cuts kept per node")
 @click.option("--no-retime", is_flag=True, help="report pre-retiming numbers")
 @click.option("--output", "-o", type=click.Path(), default=None,
               help="mapped netlist path (single input only)")
@@ -92,7 +92,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="write the aggregate CSV here")
-def map_cmd(inputs, lib_path, k, supergate_depth, cut_cap, no_retime, output,
+def map_cmd(inputs, lib_path, k, supergate_depth, no_retime, output,
             netlist_format, as_json, csv_path):
     """Map one or more netlists (or a directory of them)."""
     lib, table = _load_table(lib_path, k, supergate_depth)
@@ -113,23 +113,22 @@ def map_cmd(inputs, lib_path, k, supergate_depth, cut_cap, no_retime, output,
 
     graphs = [(p, _read_netlist(p)) for p in paths]
     try:
-        results = [(p, flow.map_graph(g, lib, table, k=k, cut_cap=cut_cap,
+        results = [(p, flow.map_graph(g, lib, table, k=k,
                                       retime=not no_retime))
                    for p, g in graphs]
     except Exception as e:  # noqa: BLE001 - surface stage + cause, per contract
         _fail(EXIT_INTERNAL, "map", e)
 
     reports = [report.build_report(res, circuit=p.stem) for p, res in results]
-    if output:
-        net = results[0][1].after
-        try:
-            text = (net.write_blif() if netlist_format == "blif"
-                    else net.write_verilog())
-            Path(output).write_text(text)
-        except Exception as e:  # noqa: BLE001 - surface stage + cause, per contract
-            _fail(EXIT_INTERNAL, "write", e)
-    if csv_path:
-        Path(csv_path).write_text(report.emit(reports, "csv"))
+    try:
+        if output:
+            net = results[0][1].after
+            Path(output).write_text(net.write_blif() if netlist_format == "blif"
+                                    else net.write_verilog())
+        if csv_path:
+            Path(csv_path).write_text(report.emit(reports, "csv"))
+    except Exception as e:  # noqa: BLE001 - surface stage + cause, per contract
+        _fail(EXIT_INTERNAL, "write", e)
     click.echo(report.emit(reports, "json" if as_json else "text"), nl=False)
 
 

@@ -30,6 +30,8 @@ from .truthtable import apply_cell, table_mask, var_table
 
 TRIVIAL_FUNC = var_table(0, 1)
 SIG_MASK = 255  # node id bits kept in a signature: 256-bit signatures
+# cuts kept per node; never reached on the benchmark circuits (at most 52)
+CUT_CAP = 250
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def _prune_dominated(merged: list[tuple[int, tuple[int, ...], frozenset]],
     return keep
 
 
-def enumerate_cuts(g: SubjectGraph, k: int = 5, cap: int = 250,
+def enumerate_cuts(g: SubjectGraph, k: int = 5, cap: int = CUT_CAP,
                    prune_dominated: bool = True) -> dict[int, CutSet]:
     """Cut sets for every PI and internal node, keyed by node id; every cut's
     ``func`` is set."""
@@ -98,7 +100,8 @@ def enumerate_cuts(g: SubjectGraph, k: int = 5, cap: int = 250,
         tt = stretched.get(key)
         if tt is None:
             func, pos, nvars = key
-            tt = apply_cell(func, [var_table(p, nvars) for p in pos], nvars)
+            tt = apply_cell(func, [var_table(p, nvars) for p in pos],
+                            masks[nvars])
             stretched[key] = tt
         return tt
 

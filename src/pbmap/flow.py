@@ -63,14 +63,14 @@ def prepare_match_table(lib: CellLibrary, k: int = 5,
 
 
 def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None,
-              k: int = 5, cut_cap: int = 250, retime: bool = True,
-              depth_greedy: bool = False,
-              allow_across_splitters: bool = True) -> FlowResult:
-    """Map ``g`` onto ``lib``: k-cuts with their functions, the DFF DP (or
-    the depth-greedy baseline), cover extraction, splitters, balancing and,
-    if ``retime``, min-register retiming by one LP.  ``table`` is prepared
-    from ``lib`` with ``k`` and the default supergate depth when not given.
-    The whole pass runs with the cyclic garbage collector paused (see
+              k: int = 5, retime: bool = True,
+              depth_greedy: bool = False) -> FlowResult:
+    """Map ``g`` onto ``lib``: k-cuts (at most ``cuts.CUT_CAP`` per node)
+    with their functions, the DFF DP (or the depth-greedy baseline), cover
+    extraction, splitters, balancing and, if ``retime``, min-register
+    retiming across splitters by one LP.  ``table`` is prepared from
+    ``lib`` with ``k`` and the default supergate depth when not given.  The
+    whole pass runs with the cyclic garbage collector paused (see
     ``_collector_paused``), and the cut sets and DP solutions are freed
     before the pause ends, so no later collection scans them; ``runtime``
     covers mapping through retiming, not table preparation."""
@@ -78,7 +78,7 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
         if table is None:
             table = prepare_match_table(lib, k=k)
         t0 = time.perf_counter()
-        cutsets = cutsmod.enumerate_cuts(g, k=k, cap=cut_cap)
+        cutsets = cutsmod.enumerate_cuts(g, k=k)
         if depth_greedy:
             solutions = mapmod.map_depth_greedy(g, cutsets, table)
         else:
@@ -95,8 +95,7 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
         net.insert_balancing()
         net.validate()
         if retime:
-            after = retimemod.retime_min_registers(
-                net, allow_across_splitters=allow_across_splitters)
+            after = retimemod.retime_min_registers(net)
             after.validate()
         else:
             after = net

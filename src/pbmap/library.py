@@ -172,7 +172,9 @@ _JJ_RE = re.compile(r"\bJJ\s*=\s*(\d+)")
 _CLOCKED_RE = re.compile(r"\bCLOCKED\s*=\s*([01])")
 
 
-def parse_library(text: str, name: str = "library", sfq_mode: bool = True) -> CellLibrary:
+def parse_library(text: str, name: str = "library") -> CellLibrary:
+    """The cell library of genlib ``text``, checked to be one the flow can
+    map onto (see ``_validate_sfq``)."""
     # split into records at each GATE keyword
     starts = [m.start() for m in re.finditer(r"^\s*GATE\b", text, re.M)]
     if not starts:
@@ -220,8 +222,7 @@ def parse_library(text: str, name: str = "library", sfq_mode: bool = True) -> Ce
                           is_clocked, kind, tuple(pins), m.group("out")))
 
     lib = CellLibrary(cells, name=name)
-    if sfq_mode:
-        _validate_sfq(lib)
+    _validate_sfq(lib)
     return lib
 
 
@@ -320,6 +321,7 @@ def _compose(root: Cell, children: tuple) -> Supergate:
     depth = max(leaf_depths)
     if len(children) > 1:
         groups.append((len(children) - 1, tuple(range(n))))
+    mask = table_mask(n)
     child_tts = []
     pos = 0
     for ch in children:
@@ -328,9 +330,10 @@ def _compose(root: Cell, children: tuple) -> Supergate:
             pos += 1
         else:
             child_tts.append(apply_cell(
-                ch.func, [var_table(pos + i, n) for i in range(ch.n_inputs)], n))
+                ch.func, [var_table(pos + i, n) for i in range(ch.n_inputs)],
+                mask))
             pos += ch.n_inputs
-    func = apply_cell(root.func, child_tts, n)
+    func = apply_cell(root.func, child_tts, mask)
     return Supergate(
         root_cell=root,
         children=tuple(child_objs),

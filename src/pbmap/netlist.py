@@ -94,6 +94,7 @@ class SubjectGraph:
     def add_po(self, lit: tuple[int, bool], name: str | None = None):
         self.pos.append(lit)
         self.po_names.append(name if name is not None else f"po{len(self.pos)}")
+        self._fanout = None
 
     # ------------------------------------------------------------------
     # queries
@@ -531,15 +532,12 @@ def _parse_aag(text: str) -> SubjectGraph:
     return g
 
 
-def parse_netlist(text: str, fmt: str | None = None) -> SubjectGraph:
-    """Parse BLIF or ascii-AIGER source into a subject graph."""
-    if fmt is None:
-        fmt = "aiger-ascii" if text.lstrip().startswith("aag") else "blif"
-    if fmt == "blif":
-        return _parse_blif(text)
-    if fmt in ("aag", "aiger-ascii"):
+def parse_netlist(text: str) -> SubjectGraph:
+    """Parse ascii-AIGER source (text starting with ``aag``) or BLIF into a
+    subject graph."""
+    if text.lstrip().startswith("aag"):
         return _parse_aag(text)
-    raise ValueError(f"unknown netlist format '{fmt}'")
+    return _parse_blif(text)
 
 
 # ----------------------------------------------------------------------
@@ -612,7 +610,7 @@ def write_aag(g: SubjectGraph) -> str:
 def write_netlist(g: SubjectGraph, fmt: str = "blif") -> str:
     if fmt == "blif":
         return write_blif(g)
-    if fmt in ("aag", "aiger-ascii"):
+    if fmt == "aag":
         return write_aag(g)
     raise ValueError(f"unsupported netlist format '{fmt}' for subject graphs")
 
@@ -634,12 +632,8 @@ def random_aig(n_nodes: int, n_pis: int, seed: int, n_pos: int | None = None) ->
         lit = g.add_and(a, b)
         if lit[0] != CONST0:
             pool.append(lit)
-    fanout = {nid: 0 for nid in g.nodes}
-    for n in g.nodes.values():
-        for f, _ in (n.fanin0, n.fanin1):
-            if f in fanout:
-                fanout[f] += 1
-    sinks = [nid for nid, c in fanout.items() if c == 0]
+    fanout = g.fanout_counts()
+    sinks = [nid for nid in g.nodes if fanout[nid] == 0]
     if not sinks:
         sinks = list(g.nodes)[:1] or []
     if n_pos is not None and sinks:

@@ -3,6 +3,7 @@ JSON, and CSV form."""
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from dataclasses import asdict, dataclass
@@ -52,22 +53,17 @@ def build_report(result, circuit: str | None = None) -> MappingReport:
     )
 
 
-def _csv_row(r: MappingReport) -> str:
-    return (f"{r.circuit},{r.dffs_before},{r.dffs_after},{r.area},"
-            f"{r.jj_total},{r.logical_depth},{r.runtime}")
-
-
-def emit(reports, fmt: str = "text") -> str:
-    if isinstance(reports, MappingReport):
-        reports = [reports]
+def emit(reports: list[MappingReport], fmt: str = "text") -> str:
     if fmt == "json":
         docs = [r.to_dict() for r in reports]
         return json.dumps(docs[0] if len(docs) == 1 else docs, indent=2) + "\n"
     if fmt == "csv":
         out = io.StringIO()
         out.write(CSV_HEADER + "\n")
-        for r in reports:
-            out.write(_csv_row(r) + "\n")
+        # the csv module quotes a circuit name holding a comma or a quote
+        csv.writer(out, lineterminator="\n").writerows(
+            (r.circuit, r.dffs_before, r.dffs_after, r.area, r.jj_total,
+             r.logical_depth, r.runtime) for r in reports)
         if len(reports) > 1:
             n = len(reports)
             out.write("average,%.2f,%.2f,%.4f,%.1f,%.2f,%.4f\n" % (

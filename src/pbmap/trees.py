@@ -153,15 +153,6 @@ def most_balanced(x: int, n: int) -> TreeProfile:
     return prof
 
 
-def depth_gap_buffers(x: int, p: int) -> int:
-    """Buffer count of the extremal tree whose shallowest pin sits p levels
-    above the deepest: a comb over the top x-p-1 levels plus 2p full-length
-    pin chains."""
-    if not 1 <= p <= x - 1:
-        raise ValueError(f"p must be in 1..{x - 1}")
-    return (x - p - 1) * (x - p - 2) // 2 + 2 * p * x + p - 2 * p * p
-
-
 def buffer_band_check(x: int, p: int):
     """No balanced tree can land its buffer-count difference strictly
     between 1 and p; the difference is (-x^2 + 4(p+1)x - 2p - 3p^2 - 3)/2,

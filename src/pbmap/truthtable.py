@@ -43,32 +43,20 @@ def tt_eval(tt: int, assignment: int) -> int:
     return (tt >> assignment) & 1
 
 
-def tt_eval_packed(tt: int, nvars: int, ins: list[int], mask: int) -> int:
-    """Bit-parallel evaluation: each input is a packed word of samples."""
-    acc = 0
-    for m in range(1 << nvars):
-        if (tt >> m) & 1:
-            term = mask
-            for i, v in enumerate(ins):
-                term &= v if (m >> i) & 1 else ~v
-            acc |= term
-    return acc & mask
+def apply_cell(cell_tt: int, ins: list[int], mask: int) -> int:
+    """Compose a cell's table with one packed word per input.
 
-
-def apply_cell(cell_tt: int, child_tts: list[int], nvars: int) -> int:
-    """Compose a cell's table with per-input tables over a shared space.
-
-    ``cell_tt`` is over ``len(child_tts)`` inputs; the children are tables
-    over the combined ``nvars`` space.  Returns the composed table.
+    ``cell_tt`` is over ``len(ins)`` inputs.  The inputs are tables over a
+    shared variable space, or bit-parallel samples; ``mask`` keeps the
+    table's (``table_mask``) or the samples' bits of the result.
     """
-    mask = table_mask(nvars)
     out = 0
-    for m in range(1 << len(child_tts)):
+    for m in range(1 << len(ins)):
         if not (cell_tt >> m) & 1:
             continue
         term = mask
-        for i, child in enumerate(child_tts):
-            term &= child if (m >> i) & 1 else ~child & mask
+        for i, v in enumerate(ins):
+            term &= v if (m >> i) & 1 else ~v
         out |= term
     return out
 

@@ -74,9 +74,3 @@ def tree_buffer_count(tree) -> int:
 
     ds = depths(tree, 0)
     return sum(max(ds) - d for d in ds)
-
-
-def depth_gap_pad_lengths(x: int, p: int) -> tuple[list[int], list[int]]:
-    """The per-pin pad lengths behind ``depth_gap_buffers(x, p)``: comb pins
-    padded by 0..x-p-2, plus 2p pins padded by x, x-1, ..., x-2p+1."""
-    return list(range(0, x - p - 1)), [x - i for i in range(2 * p)]

@@ -18,12 +18,12 @@ from pbmap.mapper import extract_cover, map_dag
 from pbmap.netlist import SubjectGraph, _and_op, _neg
 from pbmap.report import build_report
 from pbmap.retime import retimed_match_dffs
-from pbmap.trees import (buffer_band_check, depth_gap_buffers,
-                         input_pins_from_profile, measure_tree, most_balanced,
-                         most_unbalanced, push_to_last_level_check,
-                         random_tree, tree_leaf_depths)
+from pbmap.trees import (buffer_band_check, input_pins_from_profile,
+                         measure_tree, most_balanced, most_unbalanced,
+                         push_to_last_level_check, random_tree,
+                         tree_leaf_depths)
 from pbmap.truthtable import symmetry_perms
-from conftest import depth_gap_pad_lengths, tree_buffer_count, tree_node_count
+from conftest import tree_buffer_count, tree_node_count
 from test_mapper import tree_opt
 
 K = 5
@@ -326,15 +326,6 @@ def test_criterion_4_formula_suite(capsys):
             prof = most_balanced(x, n)
             if prof.n != n or prof.Y != min(ys):
                 failures.append(("min-buffer profile", x, n))
-
-    # depth-gap buffer formula vs its per-pin pad accounting
-    if depth_gap_buffers(5, 1) != 12 or depth_gap_buffers(4, 1) != 8:
-        failures.append(("depth-gap example values",))
-    for x in range(3, 9):
-        for p in range(1, x):
-            comb, chains = depth_gap_pad_lengths(x, p)
-            if depth_gap_buffers(x, p) != sum(comb) + sum(chains):
-                failures.append(("depth-gap accounting", x, p))
 
     # the buffer-count difference never lands strictly inside the open band
     for x in range(4, 201):

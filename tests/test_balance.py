@@ -8,13 +8,11 @@ from pbmap.balance import BalanceError, MappedNetwork
 from pbmap.flow import map_graph
 from pbmap.library import parse_library
 from pbmap.netlist import parse_netlist
-from pbmap.trees import (buffer_band_check, caterpillar, depth_gap_buffers,
-                         double_caterpillar, input_pins_from_profile,
-                         measure_tree, most_balanced, most_unbalanced,
-                         random_tree, tree_leaf_depths)
+from pbmap.trees import (buffer_band_check, caterpillar, double_caterpillar,
+                         input_pins_from_profile, measure_tree, most_balanced,
+                         most_unbalanced, random_tree, tree_leaf_depths)
 
-from conftest import (DATA, depth_gap_pad_lengths, tree_buffer_count,
-                      tree_height, tree_node_count)
+from conftest import DATA, tree_buffer_count, tree_height, tree_node_count
 
 
 # ----------------------------------------------------------------------
@@ -515,18 +513,6 @@ def test_most_balanced_minimal_over_profiles():
             prof = most_balanced(x, n)
             assert prof.n == n
             assert prof.Y == min(ys)
-
-
-def test_depth_gap_buffer_values_and_construction():
-    assert depth_gap_buffers(5, 1) == 12
-    assert depth_gap_buffers(4, 1) == 8
-    for x in range(3, 9):
-        for p in range(1, x):
-            comb, chains = depth_gap_pad_lengths(x, p)
-            assert len(chains) == 2 * p
-            assert depth_gap_buffers(x, p) == sum(comb) + sum(chains)
-    with pytest.raises(ValueError):
-        depth_gap_buffers(5, 5)
 
 
 def test_buffer_band_examples():

@@ -11,7 +11,7 @@ import pytest
 from pbmap import bench, flow
 from pbmap import cuts as cutsmod
 from pbmap import mapper as mapmod
-from pbmap.library import hit_rate, parse_library
+from pbmap.library import hit_rate
 from pbmap.mapper import MappingError
 from pbmap.netlist import random_aig
 from pbmap.report import build_report
@@ -20,16 +20,7 @@ FLOWS = {
     "default": {},
     "depth_greedy": {"depth_greedy": True},
     "no_retime": {"retime": False},
-    "pinned_splitters": {"allow_across_splitters": False},
 }
-
-# inverter, xor, DFF and splitter: no cover for an AND (the SFQ check,
-# which rejects such a library, is off)
-NO_AND = """GATE xor2   0.0060 o=a^b;   # JJ=6 CLOCKED=1
-GATE inv    0.0030 o=!a;    # JJ=4 CLOCKED=0
-GATE dff    0.0025 q=a;     # JJ=4 CLOCKED=1
-GATE split  0.0015 o=a;     # JJ=3 CLOCKED=0
-"""
 
 
 def cyclic_garbage(run):
@@ -77,9 +68,11 @@ def test_collector_state_restored(lib, table, enabled):
         assert gc.isenabled() is enabled
         flow.map_graph(bench.ksa4(), lib, table)
         assert gc.isenabled() is enabled
+        # depth-1 supergates are single cells, and none covers ksa4's
+        # node 14: an AND with a complemented input
+        shallow = flow.prepare_match_table(lib, max_depth=1)
         with pytest.raises(MappingError):
-            flow.map_graph(bench.ksa4(), parse_library(NO_AND, name="no_and",
-                                                         sfq_mode=False))
+            flow.map_graph(bench.ksa4(), lib, shallow)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

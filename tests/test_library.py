@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
-from pbmap.library import (LibraryError, MatchTable, _child_tuples,
+from pbmap.library import (Cell, CellLibrary, LibraryError, MatchTable,
+                           _child_tuples, _eval_expr, _ExprParser,
                            generate_supergates, hit_rate, parse_library)
 from pbmap.netlist import SubjectGraph, _and_op
 from pbmap.truthtable import apply_cell, table_mask, tt_eval, tt_not, var_table
@@ -48,26 +49,27 @@ GATE split 0.5 o=a; # CLOCKED=0
     assert by["dff"].kind == "dff"
 
 
+def expr_table(text: str) -> int:
+    """The truth table of a genlib expression over its variables in order
+    of first use, as ``parse_library`` builds a cell's."""
+    parser = _ExprParser(text)
+    tree = parser.parse()
+    return _eval_expr(tree, {v: i for i, v in enumerate(parser.vars)},
+                      len(parser.vars))
+
+
 def test_expression_operators():
-    text = """GATE aoi 1.0 o=!((a*b)+c);
-GATE xo 1.0 o=a^b;
-GATE jux 1.0 o=a b + c';
-GATE inv 1.0 o=!a;
-GATE nand2 1.0 o=!(a*b);
-GATE dff 1.0 q=a;
-GATE split 0.5 o=a; # CLOCKED=0
-"""
-    lib = parse_library(text, sfq_mode=False)
-    by = {c.name: c for c in lib.cells}
     # aoi: !((a*b)+c) over (a,b,c)
+    aoi = expr_table("!((a*b)+c)")
     for m in range(8):
         a, b, c = m & 1, (m >> 1) & 1, (m >> 2) & 1
-        assert tt_eval(by["aoi"].func, m) == 1 - ((a & b) | c)
-    assert by["xo"].func == 0b0110
+        assert tt_eval(aoi, m) == 1 - ((a & b) | c)
+    assert expr_table("a^b") == 0b0110
     # juxtaposition = AND, postfix quote = NOT
+    jux = expr_table("a b + c'")
     for m in range(8):
         a, b, c = m & 1, (m >> 1) & 1, (m >> 2) & 1
-        assert tt_eval(by["jux"].func, m) == ((a & b) | (1 - c))
+        assert tt_eval(jux, m) == ((a & b) | (1 - c))
 
 
 def test_missing_inverter_rejected():
@@ -85,10 +87,8 @@ def test_missing_dff_and_splitter_rejected():
 
 
 def test_wide_cell_rejected_in_sfq_mode():
-    text = MINI + "GATE and3 3.0 o=a*b*c;\n"
     with pytest.raises(LibraryError):
-        parse_library(text)
-    assert parse_library(text, sfq_mode=False) is not None
+        parse_library(MINI + "GATE and3 3.0 o=a*b*c;\n")
 
 
 def test_duplicate_cell_rejected():
@@ -120,9 +120,17 @@ def eval_children(sg, leaf_bits):
 
 def test_wide_roots_take_supergate_children():
     # a 3-input root composes with three children, so and3 over a supergate
-    # is generated; each supergate's table is its cell tree's function
-    lib = parse_library(MINI + "GATE and3 3.0 o=a*b*c; # JJ=9 CLOCKED=1\n"
-                        "GATE or2 2.0 o=a+b; # JJ=6 CLOCKED=1\n", sfq_mode=False)
+    # is generated; each supergate's table is its cell tree's function.  The
+    # parser rejects a 3-input cell, so the library is built from its cells:
+    # MINI's plus and3 and or2
+    lib = CellLibrary([
+        Cell("and2", 2, 0b1000, 2.0, 6, True, "logic", ("a", "b")),
+        Cell("inv", 1, 0b01, 1.0, 4, False, "inverter", ("a",)),
+        Cell("dff", 1, None, 1.0, 4, True, "dff", ("a",), "q"),
+        Cell("split", 1, None, 0.5, 3, False, "splitter", ("a",)),
+        Cell("and3", 3, 0x80, 3.0, 9, True, "logic", ("a", "b", "c")),
+        Cell("or2", 2, 0b1110, 2.0, 6, True, "logic", ("a", "b")),
+    ])
     sgs = generate_supergates(lib, k=5, max_depth=2)
     assert any(sg.root_cell.name == "and3"
                and not all(isinstance(c, int) for c in sg.children)
@@ -219,7 +227,7 @@ def lifted_func(sg) -> int:
         else:
             child_tts.append(_lift(lifted_func(ch), ch.n_inputs, pos, n))
             pos += ch.n_inputs
-    return apply_cell(sg.root_cell.func, child_tts, n)
+    return apply_cell(sg.root_cell.func, child_tts, table_mask(n))
 
 
 @pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])

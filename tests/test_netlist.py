@@ -74,7 +74,7 @@ def test_simulate_chain_truth():
 def test_blif_round_trip_signature():
     g = bench.ripple_adder(3)
     text = write_blif(g)
-    g2 = parse_netlist(text, fmt="blif")
+    g2 = parse_netlist(text)
     assert g2.signature() == g.signature()
     # simulate agreement on random patterns
     rng = random.Random(3)
@@ -87,7 +87,7 @@ def test_blif_round_trip_signature():
 def test_aag_round_trip_signature():
     g = bench.comparator(3)
     text = write_aag(g)
-    g2 = parse_netlist(text, fmt="aag")
+    g2 = parse_netlist(text)
     assert g2.signature() == g.signature()
 
 
@@ -107,7 +107,7 @@ def test_blif_latch_rejected():
 .end
 """
     with pytest.raises(NetlistError):
-        parse_netlist(text, fmt="blif")
+        parse_netlist(text)
 
 
 def test_blif_undefined_signal_rejected():
@@ -119,7 +119,7 @@ def test_blif_undefined_signal_rejected():
 .end
 """
     with pytest.raises(NetlistError):
-        parse_netlist(text, fmt="blif")
+        parse_netlist(text)
 
 
 # a 2-input AND with its symbol table; each case below breaks one line
@@ -172,7 +172,7 @@ def and_chain_blif(depth: int) -> str:
 
 
 def test_blif_deep_chain_parses():
-    g = parse_netlist(and_chain_blif(5000), fmt="blif")
+    g = parse_netlist(and_chain_blif(5000))
     assert len(g.nodes) == 5000
     assert subject_depth(g) == 5000
     a, b = g.pis
@@ -190,7 +190,7 @@ def test_blif_two_record_cycle_rejected():
 .end
 """
     with pytest.raises(NetlistError, match="cyclic definition"):
-        parse_netlist(text, fmt="blif")
+        parse_netlist(text)
 
 
 def test_blif_sop_semantics():
@@ -202,7 +202,7 @@ def test_blif_sop_semantics():
 01- 1
 .end
 """
-    g = parse_netlist(text, fmt="blif")
+    g = parse_netlist(text)
     for m in range(8):
         vals = {g.pis[i]: (m >> i) & 1 for i in range(3)}
         a, b, c = (vals[g.pis[i]] for i in range(3))
@@ -218,6 +218,16 @@ def test_random_aig_deterministic_and_bounded():
     assert len(g1.pos) == 4
     g3 = random_aig(80, 8, seed=6, n_pos=4)
     assert g3.signature() != g1.signature()
+
+
+def test_add_po_resets_the_fanout_cache():
+    g = SubjectGraph()
+    a, b, c = ((g.add_pi(n), False) for n in "abc")
+    ab = g.add_and(a, b)
+    g.add_po(g.add_and(ab, c))
+    assert g.fanout_counts()[ab[0]] == 1
+    g.add_po(ab)  # ab now drives a gate and a PO
+    assert g.fanout_counts()[ab[0]] == 2
 
 
 def test_sweep_dangling_removes_dead_cone():
@@ -287,8 +297,8 @@ def _order_cases():
         yield f"rand{seed}", random_aig(200, 10, seed=seed, n_pos=3)
     for seed in range(3):
         g = random_aig(150, 8, seed=20 + seed)
-        yield f"blif{seed}", parse_netlist(shuffled_blif(g, seed), fmt="blif")
-        yield f"aag{seed}", parse_netlist(write_aag(g), fmt="aag")
+        yield f"blif{seed}", parse_netlist(shuffled_blif(g, seed))
+        yield f"aag{seed}", parse_netlist(write_aag(g))
 
 
 @pytest.mark.parametrize("name,g", list(_order_cases()))
@@ -306,7 +316,7 @@ def test_shuffled_blif_is_out_of_dependency_order():
     defined_at = {rec[-1]: i for i, rec in enumerate(records)}
     assert any(defined_at.get(net, -1) > i
                for i, rec in enumerate(records) for net in rec[:-1])
-    g2 = parse_netlist(text, fmt="blif")
+    g2 = parse_netlist(text)
     assert g2.signature() == g.signature()
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import pathlib
 
@@ -32,7 +34,7 @@ def test_build_report_fields(ksa_report):
 
 
 def test_json_round_trip(ksa_report):
-    doc = json.loads(emit(ksa_report, "json"))
+    doc = json.loads(emit([ksa_report], "json"))
     assert doc["schema_version"] == 1
     for key, val in ksa_report.to_dict().items():
         assert doc[key] == val
@@ -53,6 +55,15 @@ def test_csv_batch_appends_average(ksa_report):
     assert len(lines) == 4
 
 
+def test_csv_quotes_a_circuit_name_with_a_comma(ksa_report):
+    named = MappingReport("a,b", 29, 25, 0.5, 10, 3, 0, 0.5, 0.01, 0)
+    rows = list(csv.reader(io.StringIO(emit([named, ksa_report], "csv"))))
+    assert {len(row) for row in rows} == {len(CSV_HEADER.split(","))}
+    assert rows[1][:3] == ["a,b", "29", "25"]
+    # a plain name is written bare, as before the csv module wrote the rows
+    assert emit([ksa_report], "csv").splitlines()[1].startswith("ksa4,")
+
+
 def test_text_table(ksa_report):
     text = emit([ksa_report], "text")
     assert text.splitlines()[0].startswith("circuit")
@@ -61,7 +72,7 @@ def test_text_table(ksa_report):
 
 def test_unknown_format_rejected(ksa_report):
     with pytest.raises(ReportError):
-        emit(ksa_report, "yaml")
+        emit([ksa_report], "yaml")
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +203,21 @@ def test_cli_non_utf8_library_exit_code(tmp_path):
     assert "not UTF-8" in result.output
 
 
+@pytest.mark.parametrize("args,code,stage", [
+    (["map", "--lib", "{dir}", str(KSA4)], 3, "library"),
+    (["emit", "{dir}"], 2, "parse"),
+    (["hit-rate", "{dir}"], 2, "parse"),
+    (["map", "--csv", "{dir}/missing/x.csv", str(KSA4)], 4, "write"),
+], ids=["lib-dir", "emit-dir", "hit-rate-dir", "csv-missing-dir"])
+def test_cli_unreadable_path_keeps_exit_code(tmp_path, args, code, stage):
+    result = CliRunner().invoke(
+        main, [a.replace("{dir}", str(tmp_path)) for a in args])
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"error [{stage}" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_cli_map_output_needs_single_input(tmp_path):
     out = tmp_path / "out.blif"
     result = CliRunner().invoke(main, ["map", "-o", str(out), str(KSA4),
@@ -245,7 +271,7 @@ def test_cli_uncoverable_node_blames_supergate_depth():
 
 
 @pytest.mark.parametrize("args", [
-    ["map", "-k", "9"], ["map", "-k", "1"], ["map", "--cut-cap", "1"],
+    ["map", "-k", "9"], ["map", "-k", "1"],
     ["map", "--supergate-depth", "0"], ["hit-rate", "-k", "9"],
     ["hit-rate", "--supergate-depth", "0"],
 ])

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import itertools
 
 from pbmap.truthtable import (MAX_VARS, apply_cell, projection,
-                              symmetry_perms, table_mask, tt_eval,
-                              tt_eval_packed, tt_not, var_table)
+                              symmetry_perms, table_mask, tt_eval, tt_not,
+                              var_table)
 
 
 def test_table_mask_widths():
@@ -39,7 +39,8 @@ def test_tt_not_involutive(n, data):
         assert tt_eval(tt_not(tt, n), m) == 1 - tt_eval(tt, m)
 
 
-def test_tt_eval_packed_matches_scalar():
+def test_apply_cell_on_packed_patterns_matches_scalar():
+    # the inputs are bit-parallel samples, not tables: the mask is theirs
     rng = random.Random(1)
     for n in range(1, 5):
         width = 16
@@ -47,7 +48,7 @@ def test_tt_eval_packed_matches_scalar():
         for _ in range(20):
             tt = rng.randrange(table_mask(n) + 1)
             ins = [rng.randrange(mask + 1) for _ in range(n)]
-            packed = tt_eval_packed(tt, n, ins, mask)
+            packed = apply_cell(tt, ins, mask)
             for bit in range(width):
                 m = sum(((ins[i] >> bit) & 1) << i for i in range(n))
                 assert (packed >> bit) & 1 == tt_eval(tt, m)
@@ -58,7 +59,7 @@ def test_apply_cell_composes_and_of_ors():
     and2 = 0b1000
     or01 = var_table(0, 4) | var_table(1, 4)
     or23 = var_table(2, 4) | var_table(3, 4)
-    got = apply_cell(and2, [or01, or23], 4)
+    got = apply_cell(and2, [or01, or23], table_mask(4))
     assert got == or01 & or23
 
 
@@ -69,7 +70,7 @@ def test_apply_cell_random_against_pointwise():
         arity = rng.randint(1, 3)
         cell = rng.randrange(table_mask(arity) + 1)
         children = [rng.randrange(table_mask(nvars) + 1) for _ in range(arity)]
-        got = apply_cell(cell, children, nvars)
+        got = apply_cell(cell, children, table_mask(nvars))
         for m in range(1 << nvars):
             idx = sum(tt_eval(c, m) << i for i, c in enumerate(children))
             assert tt_eval(got, m) == tt_eval(cell, idx)
