@@ -316,9 +316,52 @@ class MappedNetwork:
 
     # -- emission ------------------------------------------------------
 
+    def netlist_chunks(self, fmt: str):
+        """The netlist in ``fmt`` ("blif" or "verilog") as an iterator of
+        text chunks, each a join of whole records of at least
+        ``CHUNK_CHARS`` characters but the last, so no list of lines ever
+        holds the whole text.  A network that cannot be written raises
+        here, before any text is made: BalanceError for DFFs without a DFF
+        cell or a PO named like a PI that another net drives (any PO named
+        like a PI in Verilog, whose ports are inputs or outputs, not both),
+        ValueError for another format."""
+        if fmt not in ("blif", "verilog"):
+            raise ValueError(f"unknown netlist format '{fmt}'")
+        pis = set(self.pi_names)
+        if fmt == "verilog":
+            both = next((n for n in self._po_ports() if n in pis), None)
+            if both is not None:
+                raise BalanceError(f"PO {both} is named like a PI: a Verilog "
+                                   "port is an input or an output, not both")
+        if self.dff and self.dff_cell is None:
+            raise BalanceError("network has DFFs but no DFF cell")
+        io = self._io_names()
+        names = self._net_names(io)
+        # the PO chains' DFFs are numbered after every gate fanin's
+        end = self.dff_total - self.po_pad_dffs
+        for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
+            n = self.dff.get((sig, ("po", i)), 0)
+            end += n
+            src = _free_name(f"pbd{end - 1}", io) if n else names[sig]
+            if name in pis and src != name:
+                raise BalanceError(f"PO {name} is named like a PI but driven "
+                                   f"by net {src}: net {name} would have two "
+                                   "drivers")
+        parts = (self._blif_parts if fmt == "blif"
+                 else self._verilog_parts)(io, names)
+        return _chunked(parts)
+
+    def write_blif(self) -> str:
+        return "".join(self.netlist_chunks("blif"))
+
+    def write_verilog(self) -> str:
+        return "".join(self.netlist_chunks("verilog"))
+
     def _io_names(self) -> set[str]:
-        return (set(self.pi_names) | set(self.po_names)
-                | {name for name, _ in self.const_pos})
+        return set(self.pi_names) | set(self._po_ports())
+
+    def _po_ports(self) -> list[str]:
+        return self.po_names + [name for name, _ in self.const_pos]
 
     def _net_names(self, io: set[str]) -> list[str]:
         """Every signal's net name, indexed by signal: a PI's own name, else
@@ -329,30 +372,25 @@ class MappedNetwork:
         return names
 
     def _records(self, io: set[str], names: list[str]):
-        """The netlist in file order, shared by both writers: a ``(cell,
-        labels, rows)`` record per instance and per edge's DFF chain (just
-        before its consumer), with a label and a row of nets, in the order
-        of ``_ports(cell)``, per cell written; then a ``(None, name, net)``
-        record per PO.  A chain's DFFs drive ``pbd<n>``, numbered in file
-        order, each reading the one before.  A PO named like a PI but
-        driven by another net raises BalanceError: the net would have two
-        drivers."""
-        if self.dff and self.dff_cell is None:
-            raise BalanceError("network has DFFs but no DFF cell")
+        """The netlist body in file order, shared by both writers: a
+        ``(GATE, inst, nets)`` record per instance, its nets in the order of
+        ``_ports(cell)``, and a ``(DFFS, src, dffs)`` record per edge's DFF
+        chain, just before its consumer; then a ``(PO, name, net)`` record
+        per PO.  A chain reads net ``src`` and its DFFs drive the nets
+        ``_dff_nets(dffs, io)`` of the integer range ``dffs``, numbered in
+        file order, each DFF reading the one before."""
         dff, first = self.dff, 0
 
         def chain(sig, consumer):
             """The DFF chain record of one edge (None if it has no DFF) and
             the net the consumer reads."""
             nonlocal first
-            src = names[sig]
             n = dff.get((sig, consumer))
             if not n:
-                return None, src
-            qs = _free_names([f"pbd{i}" for i in range(first, first + n)], io)
+                return None, names[sig]
+            dffs = range(first, first + n)
             first += n
-            return (self.dff_cell, _free_names([f"u_{q}" for q in qs], io),
-                    list(zip([src, *qs], qs))), qs[-1]
+            return (DFFS, names[sig], dffs), _free_name(f"pbd{dffs[-1]}", io)
 
         for inst in self.instances:
             nets = []
@@ -362,84 +400,117 @@ class MappedNetwork:
                     yield rec
                 nets.append(src)
             nets += [names[s] for s in inst.outs]
-            yield inst.cell, (_free_name(f"u{inst.idx}", io),), (tuple(nets),)
-        pis = set(self.pi_names)
+            yield GATE, inst, tuple(nets)
         for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
             rec, src = chain(sig, ("po", i))
-            if name in pis and src != name:
-                raise BalanceError(f"PO {name} is named like a PI but driven "
-                                   f"by net {src}: net {name} would have two "
-                                   "drivers")
             if rec:
                 yield rec
-            yield None, name, src
+            yield PO, name, src
 
-    def write_blif(self) -> str:
-        io = self._io_names()
-        lines = [f".model {self.name}",
-                 f".inputs {' '.join(self.pi_names)}",
-                 f".outputs {' '.join(self.po_names + [n for n, _ in self.const_pos])}"]
+    def _blif_parts(self, io: set[str], names: list[str]):
+        """The BLIF text, one string per record."""
+        yield (f".model {self.name}\n.inputs {' '.join(self.pi_names)}\n"
+               f".outputs {' '.join(self._po_ports())}\n")
         # cell name -> %-template of its line over its nets; a '%' in a
         # genlib cell name is doubled, pin names are identifiers
         gate = {}
-        for cell, labels, rows in self._records(io, self._net_names(io)):
-            if cell is None:  # a PO: its name and the net it reads
-                if rows != labels:
-                    lines += [f".names {rows} {labels}", "1 1"]
+        for kind, a, b in self._records(io, names):
+            if kind is PO:  # its name and the net it reads
+                if a != b:
+                    yield f".names {b} {a}\n1 1\n"
                 continue
+            cell = self.dff_cell if kind is DFFS else a.cell
             fmt = gate.get(cell.name)
             if fmt is None:
-                fmt = gate[cell.name] = (f".gate {cell.name} ".replace("%", "%%")
-                                         + " ".join(f"{p}=%s" for p in _ports(cell)))
-            lines += [fmt % nets for nets in rows]
-        for name, value in self.const_pos:
-            lines.append(f".names {name}")
-            if value:
-                lines.append("1")
-        lines.append(".end")
-        return "\n".join(lines) + "\n"
+                fmt = gate[cell.name] = (
+                    f".gate {cell.name} ".replace("%", "%%")
+                    + " ".join(f"{p}=%s" for p in _ports(cell)) + "\n")
+            if kind is GATE:
+                yield fmt % b
+            else:  # a DFF chain from net a
+                qs = _dff_nets(b, io)
+                yield _rows(fmt, [a, *qs[:-1]], qs)
+        yield "".join(f".names {name}\n1\n" if value else f".names {name}\n"
+                      for name, value in self.const_pos) + ".end\n"
 
-    def write_verilog(self) -> str:
-        """A PO named like a PI raises BalanceError: a Verilog port is an
-        input or an output, never both."""
-        outs = self.po_names + [n for n, _ in self.const_pos]
-        pis = set(self.pi_names)
-        both = next((name for name in outs if name in pis), None)
-        if both is not None:
-            raise BalanceError(f"PO {both} is named like a PI: a Verilog "
-                               "port is an input or an output, not both")
-        io = self._io_names()
-        names = self._net_names(io)
+    def _verilog_parts(self, io: set[str], names: list[str]):
+        """The Verilog text, one string per record; the ``wire`` declaration
+        of every DFF net is joined a slice of the DFF range at a time."""
+        outs = self._po_ports()
         clk = _free_name("clk", io)
         ports = self.pi_names + outs + [clk]
-        lines = [f"module {self.name} ({', '.join(ports)});",
-                 f"  input {', '.join(self.pi_names + [clk])};"]
+        yield (f"module {self.name} ({', '.join(ports)});\n"
+               f"  input {', '.join(self.pi_names + [clk])};\n")
         if outs:
-            lines.append(f"  output {', '.join(outs)};")
-        body = []
+            yield f"  output {', '.join(outs)};\n"
+        wires = sorted(names[s] for s in self.driver
+                       if self.driver[s][0] != "pi")
+        dffs = self.dff_total
+        if wires or dffs:
+            yield f"  wire {', '.join(wires)}"
+            sep = ", " if wires else ""
+            for lo in range(0, dffs, WIRE_SLICE):
+                yield sep + ", ".join(
+                    _dff_nets(range(lo, min(lo + WIRE_SLICE, dffs)), io))
+                sep = ", "
+            yield ";\n"
         gate = {}  # cell name -> %-template of its line over label and nets
-        for cell, labels, rows in self._records(io, names):
-            if cell is None:  # a PO: its name and the net it reads
-                body.append(f"  assign {labels} = {rows};")
+        for kind, a, b in self._records(io, names):
+            if kind is PO:  # its name and the net it reads
+                yield f"  assign {a} = {b};\n"
                 continue
+            cell = self.dff_cell if kind is DFFS else a.cell
             fmt = gate.get(cell.name)
             if fmt is None:
                 conns = [f".{p}(%s)" for p in _ports(cell)]
                 if cell.is_clocked:
                     conns.append(f".clk({clk})")
                 fmt = gate[cell.name] = (f"  {cell.name} ".replace("%", "%%")
-                                         + f"%s ({', '.join(conns)});")
-            body += [fmt % (label, *nets) for label, nets in zip(labels, rows)]
-        for name, value in self.const_pos:
-            body.append(f"  assign {name} = 1'b{int(value)};")
-        wires = sorted(names[s] for s in self.driver
-                       if self.driver[s][0] != "pi")
-        wires += _free_names([f"pbd{i}" for i in range(self.dff_total)], io)
-        if wires:
-            lines.append(f"  wire {', '.join(wires)};")
-        lines.extend(body)
-        lines.append("endmodule")
-        return "\n".join(lines) + "\n"
+                                         + f"%s ({', '.join(conns)});\n")
+            if kind is GATE:
+                yield fmt % (_free_name(f"u{a.idx}", io), *b)
+            else:  # a DFF chain from net a, each DFF labelled u_<its net>
+                qs = _dff_nets(b, io)
+                labels = _free_names([f"u_{q}" for q in qs], io)
+                yield _rows(fmt, labels, [a, *qs[:-1]], qs)
+        yield "".join(f"  assign {name} = 1'b{int(value)};\n"
+                      for name, value in self.const_pos) + "endmodule\n"
+
+
+# record kinds of MappedNetwork._records
+GATE, DFFS, PO = "gate", "dffs", "po"
+# netlist characters joined into one chunk of MappedNetwork.netlist_chunks
+CHUNK_CHARS = 1 << 16
+# DFF nets per slice of the Verilog wire declaration
+WIRE_SLICE = 4096
+
+
+def _chunked(parts):
+    """The strings ``parts`` joined in order into chunks of at least
+    ``CHUNK_CHARS`` characters, the last one shorter."""
+    buf, size = [], 0
+    for part in parts:
+        buf.append(part)
+        size += len(part)
+        if size >= CHUNK_CHARS:
+            yield "".join(buf)
+            buf, size = [], 0
+    if buf:
+        yield "".join(buf)
+
+
+def _rows(fmt: str, *cols: list[str]) -> str:
+    """``fmt`` filled in once per row of the equal-length columns ``cols``,
+    by one ``%`` over the template repeated, not one per row."""
+    args = [None] * (len(cols) * len(cols[0]))
+    for j, col in enumerate(cols):
+        args[j::len(cols)] = col
+    return (fmt * len(cols[0])) % tuple(args)
+
+
+def _dff_nets(dffs: range, io: set[str]) -> list[str]:
+    """The nets ``pbd<i>`` driven by the DFFs numbered ``dffs``."""
+    return _free_names([f"pbd{i}" for i in dffs], io)
 
 
 def _free_name(name: str, io: set[str]) -> str:

@@ -55,6 +55,22 @@ def _load_table(lib_path: str | None, k: int, supergate_depth: int):
         _fail(EXIT_LIBRARY, "library", e)
 
 
+def _netlist_paths(inputs) -> list[Path]:
+    """The netlist files ``inputs`` name: a file itself, a directory its
+    ``.blif`` and ``.aag`` files in name order.  Finding none exits 2."""
+    paths = []
+    for inp in inputs:
+        p = Path(inp)
+        if p.is_dir():
+            paths.extend(sorted(q for q in p.iterdir()
+                                if q.suffix in (".blif", ".aag")))
+        else:
+            paths.append(p)
+    if not paths:
+        _fail(EXIT_PARSE, "input", FileNotFoundError("no netlists found"))
+    return paths
+
+
 def _read_netlist(path):
     """The subject graph of a netlist file; parse errors exit 2."""
     try:
@@ -97,34 +113,31 @@ def map_cmd(inputs, lib_path, k, supergate_depth, no_retime, output,
     """Map one or more netlists (or a directory of them)."""
     lib, table = _load_table(lib_path, k, supergate_depth)
 
-    paths = []
-    for inp in inputs:
-        p = Path(inp)
-        if p.is_dir():
-            paths.extend(sorted(q for q in p.iterdir()
-                                if q.suffix in (".blif", ".aag")))
-        else:
-            paths.append(p)
-    if not paths:
-        _fail(EXIT_PARSE, "input", FileNotFoundError("no netlists found"))
+    paths = _netlist_paths(inputs)
     if output and len(paths) > 1:
         raise click.UsageError(
             f"--output takes a single input netlist, got {len(paths)}")
 
+    # every parse error exits before any circuit is mapped; each circuit's
+    # networks are dropped once its report is built, but for -o's
     graphs = [(p, _read_netlist(p)) for p in paths]
+    reports, net = [], None
     try:
-        results = [(p, flow.map_graph(g, lib, table, k=k,
-                                      retime=not no_retime))
-                   for p, g in graphs]
+        for p, g in graphs:
+            res = flow.map_graph(g, lib, table, k=k, retime=not no_retime)
+            reports.append(report.build_report(res, circuit=p.stem))
+            if output:
+                net = res.after
+            del res
     except Exception as e:  # noqa: BLE001 - surface stage + cause, per contract
         _fail(EXIT_INTERNAL, "map", e)
 
-    reports = [report.build_report(res, circuit=p.stem) for p, res in results]
     try:
         if output:
-            net = results[0][1].after
-            Path(output).write_text(net.write_blif() if netlist_format == "blif"
-                                    else net.write_verilog())
+            # a network that cannot be written raises before the file opens
+            chunks = net.netlist_chunks(netlist_format)
+            with Path(output).open("w") as f:
+                f.writelines(chunks)
         if csv_path:
             Path(csv_path).write_text(report.emit(reports, "csv"))
     except Exception as e:  # noqa: BLE001 - surface stage + cause, per contract
@@ -216,9 +229,9 @@ def hit_rate_cmd(inputs, lib_path, k, supergate_depth, as_json):
 
     _, table = _load_table(lib_path, k, supergate_depth)
     rows = []
-    for inp in inputs:
-        g = _read_netlist(inp)
-        rows.append((Path(inp).stem,
+    for p in _netlist_paths(inputs):
+        g = _read_netlist(p)
+        rows.append((p.stem,
                      libmod.hit_rate(cutsmod.enumerate_cuts(g, k=k), table)))
     if as_json:
         click.echo(json.dumps({name: round(r, 4) for name, r in rows}, indent=2))

@@ -9,7 +9,6 @@ pin delays.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 
@@ -466,22 +465,16 @@ def dominates(height: int, dffs: int, height2: int, dffs2: int) -> bool:
     return height <= height2 and dffs <= dffs2
 
 
-def _profiles(sg: Supergate, func: int, base: tuple[int, ...]):
-    """Distinct wirings of ``sg`` onto a cut of function ``func`` whose leaves
-    arrive at ``base``: one (perm, root_height, retimed_dffs) entry per
-    distinct permuted height profile ``tuple(base[p] for p in perm)``, in
-    first-occurrence order over ``symmetry_perms`` (frontier tie-breaking
-    depends on that order).  The profiles themselves are not kept; a caller
-    rebuilds one only for a candidate it keeps, so no cache holds height
-    tuples."""
+def _profiles(sg: Supergate, base: tuple[int, ...], wirings: tuple) -> tuple:
+    """``sg`` wired onto leaves arriving at ``base`` by each perm of
+    ``wirings`` (see ``MatchTable.wirings``): one (perm, root_height,
+    retimed_dffs) entry per perm, in order.  The permuted height profiles
+    themselves are not kept; a caller rebuilds one only for a candidate it
+    keeps, so no cache holds height tuples."""
     depths = sg.leaf_depths
-    seen = set()
     out = []
-    for perm in symmetry_perms(func, len(base)):
+    for perm in wirings:
         heights = tuple(base[p] for p in perm)
-        if heights in seen:
-            continue
-        seen.add(heights)
         height = max(h + d for h, d in zip(heights, depths))
         out.append((perm, height, retime.retimed_match_dffs(sg, heights)))
     return tuple(out)
@@ -512,10 +505,11 @@ def _prune_options(entries) -> tuple:
 
 class MatchTable:
     """Exact-function lookup from canonical cut truth tables to supergates,
-    with two wiring caches that live and are freed with the table:
-    ``options`` for the DP, one pruned list per cut function and leaf
-    heights, and ``profiles`` (see ``_profiles``) per supergate for the
-    depth-greedy baseline and the DP's target sweep."""
+    with three wiring caches that live and are freed with the table:
+    ``wirings`` per cut function and pattern of equal leaf heights, which
+    both others are built from; ``options`` for the DP, one pruned list per
+    cut function and leaf heights; and ``profiles`` (see ``_profiles``) per
+    supergate for the depth-greedy baseline and the DP's target sweep."""
 
     def __init__(self, supergates: list[Supergate]):
         self.table: dict[tuple[int, int], list[Supergate]] = {}
@@ -524,7 +518,8 @@ class MatchTable:
         for lst in self.table.values():
             lst.sort(key=_sort_key)
         self.supergates = supergates
-        self.profiles = functools.lru_cache(maxsize=None)(_profiles)
+        self.wiring_cache: dict[tuple, tuple] = {}
+        self.profile_cache: dict[tuple, tuple] = {}
         self.option_cache: dict[tuple, tuple] = {}
 
     def lookup(self, func: int, nvars: int, phase: str = "positive") -> list[Supergate]:
@@ -534,19 +529,51 @@ class MatchTable:
             raise ValueError(f"unknown phase '{phase}'")
         return self.table.get((nvars, func), [])
 
+    def wirings(self, func: int, base: tuple[int, ...]) -> tuple:
+        """The perms of ``symmetry_perms(func, len(base))`` that give the
+        distinct permuted height profiles ``tuple(base[p] for p in perm)``,
+        each the first to give its profile (frontier tie-breaking depends on
+        that order).  Which perms those are depends only on which leaf
+        heights are equal, so they are cached per (func, equality pattern
+        of ``base``)."""
+        pattern = tuple(base.index(h) for h in base)
+        key = (func, pattern)
+        perms = self.wiring_cache.get(key)
+        if perms is None:
+            seen = set()
+            perms = []
+            for perm in symmetry_perms(func, len(base)):
+                profile = tuple(pattern[p] for p in perm)
+                if profile not in seen:
+                    seen.add(profile)
+                    perms.append(perm)
+            perms = self.wiring_cache[key] = tuple(perms)
+        return perms
+
+    def profiles(self, sg: Supergate, func: int, base: tuple[int, ...]) -> tuple:
+        """``_profiles`` of ``sg`` over ``wirings(func, base)``, cached."""
+        key = (sg, func, base)
+        entries = self.profile_cache.get(key)
+        if entries is None:
+            entries = self.profile_cache[key] = _profiles(
+                sg, base, self.wirings(func, base))
+        return entries
+
     def options(self, func: int, nvars: int, phase: str,
                 base: tuple[int, ...]) -> tuple:
         """Every (height, sg_dffs, supergate, perm) that matches a cut of
         ``func`` over ``nvars`` leaves arriving at ``base`` in ``phase``:
-        the supergates in ``lookup`` order, each wired by its ``_profiles``
-        in order, pruned by ``_prune_options``.  Cached per table."""
+        the supergates in ``lookup`` order, each wired by ``_profiles`` over
+        ``wirings(func, base)`` in order, pruned by ``_prune_options``.
+        Cached per table."""
         key = (func, nvars, phase, base)
         opts = self.option_cache.get(key)
         if opts is None:
+            perms = self.wirings(func, base)
             opts = self.option_cache[key] = _prune_options(
                 [(height, dffs, sg, perm)
                  for sg in self.lookup(func, nvars, phase)
-                 for perm, height, dffs in _profiles(sg, func, base)])
+                 for perm, height, dffs in _profiles(sg, base, perms)])
         return opts
 
 

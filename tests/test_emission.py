@@ -1,0 +1,209 @@
+"""Netlist emission: byte-exact writer output on a network whose PI and PO
+names collide with every generated name, and the memory the writers take."""
+
+import tracemalloc
+
+import pytest
+from click.testing import CliRunner
+
+from pbmap import bench
+from pbmap.balance import CHUNK_CHARS, BalanceError
+from pbmap.cli import main
+from pbmap.flow import map_graph
+from pbmap.netlist import parse_netlist, write_blif
+
+# PIs named like an internal net (n5), DFF nets (pbd0), a DFF label
+# (u_pbd1), the clock (clk) and an instance label (u0); POs named like an
+# instance label (u3), a DFF net (pbd2) and an internal net (n7).  Pads on
+# PI and PO edges keep DFFs after retiming.
+CLASH = (".model clash\n.inputs n5 pbd0 u_pbd1 clk u0 d\n"
+         ".outputs u3 pbd2 n7 f\n"
+         ".names n5 pbd0 x\n11 1\n.names x u_pbd1 y\n11 1\n"
+         ".names y clk u3\n10 1\n.names d pbd2\n1 1\n.names u0 d n7\n11 1\n"
+         ".names u3 n7 f\n01 1\n.end\n")
+
+
+BLIF_BEFORE = """\
+.model clash
+.inputs n5 pbd0 u_pbd1 clk u0 d
+.outputs u3 pbd2 n7 f
+.gate and2 a=n5 b=pbd0 o=n6
+.gate inv a=clk o=n7_1
+.gate and2 a=u_pbd1 b=n7_1 o=n8
+.gate and2 a=n8 b=n6 o=n9
+.gate and2 a=n14 b=n16 o=n10
+.gate and2 a=n15 b=n18 o=n11
+.gate inv a=n20 o=n12
+.gate dff a=n11 q=pbd0_1
+.gate and2 a=pbd0_1 b=n12 o=n13
+.gate split a=u0 o=n14 o2=n15
+.gate split a=d o=n16 o2=n17
+.gate split a=n17 o=n18 o2=n19
+.gate split a=n9 o=n20 o2=n21
+.gate dff a=n21 q=pbd1
+.names pbd1 u3
+1 1
+.gate dff a=n19 q=pbd2_1
+.gate dff a=pbd2_1 q=pbd3
+.gate dff a=pbd3 q=pbd4
+.names pbd4 pbd2
+1 1
+.gate dff a=n10 q=pbd5
+.gate dff a=pbd5 q=pbd6
+.names pbd6 n7
+1 1
+.names n13 f
+1 1
+.end
+"""
+
+VERILOG_BEFORE = """\
+module clash (n5, pbd0, u_pbd1, clk, u0, d, u3, pbd2, n7, f, clk_1);
+  input n5, pbd0, u_pbd1, clk, u0, d, clk_1;
+  output u3, pbd2, n7, f;
+  wire n10, n11, n12, n13, n14, n15, n16, n17, n18, n19, n20, n21, n6, n7_1, n8, n9, pbd0_1, pbd1, pbd2_1, pbd3, pbd4, pbd5, pbd6;
+  and2 u0_1 (.a(n5), .b(pbd0), .o(n6), .clk(clk_1));
+  inv u1 (.a(clk), .o(n7_1));
+  and2 u2 (.a(u_pbd1), .b(n7_1), .o(n8), .clk(clk_1));
+  and2 u3_1 (.a(n8), .b(n6), .o(n9), .clk(clk_1));
+  and2 u4 (.a(n14), .b(n16), .o(n10), .clk(clk_1));
+  and2 u5 (.a(n15), .b(n18), .o(n11), .clk(clk_1));
+  inv u6 (.a(n20), .o(n12));
+  dff u_pbd0_1 (.a(n11), .q(pbd0_1), .clk(clk_1));
+  and2 u7 (.a(pbd0_1), .b(n12), .o(n13), .clk(clk_1));
+  split u8 (.a(u0), .o(n14), .o2(n15));
+  split u9 (.a(d), .o(n16), .o2(n17));
+  split u10 (.a(n17), .o(n18), .o2(n19));
+  split u11 (.a(n9), .o(n20), .o2(n21));
+  dff u_pbd1_1 (.a(n21), .q(pbd1), .clk(clk_1));
+  assign u3 = pbd1;
+  dff u_pbd2_1 (.a(n19), .q(pbd2_1), .clk(clk_1));
+  dff u_pbd3 (.a(pbd2_1), .q(pbd3), .clk(clk_1));
+  dff u_pbd4 (.a(pbd3), .q(pbd4), .clk(clk_1));
+  assign pbd2 = pbd4;
+  dff u_pbd5 (.a(n10), .q(pbd5), .clk(clk_1));
+  dff u_pbd6 (.a(pbd5), .q(pbd6), .clk(clk_1));
+  assign n7 = pbd6;
+  assign f = n13;
+endmodule
+"""
+
+BLIF_AFTER = """\
+.model clash
+.inputs n5 pbd0 u_pbd1 clk u0 d
+.outputs u3 pbd2 n7 f
+.gate and2 a=n5 b=pbd0 o=n6
+.gate inv a=clk o=n7_1
+.gate and2 a=u_pbd1 b=n7_1 o=n8
+.gate and2 a=n8 b=n6 o=n9
+.gate and2 a=n14 b=n16 o=n10
+.gate and2 a=n15 b=n18 o=n11
+.gate inv a=n20 o=n12
+.gate and2 a=n11 b=n12 o=n13
+.gate dff a=u0 q=pbd0_1
+.gate split a=pbd0_1 o=n14 o2=n15
+.gate dff a=d q=pbd1
+.gate split a=pbd1 o=n16 o2=n17
+.gate split a=n17 o=n18 o2=n19
+.gate split a=n9 o=n20 o2=n21
+.gate dff a=n21 q=pbd2_1
+.names pbd2_1 u3
+1 1
+.gate dff a=n19 q=pbd3
+.gate dff a=pbd3 q=pbd4
+.names pbd4 pbd2
+1 1
+.gate dff a=n10 q=pbd5
+.names pbd5 n7
+1 1
+.names n13 f
+1 1
+.end
+"""
+
+VERILOG_AFTER = """\
+module clash (n5, pbd0, u_pbd1, clk, u0, d, u3, pbd2, n7, f, clk_1);
+  input n5, pbd0, u_pbd1, clk, u0, d, clk_1;
+  output u3, pbd2, n7, f;
+  wire n10, n11, n12, n13, n14, n15, n16, n17, n18, n19, n20, n21, n6, n7_1, n8, n9, pbd0_1, pbd1, pbd2_1, pbd3, pbd4, pbd5;
+  and2 u0_1 (.a(n5), .b(pbd0), .o(n6), .clk(clk_1));
+  inv u1 (.a(clk), .o(n7_1));
+  and2 u2 (.a(u_pbd1), .b(n7_1), .o(n8), .clk(clk_1));
+  and2 u3_1 (.a(n8), .b(n6), .o(n9), .clk(clk_1));
+  and2 u4 (.a(n14), .b(n16), .o(n10), .clk(clk_1));
+  and2 u5 (.a(n15), .b(n18), .o(n11), .clk(clk_1));
+  inv u6 (.a(n20), .o(n12));
+  and2 u7 (.a(n11), .b(n12), .o(n13), .clk(clk_1));
+  dff u_pbd0_1 (.a(u0), .q(pbd0_1), .clk(clk_1));
+  split u8 (.a(pbd0_1), .o(n14), .o2(n15));
+  dff u_pbd1_1 (.a(d), .q(pbd1), .clk(clk_1));
+  split u9 (.a(pbd1), .o(n16), .o2(n17));
+  split u10 (.a(n17), .o(n18), .o2(n19));
+  split u11 (.a(n9), .o(n20), .o2(n21));
+  dff u_pbd2_1 (.a(n21), .q(pbd2_1), .clk(clk_1));
+  assign u3 = pbd2_1;
+  dff u_pbd3 (.a(n19), .q(pbd3), .clk(clk_1));
+  dff u_pbd4 (.a(pbd3), .q(pbd4), .clk(clk_1));
+  assign pbd2 = pbd4;
+  dff u_pbd5 (.a(n10), .q(pbd5), .clk(clk_1));
+  assign n7 = pbd5;
+  assign f = n13;
+endmodule
+"""
+
+
+@pytest.fixture(scope="module")
+def clash(lib, table):
+    return map_graph(parse_netlist(CLASH), lib, table)
+
+
+def test_writers_are_byte_exact_on_colliding_names(clash):
+    assert (clash.dffs_before, clash.dffs_after) == (7, 6)
+    assert clash.before.write_blif() == BLIF_BEFORE
+    assert clash.before.write_verilog() == VERILOG_BEFORE
+    assert clash.after.write_blif() == BLIF_AFTER
+    assert clash.after.write_verilog() == VERILOG_AFTER
+
+
+@pytest.fixture(scope="module")
+def rca64(lib, table):
+    return map_graph(bench.ripple_adder(64), lib, table).after
+
+
+@pytest.mark.parametrize("fmt", ["blif", "verilog"])
+def test_writers_peak_near_the_text_length(rca64, fmt):
+    # the chunks and their join, not a list of lines beside the text
+    write = rca64.write_blif if fmt == "blif" else rca64.write_verilog
+    tracemalloc.start()
+    try:
+        text = write()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 4 * CHUNK_CHARS  # several chunks
+    assert peak < 2.5 * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize("fmt", ["blif", "verilog"])
+def test_cli_output_file_is_the_written_text(tmp_path, rca64, fmt):
+    src = tmp_path / "rca64.blif"
+    src.write_text(write_blif(bench.ripple_adder(64)))
+    out = tmp_path / f"rca64.{fmt}"
+    result = CliRunner().invoke(main, ["map", "-o", str(out),
+                                       "--netlist-format", fmt, str(src)])
+    assert result.exit_code == 0, result.output
+    text = rca64.write_blif() if fmt == "blif" else rca64.write_verilog()
+    assert out.read_bytes() == text.encode()
+
+
+def test_unwritable_network_raises_before_any_text(lib, table):
+    # a PO named like a PI and delayed by pad DFFs: the net would have two
+    # drivers, which netlist_chunks finds before it makes a chunk
+    text = (".model m\n.inputs a b c\n.outputs a f\n"
+            ".names a b t\n11 1\n.names t c f\n11 1\n.end\n")
+    net = map_graph(parse_netlist(text), lib, table).after
+    for fmt in ("blif", "verilog"):
+        with pytest.raises(BalanceError, match="PO a is named like a PI"):
+            net.netlist_chunks(fmt)
+    with pytest.raises(ValueError, match="unknown netlist format"):
+        net.netlist_chunks("edif")

@@ -477,13 +477,14 @@ def test_deep_alternating_chain_maps(lib, table):
 
 
 def test_profile_cache_is_freed_with_its_table(lib):
-    # both wiring caches: the DP's options and the baseline's profiles
+    # the wiring caches: the DP's options, the baseline's profiles and
+    # the wirings both are built from
     tbl = prepare_match_table(lib, k=5, max_depth=2)
     g = bench.ksa4()
     cutsets = enumerate_cuts(g, k=5)
     sols = map_dag(g, cutsets, tbl)
     map_depth_greedy(g, cutsets, tbl)
-    assert tbl.option_cache and tbl.profiles.cache_info().currsize > 0
+    assert tbl.option_cache and tbl.profile_cache and tbl.wiring_cache
     # a supergate the DP matched, so one the wiring caches were asked about
     ref = weakref.ref(next(m.supergate for sol in sols.values()
                            for m in sol.frontier if m.supergate))

@@ -206,9 +206,12 @@ def test_cli_non_utf8_library_exit_code(tmp_path):
 @pytest.mark.parametrize("args,code,stage", [
     (["map", "--lib", "{dir}", str(KSA4)], 3, "library"),
     (["emit", "{dir}"], 2, "parse"),
-    (["hit-rate", "{dir}"], 2, "parse"),
+    # a directory of netlists is an input to map and hit-rate; this one
+    # holds none
+    (["hit-rate", "{dir}"], 2, "input"),
+    (["map", "{dir}"], 2, "input"),
     (["map", "--csv", "{dir}/missing/x.csv", str(KSA4)], 4, "write"),
-], ids=["lib-dir", "emit-dir", "hit-rate-dir", "csv-missing-dir"])
+], ids=["lib-dir", "emit-dir", "hit-rate-dir", "map-dir", "csv-missing-dir"])
 def test_cli_unreadable_path_keeps_exit_code(tmp_path, args, code, stage):
     result = CliRunner().invoke(
         main, [a.replace("{dir}", str(tmp_path)) for a in args])
@@ -351,6 +354,22 @@ def test_cli_hit_rate():
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert 0.0 < doc["ksa4"] <= 1.0
+
+
+def test_cli_hit_rate_reads_a_directory(tmp_path):
+    # the netlists of a directory, as map reads them
+    for g in (bench.and_chain(6), bench.ripple_adder(3)):
+        (tmp_path / f"{g.name}.blif").write_text(write_blif(g))
+    (tmp_path / "notes.txt").write_text("not a netlist")
+    runner = CliRunner()
+    result = runner.invoke(main, ["hit-rate", "--json", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert sorted(doc) == ["chain6", "rca3"]
+    mapped = runner.invoke(main, ["map", "--json", str(tmp_path)])
+    assert [d["circuit"] for d in json.loads(mapped.output)] == sorted(doc)
+    assert [d["hit_rate"] for d in json.loads(mapped.output)] == [
+        doc[name] for name in sorted(doc)]
 
 
 def test_cli_emit_round_trip(tmp_path):
