@@ -73,7 +73,9 @@ class _ExprParser:
     """Recursive descent over genlib boolean expressions."""
 
     def __init__(self, text: str):
-        self.tokens = re.findall(r"[A-Za-z_][A-Za-z_0-9]*|[!'*+^()]|0|1", text)
+        # any other character is a token of its own, which no rule accepts
+        self.tokens = re.findall(r"[A-Za-z_][A-Za-z_0-9]*|[!'*+^()]|0|1|\S",
+                                 text)
         self.pos = 0
         self.vars: list[str] = []
 
@@ -191,16 +193,25 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
         stripped = "\n".join(line.split("#")[0] for line in rec.splitlines())
         m = _GATE_RE.search(stripped)
         if not m:
-            raise LibraryError(f"malformed GATE record: {rec.splitlines()[0]!r}")
+            # rec starts where ^\s*GATE matched, so blank lines may lead it
+            raise LibraryError(
+                f"malformed GATE record: {rec.strip().splitlines()[0]!r}")
         cname = m.group("name")
         if cname in seen:
             raise LibraryError(f"duplicate cell name '{cname}'")
         seen.add(cname)
-        area = float(m.group("area"))
+        try:
+            area = float(m.group("area"))
+        except ValueError:
+            raise LibraryError(f"cell '{cname}' has a non-numeric area "
+                               f"{m.group('area')!r}") from None
         parser = _ExprParser(m.group("expr"))
         tree = parser.parse()
         pins = list(parser.vars)
         nvars = len(pins)
+        if nvars > MAX_VARS:
+            raise LibraryError(f"cell '{cname}' has {nvars} inputs; at most "
+                               f"{MAX_VARS} are supported")
         var_index = {v: i for i, v in enumerate(pins)}
         func = _eval_expr(tree, var_index, nvars) if nvars else None
 
@@ -585,8 +596,6 @@ def hit_rate(cutsets, table: MatchTable) -> float:
         for cut in cs.cuts:
             if cut.is_trivial_for(nid):
                 continue
-            if cut.func is None:
-                raise ValueError("cut functions not computed")
             total += 1
             if table.lookup(cut.func, len(cut.leaves)):
                 hits += 1

@@ -204,8 +204,6 @@ def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
     points: list[tuple] = []
     cuts = hits = 0
     for cut in cutsets[nid].cuts:
-        if cut.func is None:
-            raise MappingError("cut functions not computed")
         sgs = table.lookup(cut.func, len(cut.leaves), phase)
         if not cut.is_trivial_for(nid):
             cuts += 1

@@ -509,6 +509,8 @@ def _parse_aag(text: str) -> SubjectGraph:
 
     lit_map: dict[int, tuple[int, bool]] = {0: g.const_lit(False), 1: g.const_lit(True)}
     for k, lit in enumerate(in_lits):
+        if lit in lit_map:  # input k is on line k + 2
+            raise NetlistError(f"literal {lit} defined twice", k + 2)
         nid = g.add_pi(in_names.get(k, f"i{k}"))
         lit_map[lit] = (nid, False)
         lit_map[lit ^ 1] = (nid, True)

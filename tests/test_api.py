@@ -68,7 +68,7 @@ SIGNATURES = {
     flow.prepare_match_table: ("lib", "k", "max_depth"),
     library.parse_library: ("text", "name"),
     netlist.parse_netlist: ("text",),
-    cuts.enumerate_cuts: ("g", "k", "cap", "prune_dominated"),
+    cuts.enumerate_cuts: ("g", "k", "cap"),
 }
 
 OPTIONS = {

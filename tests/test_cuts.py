@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pbmap import bench
-from pbmap.cuts import (Cut, compute_cut_functions, cone_function,
+from pbmap.cuts import (CUT_CAP, compute_cut_functions, cone_function,
                         enumerate_cuts)
 from pbmap.netlist import SubjectGraph, _and_op, random_aig
 from pbmap.truthtable import tt_eval, var_table
@@ -75,9 +75,20 @@ def test_dominated_cuts_absent():
 
 def test_cap_truncates():
     g = random_aig(150, 12, seed=8)
-    cutsets = enumerate_cuts(g, k=5, cap=4, prune_dominated=False)
+    cutsets = enumerate_cuts(g, k=5, cap=4)
     for cs in cutsets.values():
         assert len(cs.cuts) <= 4
+    assert sum(cs.truncated for cs in cutsets.values()) > 0
+
+
+def test_cut_cap_never_reached_on_benchmark_circuits():
+    # the circuits the benchmark maps; at most 52 cuts per node at k=5
+    for g in (bench.kogge_stone_adder(64), bench.kogge_stone_adder(32),
+              random_aig(600, 24, seed=1), bench.barrel_shifter(128),
+              bench.alu(64), bench.ripple_adder(256)):
+        cutsets = enumerate_cuts(g, k=5)
+        assert max(len(cs.cuts) for cs in cutsets.values()) < CUT_CAP
+        assert sum(cs.truncated for cs in cutsets.values()) == 0
 
 
 def test_and_cut_function():
@@ -166,32 +177,32 @@ ORACLE_CIRCUITS = {
 
 @pytest.mark.parametrize("name", list(ORACLE_CIRCUITS))
 def test_merge_time_functions_match_cone_simulation(name):
-    # without pruning, or with a cap that drops a leaf set's smaller
-    # sub-cut, a fanin cut's leaf can sit inside the other fanin's cone:
-    # the case the merge must hand to cone simulation
+    # small caps truncate fanin cut sets, the one case where a kept leaf
+    # set's smaller sub-cut can be missing
     g = ORACLE_CIRCUITS[name]()
     for k in range(2, 7):
-        for prune in (True, False):
-            for cap in (4, 250):
-                cutsets = enumerate_cuts(g, k=k, cap=cap,
-                                         prune_dominated=prune)
-                for nid, cs in cutsets.items():
-                    for cut in cs.cuts:
-                        assert cut.func == cone_function(g, nid, cut.leaves), \
-                            (k, prune, cap, nid, cut.leaves)
-                before = {nid: list(cs.cuts) for nid, cs in cutsets.items()}
-                compute_cut_functions(g, cutsets)
-                assert {nid: cs.cuts for nid, cs in cutsets.items()} == before
+        for cap in (2, 4, 250):
+            cutsets = enumerate_cuts(g, k=k, cap=cap)
+            for nid, cs in cutsets.items():
+                for cut in cs.cuts:
+                    assert cut.func == cone_function(g, nid, cut.leaves), \
+                        (k, cap, nid, cut.leaves)
+            assert compute_cut_functions(g, cutsets) is cutsets
 
 
-def test_compute_cut_functions_fills_only_missing():
-    g = random_aig(30, 5, seed=7)
-    cutsets = enumerate_cuts(g, k=4)
-    nid = g.topo_order()[-1]
-    cs = cutsets[nid]
-    kept = cs.cuts[1]
-    cs.cuts = [Cut(c.leaves) if i != 1 else c for i, c in enumerate(cs.cuts)]
-    compute_cut_functions(g, cutsets)
-    assert cs.cuts[1] is kept
-    assert [c.func for c in cs.cuts] == [cone_function(g, nid, c.leaves)
-                                         for c in cs.cuts]
+def test_leaf_inside_other_fanin_cone_is_dominated():
+    # n3 = n1 * n2 with n2 = n1 * c: merging n1's cut {a, b} with n2's cut
+    # {n1, c} gives {n1, a, b, c}, where n1 is a leaf and also inside the
+    # first cut's cone; its subset {n1, c} is a cut, so it is pruned
+    g = SubjectGraph()
+    a, b, c = [(g.add_pi(x), False) for x in "abc"]
+    n1 = _and_op(g, a, b)
+    n2 = _and_op(g, n1, c)
+    n3 = _and_op(g, n1, n2)
+    g.add_po(n3, "f")
+    cutsets = enumerate_cuts(g, k=5)
+    bad = tuple(sorted((n1[0], a[0], b[0], c[0])))
+    assert bad not in {cut.leaves for cut in cutsets[n3[0]].cuts}
+    for nid, cs in cutsets.items():
+        for cut in cs.cuts:
+            assert cut.func == cone_function(g, nid, cut.leaves)

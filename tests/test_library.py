@@ -96,6 +96,31 @@ def test_duplicate_cell_rejected():
         parse_library(MINI + "GATE and2 2.0 o=a+b;\n")
 
 
+@pytest.mark.parametrize("expr", ["a|b", "a-b", "a @ b", "a&b"])
+def test_characters_outside_the_grammar_rejected(expr):
+    # once dropped silently, which made each of these parse as a*b
+    with pytest.raises(LibraryError):
+        parse_library(MINI + f"GATE g 1.0 o={expr};\n")
+
+
+def test_non_numeric_area_rejected():
+    with pytest.raises(LibraryError, match="non-numeric area '1e'"):
+        parse_library(MINI + "GATE g 1e o=a*b;\n")
+
+
+def test_cell_wider_than_a_truth_table_rejected():
+    # its table would need more than MAX_VARS variables
+    with pytest.raises(LibraryError, match="7 inputs"):
+        parse_library(MINI + "GATE g 1.0 o=a*b*c*d*e*f*g;\n")
+
+
+def test_malformed_record_named_by_its_gate_line():
+    # the GATE split puts the blank lines before a record at its start
+    with pytest.raises(LibraryError,
+                       match="malformed GATE record: 'GATE g x o=a;'"):
+        parse_library(MINI + "\n\n  GATE g x o=a;\n")
+
+
 def test_depth1_supergates_are_primitives(lib):
     sgs = generate_supergates(lib, k=5, max_depth=1)
     roots = sorted(sg.root_cell.name for sg in sgs)

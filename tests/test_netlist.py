@@ -136,6 +136,7 @@ BAD_AAG = [
     pytest.param(GOOD_AAG.replace("\n6\n", "\n8\n"), 4, id="undefined-output"),
     pytest.param(GOOD_AAG.replace("6 2 4", "7 2 4"), 5, id="odd-and-output"),
     pytest.param(GOOD_AAG.replace("6 2 4", "4 2 2"), 5, id="and-redefines-input"),
+    pytest.param("aag 1 2 0 1 0\n2\n2\n2\n", 3, id="input-defined-twice"),
     pytest.param("aag 4 2 0 1 2\n2\n4\n6\n6 2 4\n6 2 5\n", 6,
                  id="and-defined-twice"),
     pytest.param(GOOD_AAG.replace("6 2 4\n", "6 2 4\n6 2 4\n"), 6,
