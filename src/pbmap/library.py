@@ -206,7 +206,10 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
             raise LibraryError(f"cell '{cname}' has a non-numeric area "
                                f"{m.group('area')!r}") from None
         parser = _ExprParser(m.group("expr"))
-        tree = parser.parse()
+        try:
+            tree = parser.parse()
+        except LibraryError as err:
+            raise LibraryError(f"cell '{cname}': {err}") from None
         pins = list(parser.vars)
         nvars = len(pins)
         if nvars > MAX_VARS:
@@ -476,21 +479,6 @@ def dominates(height: int, dffs: int, height2: int, dffs2: int) -> bool:
     return height <= height2 and dffs <= dffs2
 
 
-def _profiles(sg: Supergate, base: tuple[int, ...], wirings: tuple) -> tuple:
-    """``sg`` wired onto leaves arriving at ``base`` by each perm of
-    ``wirings`` (see ``MatchTable.wirings``): one (perm, root_height,
-    retimed_dffs) entry per perm, in order.  The permuted height profiles
-    themselves are not kept; a caller rebuilds one only for a candidate it
-    keeps, so no cache holds height tuples."""
-    depths = sg.leaf_depths
-    out = []
-    for perm in wirings:
-        heights = tuple(base[p] for p in perm)
-        height = max(h + d for h, d in zip(heights, depths))
-        out.append((perm, height, retime.retimed_match_dffs(sg, heights)))
-    return tuple(out)
-
-
 def _prune_options(entries) -> tuple:
     """The (height, sg_dffs, supergate, perm) ``entries`` of one leaf choice,
     in order, less those that cannot reach a frontier whatever the choice's
@@ -516,11 +504,10 @@ def _prune_options(entries) -> tuple:
 
 class MatchTable:
     """Exact-function lookup from canonical cut truth tables to supergates,
-    with three wiring caches that live and are freed with the table:
-    ``wirings`` per cut function and pattern of equal leaf heights, which
-    both others are built from; ``options`` for the DP, one pruned list per
-    cut function and leaf heights; and ``profiles`` (see ``_profiles``) per
-    supergate for the depth-greedy baseline and the DP's target sweep."""
+    with two wiring caches that live and are freed with the table:
+    ``wirings`` per cut function and pattern of equal leaf heights, and
+    ``options``, built from it for the DP, one pruned list per cut function
+    and leaf heights."""
 
     def __init__(self, supergates: list[Supergate]):
         self.table: dict[tuple[int, int], list[Supergate]] = {}
@@ -530,7 +517,6 @@ class MatchTable:
             lst.sort(key=_sort_key)
         self.supergates = supergates
         self.wiring_cache: dict[tuple, tuple] = {}
-        self.profile_cache: dict[tuple, tuple] = {}
         self.option_cache: dict[tuple, tuple] = {}
 
     def lookup(self, func: int, nvars: int, phase: str = "positive") -> list[Supergate]:
@@ -561,30 +547,25 @@ class MatchTable:
             perms = self.wiring_cache[key] = tuple(perms)
         return perms
 
-    def profiles(self, sg: Supergate, func: int, base: tuple[int, ...]) -> tuple:
-        """``_profiles`` of ``sg`` over ``wirings(func, base)``, cached."""
-        key = (sg, func, base)
-        entries = self.profile_cache.get(key)
-        if entries is None:
-            entries = self.profile_cache[key] = _profiles(
-                sg, base, self.wirings(func, base))
-        return entries
-
     def options(self, func: int, nvars: int, phase: str,
                 base: tuple[int, ...]) -> tuple:
         """Every (height, sg_dffs, supergate, perm) that matches a cut of
         ``func`` over ``nvars`` leaves arriving at ``base`` in ``phase``:
-        the supergates in ``lookup`` order, each wired by ``_profiles`` over
-        ``wirings(func, base)`` in order, pruned by ``_prune_options``.
-        Cached per table."""
+        the supergates in ``lookup`` order, each wired onto the leaves by
+        every perm of ``wirings(func, base)`` in order (leaf ``perm[i]`` to
+        input i), pruned by ``_prune_options``.  Cached per table."""
         key = (func, nvars, phase, base)
         opts = self.option_cache.get(key)
         if opts is None:
             perms = self.wirings(func, base)
-            opts = self.option_cache[key] = _prune_options(
-                [(height, dffs, sg, perm)
-                 for sg in self.lookup(func, nvars, phase)
-                 for perm, height, dffs in _profiles(sg, base, perms)])
+            entries = []
+            for sg in self.lookup(func, nvars, phase):
+                for perm in perms:
+                    heights = tuple(base[p] for p in perm)
+                    entries.append((
+                        max(h + d for h, d in zip(heights, sg.leaf_depths)),
+                        retime.retimed_match_dffs(sg, heights), sg, perm))
+            opts = self.option_cache[key] = _prune_options(entries)
         return opts
 
 

@@ -14,12 +14,13 @@ all consumers share one implementation.
 Leaf-to-input wirings come from the match table.  For the DP,
 ``MatchTable.options`` holds, per (cut function, phase, leaf heights), every
 (supergate, wiring) pair with its root height and retimed DFF count, less
-those that no leaf cost can bring onto a frontier; so the DP reads one
-table per cut and leaf choice.  The depth-greedy baseline and the DP's
-target sweep for large leaf products read ``MatchTable.profiles``, one
-wiring per distinct permuted height profile of one supergate.  The two
-rules share one sweep: both feed candidate points, plain tuples, through a
-node's frontier, and a ``Match`` is built only for the points it keeps.
+those that no leaf cost can bring onto a frontier; the DP reads that table
+for every combination of its leaves' frontier points, however many there
+are, so no leaf choice of a tree is left untried.  The depth-greedy baseline wires each supergate by
+``MatchTable.wirings`` directly, one wiring per distinct permuted height
+profile.  The two rules share one sweep: both feed candidate points, plain
+tuples, through a node's frontier, and a ``Match`` is built only for the
+points it keeps.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ from .balance import MappedNetwork
 from .cuts import CutSet
 from .library import MatchTable, Supergate, dominates
 from .netlist import CONST0, SubjectGraph
+from .retime import retimed_match_dffs
 
 POS = "positive"
 NEG = "negative"
 
-# leaf-choice products above this size are swept by root arrival target
-PRODUCT_LIMIT = 64
 # (height, dffs) points kept per node; no benchmark circuit's frontier has
-# more than 3, so the cap bounds the worst case without taking effect
+# more than 3, so the cap bounds the worst case without taking effect.  It
+# is also what bounds a k-leaf cut's leaf choices, at FRONTIER_CAP ** k
 FRONTIER_CAP = 8
 
 
@@ -142,37 +143,11 @@ def _combine(table: MatchTable, cut, phase: str, sgs: list[Supergate],
     the choice matter, so every distinct permuted height profile is a
     candidate (``MatchTable.options``).
     """
-    size = 1
-    for lf in leaf_fronts:
-        size *= len(lf)
-        if size > PRODUCT_LIMIT:
-            break
-    if size <= PRODUCT_LIMIT:
-        nvars = len(cut.leaves)
-        for choice in itertools.product(*leaf_fronts):
-            base = tuple(m.height for m in choice)
-            _emit(out, cap, choice, cut.leaves,
-                  table.options(cut.func, nvars, phase, base))
-        return
-    # too many combinations: per supergate, sweep candidate root arrival
-    # targets, greedily picking the cheapest feasible frontier point per leaf
-    for sg in sgs:
-        depths = sg.leaf_depths
-        targets = sorted({m.height + d for lf, d in zip(leaf_fronts, depths)
-                          for m in lf})
-        for target in targets:
-            choice = []
-            for lf, d in zip(leaf_fronts, depths):
-                feas = [m for m in lf if m.height + d <= target]
-                if not feas:
-                    break
-                choice.append(min(feas, key=lambda m: (
-                    m.dffs + (target - d - m.height), -m.height)))
-            else:
-                base = tuple(m.height for m in choice)
-                _emit(out, cap, choice, cut.leaves,
-                      [(height, sg_dffs, sg, perm) for perm, height, sg_dffs
-                       in table.profiles(sg, cut.func, base)])
+    nvars = len(cut.leaves)
+    for choice in itertools.product(*leaf_fronts):
+        base = tuple(m.height for m in choice)
+        _emit(out, cap, choice, cut.leaves,
+              table.options(cut.func, nvars, phase, base))
 
 
 def _greedy(table: MatchTable, cut, phase: str, sgs: list[Supergate],
@@ -185,17 +160,19 @@ def _greedy(table: MatchTable, cut, phase: str, sgs: list[Supergate],
     base = tuple(m.height for m in choice)
     leaf_area = sum(m.area for m in choice)
     leaf_jj = sum(m.jj for m in choice)
+    perms = table.wirings(cut.func, base)
     for sg in sgs:
-        entries = table.profiles(sg, cut.func, base)
-        height = min(e[1] for e in entries)
+        depths = sg.leaf_depths
+        # the wirings give distinct height tuples, so perm never breaks a tie
+        height, heights, perm = min(
+            (max(base[p] + d for p, d in zip(perm, depths)),
+             tuple(base[p] for p in perm), perm) for perm in perms)
         alt = (sg.area + leaf_area, sg.jj_count + leaf_jj, sg.name)
         if out and (out[0][0], out[0][2]) <= (height, alt):
             continue
-        perm, _, sg_dffs = min(
-            (e for e in entries if e[1] == height),
-            key=lambda e: tuple(base[p] for p in e[0]))
-        out[:] = [(height, sum(m.dffs for m in choice) + sg_dffs, alt, sg,
-                   perm, choice, cut.leaves)]
+        out[:] = [(height, sum(m.dffs for m in choice)
+                   + retimed_match_dffs(sg, heights), alt, sg, perm, choice,
+                   cut.leaves)]
 
 
 def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],

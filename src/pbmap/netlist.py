@@ -330,11 +330,8 @@ def _parse_blif(text: str) -> SubjectGraph:
     if not saw_model and not inputs and not outputs:
         raise NetlistError("not a BLIF file (no .model/.inputs/.outputs)")
 
-    lits: dict[str, tuple[int, bool]] = {}
-    for name in inputs:
-        if name in lits:
-            raise NetlistError(f"duplicate input '{name}'")
-        lits[name] = (g.add_pi(name), False)
+    # a repeated input name is rejected by parse_netlist
+    lits = {name: (g.add_pi(name), False) for name in inputs}
 
     # defer records until all their inputs are defined
     pending = [("names", r) for r in names_records] + [("gate", r) for r in gate_records]
@@ -449,11 +446,16 @@ def _aag_literals(lines: list[str], idx: int, what: str) -> list[int]:
     parts = lines[idx].split()
     if not parts:
         raise NetlistError(f"blank {what} line", idx + 1)
-    try:
-        return [int(x) for x in parts]
-    except ValueError:
-        raise NetlistError(f"non-numeric literal in {what} line",
-                           idx + 1) from None
+    if not all(_is_unsigned(x) for x in parts):
+        raise NetlistError(f"literal in {what} line is not an unsigned "
+                           "integer", idx + 1)
+    return [int(x) for x in parts]
+
+
+def _is_unsigned(word: str) -> bool:
+    """Whether ``word`` is all ASCII digits; ``int`` also takes a sign, an
+    underscore, surrounding space and non-ASCII digits."""
+    return word.isascii() and word.isdigit()
 
 
 def _parse_aag(text: str) -> SubjectGraph:
@@ -461,12 +463,9 @@ def _parse_aag(text: str) -> SubjectGraph:
     if not lines or not lines[0].startswith("aag"):
         raise NetlistError("not an ascii AIGER file", 1)
     hdr = lines[0].split()
-    if len(hdr) < 6:
+    if len(hdr) < 6 or not all(_is_unsigned(x) for x in hdr[1:6]):
         raise NetlistError("malformed aag header", 1)
-    try:
-        m, ni, nl, no, na = (int(x) for x in hdr[1:6])
-    except ValueError:
-        raise NetlistError("malformed aag header", 1)
+    m, ni, nl, no, na = (int(x) for x in hdr[1:6])
     if nl:
         raise NetlistError("sequential input (latches) is not supported", 1)
     g = SubjectGraph(name="aag")
@@ -536,10 +535,20 @@ def _parse_aag(text: str) -> SubjectGraph:
 
 def parse_netlist(text: str) -> SubjectGraph:
     """Parse ascii-AIGER source (text starting with ``aag``) or BLIF into a
-    subject graph."""
+    subject graph.  Its PI names are distinct, and so are its PO names: a
+    netlist written from it declares each as one port."""
     if text.lstrip().startswith("aag"):
-        return _parse_aag(text)
-    return _parse_blif(text)
+        g = _parse_aag(text)
+    else:
+        g = _parse_blif(text)
+    for kind, names in (("input", [g.pi_names[p] for p in g.pis]),
+                        ("output", g.po_names)):
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise NetlistError(f"duplicate {kind} name '{name}'")
+            seen.add(name)
+    return g
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,17 @@ def apply_cell(cell_tt: int, ins: list[int], mask: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _permuted_minterms(nvars: int) -> tuple:
+    """(perm, ys) per permutation of ``nvars`` inputs, in
+    ``itertools.permutations`` order: minterm ``ys[m]`` sets bit ``j`` to
+    bit ``perm[j]`` of minterm ``m``."""
+    return tuple(
+        (perm, tuple(sum(((m >> src) & 1) << j for j, src in enumerate(perm))
+                     for m in range(1 << nvars)))
+        for perm in itertools.permutations(range(nvars)))
+
+
+@functools.lru_cache(maxsize=None)
 def symmetry_perms(tt: int, nvars: int) -> tuple[tuple[int, ...], ...]:
     """Input permutations under which the function is invariant.
 
@@ -69,16 +80,6 @@ def symmetry_perms(tt: int, nvars: int) -> tuple[tuple[int, ...], ...]:
     reproduces the same function; these are exactly the valid alternative
     wirings of a gate that realizes ``tt``.  The identity is always included.
     """
-    perms = []
-    for perm in itertools.permutations(range(nvars)):
-        ok = True
-        for m in range(1 << nvars):
-            y = 0
-            for j, src in enumerate(perm):
-                y |= ((m >> src) & 1) << j
-            if ((tt >> y) & 1) != ((tt >> m) & 1):
-                ok = False
-                break
-        if ok:
-            perms.append(perm)
-    return tuple(perms)
+    bits = [(tt >> m) & 1 for m in range(1 << nvars)]
+    return tuple(perm for perm, ys in _permuted_minterms(nvars)
+                 if [bits[y] for y in ys] == bits)

@@ -99,7 +99,7 @@ def test_duplicate_cell_rejected():
 @pytest.mark.parametrize("expr", ["a|b", "a-b", "a @ b", "a&b"])
 def test_characters_outside_the_grammar_rejected(expr):
     # once dropped silently, which made each of these parse as a*b
-    with pytest.raises(LibraryError):
+    with pytest.raises(LibraryError, match="^cell 'g': "):
         parse_library(MINI + f"GATE g 1.0 o={expr};\n")
 
 

@@ -303,13 +303,7 @@ def reference_combine(sg, cut, leaf_fronts, out, cap):
     read."""
     depths = sg.leaf_depths
     perms = symmetry_perms(cut.func, len(cut.leaves))
-    size = 1
-    for lf in leaf_fronts:
-        size *= len(lf)
-        if size > mapmod.PRODUCT_LIMIT:
-            break
-
-    def emit(choice):
+    for choice in itertools.product(*leaf_fronts):
         base = tuple(m.height for m in choice)
         leaf_dffs = sum(m.dffs for m in choice)
         area = sg.area + sum(m.area for m in choice)
@@ -328,25 +322,6 @@ def reference_combine(sg, cut, leaf_fronts, out, cap):
                 leaves=tuple(cut.leaves[p] for p in perm),
             )
             reference_insert(out, cand, cap)
-
-    if size <= mapmod.PRODUCT_LIMIT:
-        for choice in itertools.product(*leaf_fronts):
-            emit(choice)
-        return
-    targets = sorted({m.height + d for lf, d in zip(leaf_fronts, depths)
-                      for m in lf})
-    for target in targets:
-        choice = []
-        ok = True
-        for lf, d in zip(leaf_fronts, depths):
-            feas = [m for m in lf if m.height + d <= target]
-            if not feas:
-                ok = False
-                break
-            choice.append(min(feas, key=lambda m: (
-                m.dffs + (target - d - m.height), -m.height)))
-        if ok:
-            emit(choice)
 
 
 def reference_map_dag(g, cutsets, table, cap=mapmod.FRONTIER_CAP):
@@ -429,24 +404,18 @@ EQUIV_CIRCUITS = [
 
 
 @pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])
-def test_profile_table_keeps_every_frontier(lib_name, table, clocked_table,
-                                            monkeypatch):
+def test_profile_table_keeps_every_frontier(lib_name, table, clocked_table):
     tbl = table if lib_name == "bundled" else clocked_table
     multi_point = 0
     complemented = 0
     for name, make in EQUIV_CIRCUITS:
         g = make()
         cutsets = prepared(g)
-        # a product limit of 1 sends every multi-leaf choice down the greedy
-        # target sweep, the DP's other caller of the frontier insert
-        for product_limit in (mapmod.PRODUCT_LIMIT, 1):
-            with monkeypatch.context() as mp:
-                mp.setattr(mapmod, "PRODUCT_LIMIT", product_limit)
-                got = _frontiers(map_dag(g, cutsets, tbl))
-                want = {key: [_point(m) for m in front] for key, front
-                        in reference_map_dag(g, cutsets, tbl).items()}
-            assert got == want, (name, product_limit)
-            multi_point += sum(len(f) > 1 for f in got.values())
+        got = _frontiers(map_dag(g, cutsets, tbl))
+        want = {key: [_point(m) for m in front] for key, front
+                in reference_map_dag(g, cutsets, tbl).items()}
+        assert got == want, name
+        multi_point += sum(len(f) > 1 for f in got.values())
 
         # the baseline's own choices; beside them it holds the DP's negative
         # phase of every complemented PO, checked above through map_dag
@@ -460,6 +429,39 @@ def test_profile_table_keeps_every_frontier(lib_name, table, clocked_table,
     assert complemented > 0
     if lib_name == "clocked_inv":
         assert multi_point > 0
+
+
+# (library, function, leaf frontiers as (height, dffs), the cut's
+# frontier): leaf-choice products of 81 and 243.  (4, 5) and (5, 5) come
+# from leaf choices that taking each leaf's cheapest point for one root
+# arrival target never makes
+WIDE_PRODUCTS = [
+    ("bundled", 0xeaaa,
+     [[(3, 0), (2, 1), (0, 3)], [(3, 0), (2, 1), (1, 2)],
+      [(3, 0), (2, 1), (0, 3)], [(3, 0), (1, 2), (0, 3)]],
+     [(5, 3), (4, 5), (3, 9)]),
+    ("clocked_inv", 0xddddddd2,
+     [[(2, 1), (1, 2), (0, 3)], [(3, 0), (2, 1), (1, 2)]] * 2
+     + [[(2, 1), (1, 2), (0, 3)]],
+     [(5, 5), (4, 8)]),
+]
+
+
+@pytest.mark.parametrize("lib_name, func, fronts, want", WIDE_PRODUCTS,
+                         ids=[case[0] for case in WIDE_PRODUCTS])
+def test_combine_enumerates_every_leaf_choice(lib_name, func, fronts, want,
+                                              table, clocked_table):
+    tbl = table if lib_name == "bundled" else clocked_table
+    leaves = tuple(range(1, len(fronts) + 1))
+    cut = SimpleNamespace(leaves=leaves, func=func)
+    sgs = tbl.lookup(func, len(leaves), POS)
+    assert sgs
+    leaf_fronts = [[Match(None, h, d, 0.0, 0) for h, d in front]
+                   for front in fronts]
+    out = []
+    mapmod._combine(tbl, cut, POS, sgs, leaf_fronts, out,
+                    mapmod.FRONTIER_CAP)
+    assert [(p[0], p[1]) for p in out] == want
 
 
 # ----------------------------------------------------------------------
@@ -476,15 +478,15 @@ def test_deep_alternating_chain_maps(lib, table):
     assert any(i.cell.kind != "splitter" for i in res.before.instances)
 
 
-def test_profile_cache_is_freed_with_its_table(lib):
-    # the wiring caches: the DP's options, the baseline's profiles and
-    # the wirings both are built from
+def test_wiring_caches_are_freed_with_their_table(lib):
+    # the wiring caches: the DP's options and the wirings they are built
+    # from, which the baseline reads too
     tbl = prepare_match_table(lib, k=5, max_depth=2)
     g = bench.ksa4()
     cutsets = enumerate_cuts(g, k=5)
     sols = map_dag(g, cutsets, tbl)
     map_depth_greedy(g, cutsets, tbl)
-    assert tbl.option_cache and tbl.profile_cache and tbl.wiring_cache
+    assert tbl.option_cache and tbl.wiring_cache
     # a supergate the DP matched, so one the wiring caches were asked about
     ref = weakref.ref(next(m.supergate for sol in sols.values()
                            for m in sol.frontier if m.supergate))

@@ -142,6 +142,12 @@ BAD_AAG = [
     pytest.param(GOOD_AAG.replace("6 2 4\n", "6 2 4\n6 2 4\n"), 6,
                  id="extra-and-line"),
     pytest.param(GOOD_AAG + "x1 q\n", 9, id="stray-symbol-line"),
+    # int() takes a sign, and digits of any script
+    pytest.param("aag 1 1 0 1 0\n-2\n-2\n", 2, id="signed-input"),
+    pytest.param(GOOD_AAG.replace("\n6\n", "\n+6\n"), 4, id="signed-output"),
+    pytest.param(GOOD_AAG.replace("6 2 4", "6 2 \u0664"), 5,
+                 id="non-ascii-digit-and"),
+    pytest.param(GOOD_AAG.replace("aag 3", "aag +3"), 1, id="signed-header"),
 ]
 
 
@@ -154,6 +160,24 @@ def test_aag_symbol_table_names():
 def test_aag_comment_section_is_skipped():
     g = parse_netlist(GOOD_AAG + "c\n6 2 4\nfree text\n")
     assert g.po_names == ["f"] and len(g.nodes) == 1
+
+
+@pytest.mark.parametrize("text,kind,name", [
+    (".model x\n.inputs a b\n.outputs f f\n.names a b f\n11 1\n.end\n",
+     "output", "f"),
+    (".model x\n.inputs x x\n.outputs f\n.names x f\n1 1\n.end\n",
+     "input", "x"),
+    (GOOD_AAG.replace("\n6 2 4\n", "\n6\n6 2 4\n")
+     .replace("aag 3 2 0 1 1", "aag 3 2 0 2 1") + "o1 f\n", "output", "f"),
+    (GOOD_AAG.replace("i1 b", "i1 a"), "input", "a"),
+    # input 0 has no symbol, so it takes the default name i0
+    (GOOD_AAG.replace("i0 a\ni1 b", "i1 i0"), "input", "i0"),
+], ids=["blif-outputs", "blif-inputs", "aag-outputs", "aag-inputs",
+        "aag-default-name"])
+def test_repeated_port_name_rejected(text, kind, name):
+    # a netlist written from the graph would declare the port twice
+    with pytest.raises(NetlistError, match=f"duplicate {kind} name '{name}'"):
+        parse_netlist(text)
 
 
 @pytest.mark.parametrize("text,line", BAD_AAG)

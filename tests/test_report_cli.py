@@ -167,6 +167,27 @@ def test_cli_aag_undefined_literal_exit_code(tmp_path):
     assert "line 5: undefined literal 8" in result.output
 
 
+def test_cli_duplicate_output_name_exit_code(tmp_path):
+    # once mapped to a netlist in which two cells write net f
+    bad = tmp_path / "dup.blif"
+    bad.write_text(".model x\n.inputs a b\n.outputs f f\n"
+                   ".names a b f\n11 1\n.end\n")
+    result = CliRunner().invoke(main, ["map", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "duplicate output name 'f'" in result.output
+
+
+def test_cli_library_expression_error_names_its_cell(tmp_path):
+    badlib = tmp_path / "bad.genlib"
+    badlib.write_text((DATA / "sfq.genlib").read_text()
+                      + "GATE or2x 0.005 o=a|b;\n")
+    result = CliRunner().invoke(main, ["map", "--lib", str(badlib), str(KSA4)])
+    assert result.exit_code == 3, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "cell 'or2x': trailing tokens in expression: |" in result.output
+
+
 def test_cli_emit_deep_blif_chain(tmp_path):
     src = tmp_path / "deep.blif"
     src.write_text(and_chain_blif(5000))
