@@ -9,10 +9,12 @@ each; splitters are asynchronous and contribute none.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .library import Cell, CellLibrary
+from .netlist import _free_name, _free_names
 from .truthtable import apply_cell
 
 
@@ -435,12 +437,17 @@ class MappedNetwork:
 
     def _verilog_parts(self, io: set[str], names: list[str]):
         """The Verilog text, one string per record; the ``wire`` declaration
-        of every DFF net is joined a slice of the DFF range at a time."""
-        outs = self._po_ports()
+        of every DFF net is joined a slice of the DFF range at a time.  The
+        model, PI and PO names are written by ``_verilog_id``."""
+        pis = [_verilog_id(name) for name in self.pi_names]
+        outs = [_verilog_id(name) for name in self._po_ports()]
+        names = names.copy()
+        for name, sig in zip(pis, self.pi_sigs):
+            names[sig] = name
         clk = _free_name("clk", io)
-        ports = self.pi_names + outs + [clk]
-        yield (f"module {self.name} ({', '.join(ports)});\n"
-               f"  input {', '.join(self.pi_names + [clk])};\n")
+        ports = pis + outs + [clk]
+        yield (f"module {_verilog_id(self.name)} ({', '.join(ports)});\n"
+               f"  input {', '.join(pis + [clk])};\n")
         if outs:
             yield f"  output {', '.join(outs)};\n"
         wires = sorted(names[s] for s in self.driver
@@ -457,7 +464,7 @@ class MappedNetwork:
         gate = {}  # cell name -> %-template of its line over label and nets
         for kind, a, b in self._records(io, names):
             if kind is PO:  # its name and the net it reads
-                yield f"  assign {a} = {b};\n"
+                yield f"  assign {_verilog_id(a)} = {b};\n"
                 continue
             cell = self.dff_cell if kind is DFFS else a.cell
             fmt = gate.get(cell.name)
@@ -473,7 +480,7 @@ class MappedNetwork:
                 qs = _dff_nets(b, io)
                 labels = _free_names([f"u_{q}" for q in qs], io)
                 yield _rows(fmt, labels, [a, *qs[:-1]], qs)
-        yield "".join(f"  assign {name} = 1'b{int(value)};\n"
+        yield "".join(f"  assign {_verilog_id(name)} = 1'b{int(value)};\n"
                       for name, value in self.const_pos) + "endmodule\n"
 
 
@@ -513,23 +520,32 @@ def _dff_nets(dffs: range, io: set[str]) -> list[str]:
     return _free_names([f"pbd{i}" for i in dffs], io)
 
 
-def _free_name(name: str, io: set[str]) -> str:
-    """A generated net name or instance label, or if a PI or PO already has
-    it, the first ``<name>_<k>`` no PI or PO has.  Generated net names hold
-    no ``_`` of their own, so a suffixed one meets no other generated name;
-    labels (``u<idx>``, ``u_<dff net>``) start with ``u``, the Verilog clock
-    port ``clk`` with ``c``, and no generated net does."""
-    if name not in io:
+_VERILOG_PLAIN = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+# the reserved words of IEEE 1364-2005
+_VERILOG_KEYWORDS = frozenset("""
+    always and assign automatic begin buf bufif0 bufif1 case casex casez cell
+    cmos config deassign default defparam design disable edge else end
+    endcase endconfig endfunction endgenerate endmodule endprimitive
+    endspecify endtable endtask event for force forever fork function
+    generate genvar highz0 highz1 if ifnone incdir include initial inout
+    input instance integer join large liblist library localparam
+    macromodule medium module nand negedge nmos nor noshowcancelled not
+    notif0 notif1 or output parameter pmos posedge primitive pull0 pull1
+    pulldown pullup pulsestyle_ondetect pulsestyle_onevent rcmos real
+    realtime reg release repeat rnmos rpmos rtran rtranif0 rtranif1
+    scalared showcancelled signed small specify specparam strong0 strong1
+    supply0 supply1 table task time tran tranif0 tranif1 tri tri0 tri1
+    triand trior trireg unsigned use uwire vectored wait wand weak0 weak1
+    while wire wor xnor xor""".split())
+
+
+def _verilog_id(name: str) -> str:
+    """``name`` as a Verilog identifier: itself if it is a simple
+    identifier and no reserved word, else escaped (``\\a[0] ``, ended by a
+    space)."""
+    if _VERILOG_PLAIN.fullmatch(name) and name not in _VERILOG_KEYWORDS:
         return name
-    k = 1
-    while f"{name}_{k}" in io:
-        k += 1
-    return f"{name}_{k}"
-
-
-def _free_names(names: list[str], io: set[str]) -> list[str]:
-    """``_free_name`` of every name; ``names`` itself when none collides."""
-    return names if io.isdisjoint(names) else [_free_name(n, io) for n in names]
+    return f"\\{name} "
 
 
 def _ports(cell: Cell) -> tuple[str, ...]:

@@ -70,7 +70,10 @@ class CellLibrary:
 
 
 class _ExprParser:
-    """Recursive descent over genlib boolean expressions."""
+    """Recursive descent over genlib boolean expressions.  Each rule returns
+    the truth table of what it parsed over ``MAX_VARS`` variables, numbered
+    by first use in ``vars``; a variable past ``MAX_VARS`` reads as 0, so a
+    syntax error is found before the caller counts the inputs."""
 
     def __init__(self, text: str):
         # any other character is a token of its own, which no rule accepts
@@ -87,78 +90,59 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def parse(self):
-        node = self.expr_or()
+    def parse(self) -> int:
+        tt = self.expr_or()
         if self.peek() is not None:
             raise LibraryError(f"trailing tokens in expression: {self.peek()}")
-        return node
+        return tt
 
-    def expr_or(self):
-        node = self.expr_xor()
+    def expr_or(self) -> int:
+        tt = self.expr_xor()
         while self.peek() == "+":
             self.take()
-            node = ("or", node, self.expr_xor())
-        return node
+            tt |= self.expr_xor()
+        return tt
 
-    def expr_xor(self):
-        node = self.expr_and()
+    def expr_xor(self) -> int:
+        tt = self.expr_and()
         while self.peek() == "^":
             self.take()
-            node = ("xor", node, self.expr_and())
-        return node
+            tt ^= self.expr_and()
+        return tt
 
-    def expr_and(self):
-        node = self.expr_unary()
+    def expr_and(self) -> int:
+        tt = self.expr_unary()
         while True:
             tok = self.peek()
             if tok == "*":
                 self.take()
-                node = ("and", node, self.expr_unary())
+                tt &= self.expr_unary()
             elif tok is not None and (tok == "(" or tok == "!" or tok.isidentifier() or tok in "01"):
-                node = ("and", node, self.expr_unary())  # juxtaposition
+                tt &= self.expr_unary()  # juxtaposition
             else:
-                return node
+                return tt
 
-    def expr_unary(self):
+    def expr_unary(self) -> int:
         tok = self.take()
         if tok == "!":
-            node = ("not", self.expr_unary())
+            tt = tt_not(self.expr_unary(), MAX_VARS)
         elif tok == "(":
-            node = self.expr_or()
+            tt = self.expr_or()
             if self.take() != ")":
                 raise LibraryError("unbalanced parentheses in expression")
         elif tok in ("0", "1"):
-            node = ("const", int(tok))
+            tt = table_mask(MAX_VARS) if tok == "1" else 0
         elif tok is not None and tok.isidentifier():
             if tok not in self.vars:
                 self.vars.append(tok)
-            node = ("var", tok)
+            i = self.vars.index(tok)
+            tt = var_table(i, MAX_VARS) if i < MAX_VARS else 0
         else:
             raise LibraryError(f"unexpected token '{tok}' in expression")
         while self.peek() == "'":
             self.take()
-            node = ("not", node)
-        return node
-
-
-def _eval_expr(node, var_index, nvars):
-    mask = table_mask(nvars)
-    op = node[0]
-    if op == "var":
-        return var_table(var_index[node[1]], nvars)
-    if op == "const":
-        return mask if node[1] else 0
-    if op == "not":
-        return tt_not(_eval_expr(node[1], var_index, nvars), nvars)
-    a = _eval_expr(node[1], var_index, nvars)
-    b = _eval_expr(node[2], var_index, nvars)
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    raise LibraryError(f"bad expression node {op}")
+            tt = tt_not(tt, MAX_VARS)
+        return tt
 
 
 # ----------------------------------------------------------------------
@@ -207,16 +191,15 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
                                f"{m.group('area')!r}") from None
         parser = _ExprParser(m.group("expr"))
         try:
-            tree = parser.parse()
+            tt = parser.parse()
         except LibraryError as err:
             raise LibraryError(f"cell '{cname}': {err}") from None
-        pins = list(parser.vars)
+        pins = parser.vars
         nvars = len(pins)
         if nvars > MAX_VARS:
             raise LibraryError(f"cell '{cname}' has {nvars} inputs; at most "
                                f"{MAX_VARS} are supported")
-        var_index = {v: i for i, v in enumerate(pins)}
-        func = _eval_expr(tree, var_index, nvars) if nvars else None
+        func = tt & table_mask(nvars) if nvars else None
 
         kind = "logic"
         lname = cname.lower()
@@ -305,8 +288,11 @@ def _compose(root: Cell, children: tuple) -> Supergate:
     Its ``groups`` and ``internal_dffs`` come from its children's: with all
     leaves at height 0, each child pads from its own arrival (``bump`` for a
     leaf, ``depth + bump`` for a supergate) up to the root's depth."""
+    n = sum(1 if ch is None else ch.n_inputs for ch in children)
+    mask = table_mask(n)
     leaf_depths: list[int] = []
     child_objs = []
+    child_tts = []
     groups = []
     internal = 0
     child_arrivals = []
@@ -317,11 +303,15 @@ def _compose(root: Cell, children: tuple) -> Supergate:
     for ch in children:
         if ch is None:
             child_objs.append(offset)
+            child_tts.append(var_table(offset, n))
             leaf_depths.append(bump)
             child_arrivals.append(bump)
             offset += 1
         else:
             child_objs.append(ch)
+            child_tts.append(apply_cell(
+                ch.func, [var_table(offset + i, n) for i in range(ch.n_inputs)],
+                mask))
             leaf_depths.extend(d + bump for d in ch.leaf_depths)
             groups.extend((w, tuple(p + offset for p in pos))
                           for w, pos in ch.groups)
@@ -330,22 +320,9 @@ def _compose(root: Cell, children: tuple) -> Supergate:
             area += ch.area
             jj += ch.jj_count
             offset += ch.n_inputs
-    n = offset
     depth = max(leaf_depths)
     if len(children) > 1:
         groups.append((len(children) - 1, tuple(range(n))))
-    mask = table_mask(n)
-    child_tts = []
-    pos = 0
-    for ch in children:
-        if ch is None:
-            child_tts.append(var_table(pos, n))
-            pos += 1
-        else:
-            child_tts.append(apply_cell(
-                ch.func, [var_table(pos + i, n) for i in range(ch.n_inputs)],
-                mask))
-            pos += ch.n_inputs
     func = apply_cell(root.func, child_tts, mask)
     return Supergate(
         root_cell=root,
@@ -519,11 +496,7 @@ class MatchTable:
         self.wiring_cache: dict[tuple, tuple] = {}
         self.option_cache: dict[tuple, tuple] = {}
 
-    def lookup(self, func: int, nvars: int, phase: str = "positive") -> list[Supergate]:
-        if phase == "negative":
-            func = tt_not(func, nvars)
-        elif phase != "positive":
-            raise ValueError(f"unknown phase '{phase}'")
+    def lookup(self, func: int, nvars: int) -> list[Supergate]:
         return self.table.get((nvars, func), [])
 
     def wirings(self, func: int, base: tuple[int, ...]) -> tuple:
@@ -547,19 +520,18 @@ class MatchTable:
             perms = self.wiring_cache[key] = tuple(perms)
         return perms
 
-    def options(self, func: int, nvars: int, phase: str,
-                base: tuple[int, ...]) -> tuple:
-        """Every (height, sg_dffs, supergate, perm) that matches a cut of
-        ``func`` over ``nvars`` leaves arriving at ``base`` in ``phase``:
-        the supergates in ``lookup`` order, each wired onto the leaves by
-        every perm of ``wirings(func, base)`` in order (leaf ``perm[i]`` to
-        input i), pruned by ``_prune_options``.  Cached per table."""
-        key = (func, nvars, phase, base)
+    def options(self, func: int, base: tuple[int, ...]) -> tuple:
+        """Every (height, sg_dffs, supergate, perm) that realizes ``func``
+        over leaves arriving at ``base``: the supergates in ``lookup`` order,
+        each wired onto the leaves by every perm of ``wirings(func, base)``
+        in order (leaf ``perm[i]`` to input i), pruned by
+        ``_prune_options``.  Cached per table."""
+        key = (func, base)
         opts = self.option_cache.get(key)
         if opts is None:
             perms = self.wirings(func, base)
             entries = []
-            for sg in self.lookup(func, nvars, phase):
+            for sg in self.lookup(func, len(base)):
                 for perm in perms:
                     heights = tuple(base[p] for p in perm)
                     entries.append((

@@ -11,8 +11,9 @@ and that point is the node's choice (``NodeSolution.best``).  Multi-fanout
 nodes are hard cover boundaries: their frontier collapses to that point so
 all consumers share one implementation.
 
-Leaf-to-input wirings come from the match table.  For the DP,
-``MatchTable.options`` holds, per (cut function, phase, leaf heights), every
+Leaf-to-input wirings come from the match table, which a node's negative
+phase reads with the complement of its cut function.  For the DP,
+``MatchTable.options`` holds, per (function, leaf heights), every
 (supergate, wiring) pair with its root height and retimed DFF count, less
 those that no leaf cost can bring onto a frontier; the DP reads that table
 for every combination of its leaves' frontier points, however many there
@@ -33,6 +34,7 @@ from .cuts import CutSet
 from .library import MatchTable, Supergate, dominates
 from .netlist import CONST0, SubjectGraph
 from .retime import retimed_match_dffs
+from .truthtable import tt_not
 
 POS = "positive"
 NEG = "negative"
@@ -54,12 +56,10 @@ class Match:
     dffs: int
     area: float
     jj: int
-    leaf_heights: tuple[int, ...] = ()
-    leaves: tuple[int, ...] = ()  # cut leaves in supergate input-slot order
-
-    @property
-    def is_wire(self) -> bool:
-        return self.supergate is None
+    # the leaves' frontier points and the cut leaves, in supergate
+    # input-slot order
+    inputs: tuple[Match, ...] = ()
+    leaves: tuple[int, ...] = ()
 
 
 @dataclass
@@ -75,13 +75,6 @@ class NodeSolution:
     def best(self) -> Match:
         """The node's choice: the frontier's first point."""
         return self.frontier[0]
-
-    def point_at(self, height: int) -> Match:
-        for m in self.frontier:
-            if m.height == height:
-                return m
-        raise MappingError(
-            f"no frontier point of node {self.node} at height {height}")
 
 
 # A candidate point is a tuple (height, dffs, alt, supergate, perm, choice,
@@ -129,29 +122,29 @@ def _match(point) -> Match:
     """The Match of a candidate point a node's frontier kept."""
     height, dffs, (area, jj, _), sg, perm, choice, leaves = point
     return Match(sg, height, dffs, area, jj,
-                 tuple(choice[p].height for p in perm),
+                 tuple(choice[p] for p in perm),
                  tuple(leaves[p] for p in perm))
 
 
-def _combine(table: MatchTable, cut, phase: str, sgs: list[Supergate],
-             leaf_fronts: list[list[Match]], out: list[tuple], cap: int):
-    """The DP's rule: Pareto candidates for one cut over its leaf frontier
-    choices.
+def _combine(table: MatchTable, func: int, leaves: tuple[int, ...],
+             sgs: list[Supergate], leaf_fronts: list[list[Match]],
+             out: list[tuple], cap: int):
+    """The DP's rule: Pareto candidates for one cut of ``func`` over its
+    ``leaves``, one per leaf frontier choice.
 
     Each candidate also chooses a leaf-to-input wiring: any permutation that
     fixes the cut function is a legal binding, and skew-sensitive costs make
     the choice matter, so every distinct permuted height profile is a
     candidate (``MatchTable.options``).
     """
-    nvars = len(cut.leaves)
     for choice in itertools.product(*leaf_fronts):
-        base = tuple(m.height for m in choice)
-        _emit(out, cap, choice, cut.leaves,
-              table.options(cut.func, nvars, phase, base))
+        _emit(out, cap, choice, leaves,
+              table.options(func, tuple(m.height for m in choice)))
 
 
-def _greedy(table: MatchTable, cut, phase: str, sgs: list[Supergate],
-            leaf_fronts: list[list[Match]], out: list[tuple], cap: int):
+def _greedy(table: MatchTable, func: int, leaves: tuple[int, ...],
+            sgs: list[Supergate], leaf_fronts: list[list[Match]],
+            out: list[tuple], cap: int):
     """The depth-greedy rule: ``out`` holds the one point least by (height,
     alt), the first on a tie, ignoring DFF cost, over each leaf's first
     point.  A supergate's wiring is chosen by arrival height alone, ties
@@ -160,7 +153,7 @@ def _greedy(table: MatchTable, cut, phase: str, sgs: list[Supergate],
     base = tuple(m.height for m in choice)
     leaf_area = sum(m.area for m in choice)
     leaf_jj = sum(m.jj for m in choice)
-    perms = table.wirings(cut.func, base)
+    perms = table.wirings(func, base)
     for sg in sgs:
         depths = sg.leaf_depths
         # the wirings give distinct height tuples, so perm never breaks a tie
@@ -172,7 +165,7 @@ def _greedy(table: MatchTable, cut, phase: str, sgs: list[Supergate],
             continue
         out[:] = [(height, sum(m.dffs for m in choice)
                    + retimed_match_dffs(sg, heights), alt, sg, perm, choice,
-                   cut.leaves)]
+                   leaves)]
 
 
 def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
@@ -181,12 +174,14 @@ def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
     points: list[tuple] = []
     cuts = hits = 0
     for cut in cutsets[nid].cuts:
-        sgs = table.lookup(cut.func, len(cut.leaves), phase)
+        n = len(cut.leaves)
+        func = cut.func if phase == POS else tt_not(cut.func, n)
+        sgs = table.lookup(func, n)
         if not cut.is_trivial_for(nid):
             cuts += 1
             hits += bool(sgs)
         if sgs:
-            rule(table, cut, phase, sgs,
+            rule(table, func, cut.leaves, sgs,
                  [solutions[(leaf, POS)].frontier for leaf in cut.leaves],
                  points, frontier_cap)
     if not points:
@@ -262,29 +257,25 @@ def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
     for pid in g.pis:
         pi_sig[pid] = net.add_pi(g.pi_names[pid])
 
-    sig_of: dict[tuple[int, str, int | None], int] = {}
+    sig_of: dict[tuple[int, str, int], int] = {}
 
-    def visit(nid: int, phase: str, height: int | None):
-        """``(sig, None)`` for a PI or an emitted match, else ``(None,
-        (key, match))`` for a match whose cover is still to be built."""
+    def visit(nid: int, phase: str, match: Match):
+        """``(sig, None)`` for a PI's positive phase or an emitted match,
+        else ``(None, (key, match))`` for a match whose cover is still to
+        be built."""
         if g.is_pi(nid) and phase == POS:
             return pi_sig[nid], None
-        sol = solutions[(nid, phase)]
-        match = sol.best if height is None else sol.point_at(height)
         key = (nid, phase, match.height)
         if key in sig_of:
             return sig_of[key], None
-        if match.is_wire:
-            sig_of[key] = pi_sig[nid]
-            return pi_sig[nid], None
         return None, (key, match)
 
-    def demand(nid: int, phase: str, height: int | None) -> int:
+    def demand(nid: int, phase: str) -> int:
         """Build the cover of one node bottom-up with an explicit stack: a
         match's leaves are visited in order, each completed before the next,
         and its supergate is instantiated after them, so the netlist order is
         that of a depth-first walk at any depth."""
-        sig, todo = visit(nid, phase, height)
+        sig, todo = visit(nid, phase, solutions[(nid, phase)].best)
         if todo is None:
             return sig
         stack = [(*todo, [])]  # (key, match, leaf signals so far)
@@ -292,7 +283,7 @@ def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
             key, match, leaf_sigs = stack[-1]
             i = len(leaf_sigs)
             if i < len(match.leaves):
-                sig, todo = visit(match.leaves[i], POS, match.leaf_heights[i])
+                sig, todo = visit(match.leaves[i], POS, match.inputs[i])
                 if todo is None:
                     leaf_sigs.append(sig)
                 else:
@@ -308,7 +299,7 @@ def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
         if p == CONST0:
             net.add_const_po(name, bool(c))
             continue
-        sig = demand(p, NEG if c else POS, None)
+        sig = demand(p, NEG if c else POS)
         net.add_po(sig, name)
     return net
 

@@ -535,19 +535,28 @@ def _parse_aag(text: str) -> SubjectGraph:
 
 def parse_netlist(text: str) -> SubjectGraph:
     """Parse ascii-AIGER source (text starting with ``aag``) or BLIF into a
-    subject graph.  Its PI names are distinct, and so are its PO names: a
-    netlist written from it declares each as one port."""
+    subject graph.  Its PI names are distinct, and so are its PO names, and
+    none holds whitespace: a netlist written from it declares each as one
+    port.  A PO named like a PI is that PI, uncomplemented, so a netlist
+    written from it gives the net one driver."""
     if text.lstrip().startswith("aag"):
         g = _parse_aag(text)
     else:
         g = _parse_blif(text)
-    for kind, names in (("input", [g.pi_names[p] for p in g.pis]),
-                        ("output", g.po_names)):
+    pi_names = [g.pi_names[p] for p in g.pis]
+    for kind, names in (("input", pi_names), ("output", g.po_names)):
         seen = set()
         for name in names:
             if name in seen:
                 raise NetlistError(f"duplicate {kind} name '{name}'")
+            if any(ch.isspace() for ch in name):
+                raise NetlistError(f"{kind} name {name!r} holds whitespace")
             seen.add(name)
+    pis = dict(zip(pi_names, g.pis))
+    for name, lit in zip(g.po_names, g.pos):
+        if name in pis and lit != (pis[name], False):
+            raise NetlistError(f"output '{name}' is named like an input "
+                               "but is not that input")
     return g
 
 
@@ -556,33 +565,53 @@ def parse_netlist(text: str) -> SubjectGraph:
 # ----------------------------------------------------------------------
 
 
-def _net_name(g: SubjectGraph, nid: int) -> str:
-    if nid == CONST0:
-        return "const0"
-    if g.is_pi(nid):
-        return g.pi_names[nid]
-    return f"n{nid}"
+def _free_name(name: str, io: set[str]) -> str:
+    """A generated net name or instance label, or if a PI or PO already has
+    it, the first ``<name>_<k>`` no PI or PO has.  Both writers name nets by
+    this rule.  Generated net names (``n<id>``, ``const0``, ``pbd<i>``)
+    hold no ``_`` of their own, so a suffixed one meets no other generated
+    name; labels (``u<idx>``, ``u_<dff net>``) and the Verilog clock port
+    ``clk`` start unlike any generated net."""
+    if name not in io:
+        return name
+    k = 1
+    while f"{name}_{k}" in io:
+        k += 1
+    return f"{name}_{k}"
+
+
+def _free_names(names: list[str], io: set[str]) -> list[str]:
+    """``_free_name`` of every name; ``names`` itself when none collides."""
+    return names if io.isdisjoint(names) else [_free_name(n, io) for n in names]
 
 
 def write_blif(g: SubjectGraph) -> str:
+    """``g`` as BLIF.  A PI's net is its name, an AND node's ``n<id>`` and
+    the constant's ``const0``, each renamed by ``_free_name`` away from the
+    PI and PO names.  A PO that is its own PI, uncomplemented, reads the PI's
+    net and writes no ``.names``."""
+    io = set(g.pi_names.values()) | set(g.po_names)
+    order = g.topo_order()
+    net = dict(zip(order, _free_names([f"n{nid}" for nid in order], io)))
+    net.update(g.pi_names)
+    net[CONST0] = _free_name("const0", io)
     out = [f".model {g.name}"]
     out.append(".inputs " + " ".join(g.pi_names[p] for p in g.pis))
     out.append(".outputs " + " ".join(g.po_names))
     if g.has_const and any(p == CONST0 for p, _ in g.pos):
-        out.append(".names const0")  # empty body: constant 0
-    for nid in g.topo_order():
+        out.append(f".names {net[CONST0]}")  # empty body: constant 0
+    for nid in order:
         n = g.nodes[nid]
         a, b = n.fanin0, n.fanin1
-        out.append(f".names {_net_name(g, a[0])} {_net_name(g, b[0])} n{nid}")
+        out.append(f".names {net[a[0]]} {net[b[0]]} {net[nid]}")
         out.append(("0" if a[1] else "1") + ("0" if b[1] else "1") + " 1")
     for name, (p, c) in zip(g.po_names, g.pos):
-        src = _net_name(g, p)
         if p == CONST0:
             out.append(f".names {name}")
             if c:
                 out.append("1")
-        else:
-            out.append(f".names {src} {name}")
+        elif c or net[p] != name:
+            out.append(f".names {net[p]} {name}")
             out.append(("0 1") if c else ("1 1"))
     out.append(".end")
     return "\n".join(out) + "\n"

@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix
 log = logging.getLogger(__name__)
 
 
-def retimed_match_dffs(supergate, leaf_heights) -> int:
+def retimed_match_dffs(supergate, heights) -> int:
     """Minimum DFFs to balance a supergate whose leaves arrive at the given
     clocked heights, with registers placed anywhere inside the match.
 
@@ -30,9 +30,9 @@ def retimed_match_dffs(supergate, leaf_heights) -> int:
     Summed over the cells this telescopes to
     ``T - sum(a) + sum_v (c_v - 1) * M_v`` with ``T = max(a)``, over the
     cells with ``c_v >= 2`` children: ``supergate.groups``."""
-    if len(leaf_heights) != supergate.n_inputs:
+    if len(heights) != supergate.n_inputs:
         raise ValueError("leaf height count does not match supergate inputs")
-    arrivals = [h + d for h, d in zip(leaf_heights, supergate.leaf_depths)]
+    arrivals = [h + d for h, d in zip(heights, supergate.leaf_depths)]
     regs = max(arrivals) - sum(arrivals)
     for weight, positions in supergate.groups:
         regs += weight * max([arrivals[i] for i in positions])

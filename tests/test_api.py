@@ -22,10 +22,11 @@ DELETED = {
             "tree_height", "depth_gap_pad_lengths", "depth_gap_buffers"),
     truthtable: ("support", "tt_eval_packed"),
     balance.MappedNetwork: ("gate_count",),
-    mapper.NodeSolution: ("opt",),
+    mapper.NodeSolution: ("opt", "point_at"),
+    mapper.Match: ("leaf_heights", "is_wire"),
     cuts.Cut: ("signature",),
     netlist.SubjectGraph: ("compute_levels", "depth", "fanins"),
-    library: ("_PIN_RE",),
+    library: ("_PIN_RE", "_eval_expr"),
 }
 
 

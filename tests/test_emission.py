@@ -165,6 +165,31 @@ def test_writers_are_byte_exact_on_colliding_names(clash):
     assert clash.after.write_verilog() == VERILOG_AFTER
 
 
+# model, PI and PO names that are no simple Verilog identifier, or are a
+# reserved word, are written as escaped identifiers; the others as they are
+ODD_NAMES = (".model top.1\n.inputs a[0] b.1 wire\n.outputs f<0> g\n"
+             ".names a[0] b.1 f<0>\n11 1\n.names b.1 wire g\n11 1\n.end\n")
+VERILOG_ODD_NAMES = r"""module \top.1  (\a[0] , \b.1 , \wire , \f<0> , g, clk);
+  input \a[0] , \b.1 , \wire , clk;
+  output \f<0> , g;
+  wire n3, n4, n5, n6;
+  and2 u0 (.a(\a[0] ), .b(n5), .o(n3), .clk(clk));
+  and2 u1 (.a(n6), .b(\wire ), .o(n4), .clk(clk));
+  split u2 (.a(\b.1 ), .o(n5), .o2(n6));
+  assign \f<0>  = n3;
+  assign g = n4;
+endmodule
+"""
+
+
+def test_verilog_escapes_names_that_are_no_identifier(lib, table):
+    net = map_graph(parse_netlist(ODD_NAMES), lib, table).after
+    assert net.write_verilog() == VERILOG_ODD_NAMES
+    # BLIF takes any name without whitespace as it is
+    assert net.write_blif().startswith(
+        ".model top.1\n.inputs a[0] b.1 wire\n.outputs f<0> g\n")
+
+
 @pytest.fixture(scope="module")
 def rca64(lib, table):
     return map_graph(bench.ripple_adder(64), lib, table).after

@@ -1,15 +1,22 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pbmap import library
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
-from pbmap.library import (Cell, CellLibrary, LibraryError, MatchTable,
-                           _child_tuples, _eval_expr, _ExprParser,
+from pbmap.library import (Cell, CellLibrary, GenerationStats, LibraryError,
+                           MatchTable, _child_tuples, _ExprParser, _sort_key,
                            generate_supergates, hit_rate, parse_library)
 from pbmap.netlist import SubjectGraph, _and_op
-from pbmap.truthtable import apply_cell, table_mask, tt_eval, tt_not, var_table
+from pbmap.truthtable import (apply_cell, symmetry_perms, table_mask, tt_eval,
+                              tt_not, var_table)
 
 MINI = """
 GATE and2   2.0 o=a*b;   # JJ=6 CLOCKED=1
@@ -53,9 +60,8 @@ def expr_table(text: str) -> int:
     """The truth table of a genlib expression over its variables in order
     of first use, as ``parse_library`` builds a cell's."""
     parser = _ExprParser(text)
-    tree = parser.parse()
-    return _eval_expr(tree, {v: i for i, v in enumerate(parser.vars)},
-                      len(parser.vars))
+    tt = parser.parse()
+    return tt & table_mask(len(parser.vars))
 
 
 def test_expression_operators():
@@ -70,6 +76,75 @@ def test_expression_operators():
     for m in range(8):
         a, b, c = m & 1, (m >> 1) & 1, (m >> 2) & 1
         assert tt_eval(jux, m) == ((a & b) | (1 - c))
+
+
+# an expression tree: a variable or constant name, (op, operand) for a
+# prefix "!" or postfix "'", or (op, left, right) for "*", " "
+# (juxtaposition), "+" or "^"
+expr_trees = st.recursive(
+    st.sampled_from([*"abcdef", "0", "1"]),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["!", "'"]), kids),
+        st.tuples(st.sampled_from(["*", " ", "+", "^"]), kids, kids)),
+    max_leaves=12)
+
+
+def render(tree) -> str:
+    """``tree`` as genlib text, every operand in parentheses."""
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "!":
+        return f"!({render(tree[1])})"
+    if tree[0] == "'":
+        return f"({render(tree[1])})'"
+    return f"({render(tree[1])}){tree[0]}({render(tree[2])})"
+
+
+def tree_vars(tree, found: list) -> list:
+    """The variables of ``tree`` in order of first use, appended to
+    ``found``."""
+    if isinstance(tree, str):
+        if tree.isalpha() and tree not in found:
+            found.append(tree)
+    else:
+        for kid in tree[1:]:
+            tree_vars(kid, found)
+    return found
+
+
+def tree_value(tree, env: dict) -> int:
+    if isinstance(tree, str):
+        return env[tree] if tree.isalpha() else int(tree)
+    if tree[0] in "!'":
+        return 1 - tree_value(tree[1], env)
+    a, b = tree_value(tree[1], env), tree_value(tree[2], env)
+    return {"*": a & b, " ": a & b, "+": a | b, "^": a ^ b}[tree[0]]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(trees=st.lists(expr_trees, min_size=1, max_size=4))
+def test_cell_functions_match_minterm_evaluation(trees):
+    text = "".join(f"GATE g{i} 1.0 o={render(t)};\n"
+                   for i, t in enumerate(trees))
+    # cells of any width up to MAX_VARS, not only those SFQ mode maps onto
+    with mock.patch.object(library, "_validate_sfq", lambda lib: None):
+        cells = parse_library(text).cells
+    for tree, cell in zip(trees, cells):
+        names = tree_vars(tree, [])
+        assert cell.pin_names == tuple(names)
+        want = sum(tree_value(tree, {v: (m >> i) & 1
+                                     for i, v in enumerate(names)}) << m
+                   for m in range(1 << len(names)))
+        if not names or (len(names) == 1 and want == 0b10):
+            assert cell.func is None  # a constant, or a dff
+        else:
+            assert cell.func == want, render(tree)
+
+
+def test_syntax_error_reported_before_the_input_count():
+    # seven variables, so a variable past MAX_VARS is read before the error
+    with pytest.raises(LibraryError, match="trailing tokens in expression"):
+        parse_library(MINI + "GATE g 1.0 o=a*b*c*d*e*f*g);\n")
 
 
 def test_missing_inverter_rejected():
@@ -274,9 +349,9 @@ def test_supergate_cost_fields(table):
 
 
 def test_match_lists_sorted(table):
-    for lst in table.by_func.values() if hasattr(table, "by_func") else []:
-        keys = [(sg.internal_dffs, sg.depth, sg.area) for sg in lst]
-        assert keys == sorted(keys)
+    assert table.table
+    for lst in table.table.values():
+        assert lst == sorted(lst, key=_sort_key)
 
 
 def test_lookup_matches_linear_scan(table):
@@ -290,11 +365,35 @@ def test_lookup_matches_linear_scan(table):
 
 
 def test_negative_phase_lookup(table):
+    # a node's negative phase looks up the complement of its cut function,
+    # and is wired as that function is: f and !f are fixed by the same perms
     and2 = 0b1000
-    neg = table.lookup(and2, 2, phase="negative")
-    pos = table.lookup(tt_not(and2, 2), 2)
-    assert [s.name for s in neg] == [s.name for s in pos]
+    neg = table.lookup(tt_not(and2, 2), 2)
     assert neg  # NAND is reachable as inv(and2)
+    assert all(sg.func == 0b0111 for sg in neg)
+    for n, func in table.table:
+        assert symmetry_perms(func, n) == symmetry_perms(tt_not(func, n), n)
+
+
+# sha256 of every supergate's fields, in generation order, and of the
+# GenerationStats; a change to the supergate set shows up here first
+SUPERGATE_DIGESTS = {
+    "bundled":
+        "bac39ac4934b86643f8065db4a4d06ce3c321be8ac2ee78a4cc702d1e667b9b0",
+    "clocked_inv":
+        "4c5fa1bd1a6e1157a2ef0b45fa4847241d869e11c64234f592f6ac04cdaeba27",
+}
+
+
+@pytest.mark.parametrize("lib_name", SUPERGATE_DIGESTS)
+def test_supergates_are_pinned(lib_name, lib, clocked_lib):
+    stats = GenerationStats()
+    rows = [(sg.name, sg.n_inputs, sg.func, sg.area, sg.jj_count, sg.depth,
+             sg.leaf_depths, sg.groups, sg.internal_dffs, sg.struct_level)
+            for sg in generate_supergates(
+                lib if lib_name == "bundled" else clocked_lib, stats=stats)]
+    digest = repr((rows, dataclasses.astuple(stats))).encode()
+    assert hashlib.sha256(digest).hexdigest() == SUPERGATE_DIGESTS[lib_name]
 
 
 def test_boolean_match_single_minterm(table):

@@ -18,7 +18,7 @@ from pbmap.mapper import (Match, NodeSolution, _emit, _insert, extract_cover,
 from pbmap.netlist import (CONST0, SubjectGraph, _and_op, _neg, _or_op,
                            balanced_reduce, random_aig)
 from pbmap.retime import retimed_match_dffs
-from pbmap.truthtable import symmetry_perms
+from pbmap.truthtable import symmetry_perms, tt_not
 
 POS = "positive"
 NEG = "negative"
@@ -169,18 +169,21 @@ def test_multi_fanout_frontier_collapses(table):
 
 
 def test_match_cost_recomposes(table):
-    # chosen match cost = sum of leaf frontier costs + retimed supergate count
+    # chosen match cost = sum of leaf frontier costs + retimed supergate
+    # count, each input a point of its leaf's frontier
     g = bench.ripple_adder(3)
     cutsets = prepared(g)
     sols = map_dag(g, cutsets, table)
     for (nid, phase), sol in sols.items():
         m = sol.best
-        if m.is_wire:
+        if m.supergate is None:
             continue
-        leaf_dffs = 0
-        for leaf, h in zip(m.leaves, m.leaf_heights):
-            leaf_dffs += sols[(leaf, POS)].point_at(h).dffs
-        assert m.dffs == leaf_dffs + retimed_match_dffs(m.supergate, m.leaf_heights)
+        assert len(m.inputs) == len(m.leaves)
+        for leaf, point in zip(m.leaves, m.inputs):
+            assert any(point is f for f in sols[(leaf, POS)].frontier)
+        heights = tuple(point.height for point in m.inputs)
+        assert m.dffs == (sum(point.dffs for point in m.inputs)
+                          + retimed_match_dffs(m.supergate, heights))
 
 
 def test_extracted_cover_is_functionally_equivalent(table):
@@ -318,7 +321,7 @@ def reference_combine(sg, cut, leaf_fronts, out, cap):
             height = max(h + d for h, d in zip(heights, depths))
             cand = Match(
                 supergate=sg, height=height, dffs=dffs,
-                area=area, jj=jj, leaf_heights=heights,
+                area=area, jj=jj, inputs=tuple(choice[p] for p in perm),
                 leaves=tuple(cut.leaves[p] for p in perm),
             )
             reference_insert(out, cand, cap)
@@ -334,7 +337,9 @@ def reference_map_dag(g, cutsets, table, cap=mapmod.FRONTIER_CAP):
     def solve(nid, phase):
         front = []
         for cut in cutsets[nid].cuts:
-            for sg in table.lookup(cut.func, len(cut.leaves), phase):
+            n = len(cut.leaves)
+            func = cut.func if phase == POS else tt_not(cut.func, n)
+            for sg in table.lookup(func, n):
                 reference_combine(sg, cut, [sols[(leaf, POS)]
                                             for leaf in cut.leaves],
                                   front, cap)
@@ -360,7 +365,7 @@ def reference_depth_greedy(g, cutsets, table):
     for nid in g.topo_order():
         best = None
         for cut in cutsets[nid].cuts:
-            sgs = table.lookup(cut.func, len(cut.leaves), POS)
+            sgs = table.lookup(cut.func, len(cut.leaves))
             if not sgs:
                 continue
             leaf_ms = [solutions[(leaf, POS)].best for leaf in cut.leaves]
@@ -376,7 +381,8 @@ def reference_depth_greedy(g, cutsets, table):
                         + retimed_match_dffs(sg, heights))
                 cand = Match(sg, height, dffs,
                              sg.area + sum(m.area for m in leaf_ms),
-                             sg.jj_count + sum(m.jj for m in leaf_ms), heights,
+                             sg.jj_count + sum(m.jj for m in leaf_ms),
+                             tuple(leaf_ms[p] for p in perm),
                              tuple(cut.leaves[p] for p in perm))
                 key = (cand.height, cand.area, cand.jj, sg.name)
                 if best is None or key < (best.height, best.area, best.jj,
@@ -387,7 +393,8 @@ def reference_depth_greedy(g, cutsets, table):
 
 
 def _point(m):
-    return (m.height, m.dffs, m.area, m.jj, m.leaf_heights, m.leaves,
+    return (m.height, m.dffs, m.area, m.jj,
+            tuple(point.height for point in m.inputs), m.leaves,
             m.supergate.name if m.supergate else None)
 
 
@@ -453,13 +460,12 @@ def test_combine_enumerates_every_leaf_choice(lib_name, func, fronts, want,
                                               table, clocked_table):
     tbl = table if lib_name == "bundled" else clocked_table
     leaves = tuple(range(1, len(fronts) + 1))
-    cut = SimpleNamespace(leaves=leaves, func=func)
-    sgs = tbl.lookup(func, len(leaves), POS)
+    sgs = tbl.lookup(func, len(leaves))
     assert sgs
     leaf_fronts = [[Match(None, h, d, 0.0, 0) for h, d in front]
                    for front in fronts]
     out = []
-    mapmod._combine(tbl, cut, POS, sgs, leaf_fronts, out,
+    mapmod._combine(tbl, func, leaves, sgs, leaf_fronts, out,
                     mapmod.FRONTIER_CAP)
     assert [(p[0], p[1]) for p in out] == want
 

@@ -180,6 +180,54 @@ def test_repeated_port_name_rejected(text, kind, name):
         parse_netlist(text)
 
 
+# netlists whose PI or PO names meet the names write_blif generates
+NAME_CLASHES = {
+    "pi-named-like-a-node": (".model t\n.inputs n3 b\n.outputs x\n"
+                             ".names n3 b x\n11 1\n.end\n"),
+    "po-named-like-a-node": (".model t\n.inputs a b\n.outputs n3 y\n"
+                             ".names a b y\n11 1\n.names a b n3\n10 1\n.end\n"),
+    "po-is-its-own-pi": (".model t\n.inputs a b\n.outputs a f\n"
+                         ".names a b f\n11 1\n.end\n"),
+    "pi-named-const0": (".model t\n.inputs const0 b\n.outputs f z\n"
+                        ".names const0 b f\n11 1\n.names z\n.end\n"),
+}
+
+
+@pytest.mark.parametrize("text", NAME_CLASHES.values(), ids=NAME_CLASHES)
+def test_write_blif_names_nets_apart_from_ports(text):
+    g = parse_netlist(text)
+    again = parse_netlist(write_blif(g))
+    assert again.signature() == g.signature()
+    assert write_blif(again) == write_blif(g)
+
+
+def test_po_that_is_its_own_pi_writes_no_names_record():
+    text = write_blif(parse_netlist(NAME_CLASHES["po-is-its-own-pi"]))
+    assert text == (".model t\n.inputs a b\n.outputs a f\n"
+                    ".names a b n3\n11 1\n.names n3 f\n1 1\n.end\n")
+
+
+@pytest.mark.parametrize("text,match", [
+    (GOOD_AAG.replace("o0 f", "o0 a"), "output 'a' is named like an input"),
+    # output literal 3 is input a complemented
+    (GOOD_AAG.replace("\n6\n6 2 4", "\n3\n6 2 4").replace("o0 f", "o0 a"),
+     "output 'a' is named like an input"),
+    (GOOD_AAG.replace("i0 a", "i0 my in"), "input name 'my in' holds"),
+    (GOOD_AAG.replace("o0 f", "o0 f g"), "output name 'f g' holds"),
+], ids=["aag-and", "aag-complemented", "aag-input-space",
+        "aag-output-space"])
+def test_port_name_a_netlist_cannot_declare_rejected(text, match):
+    with pytest.raises(NetlistError, match=match):
+        parse_netlist(text)
+
+
+def test_po_that_is_its_own_pi_accepted():
+    # output literal 2 is input a itself
+    g = parse_netlist(GOOD_AAG.replace("\n6\n6 2 4", "\n2\n6 2 4")
+                      .replace("o0 f", "o0 a"))
+    assert g.pos == [(g.pis[0], False)] and g.po_names == ["a"]
+
+
 @pytest.mark.parametrize("text,line", BAD_AAG)
 def test_aag_malformed_line_raises_netlist_error(text, line):
     with pytest.raises(NetlistError) as err:

@@ -178,6 +178,38 @@ def test_cli_duplicate_output_name_exit_code(tmp_path):
     assert "duplicate output name 'f'" in result.output
 
 
+@pytest.mark.parametrize("symbols,message", [
+    ("i0 a\ni1 b\no0 a\n", "output 'a' is named like an input"),
+    ("i0 my in\ni1 b\no0 f\n", "input name 'my in' holds whitespace"),
+], ids=["po-named-like-a-pi", "name-with-space"])
+def test_cli_aag_port_name_exit_code(tmp_path, symbols, message):
+    # once mapped, the first gives net a two drivers and the second
+    # declares three inputs
+    bad = tmp_path / "names.aag"
+    bad.write_text("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n" + symbols)
+    out = tmp_path / "out.blif"
+    result = CliRunner().invoke(main, ["map", "-o", str(out), str(bad)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert not out.exists()
+
+
+def test_cli_emit_names_nets_apart_from_ports(tmp_path):
+    # net n3 is the PI, so the AND node's net is renamed; PO a is PI a
+    src = tmp_path / "clash.blif"
+    src.write_text(".model t\n.inputs n3 a\n.outputs a f\n"
+                   ".names n3 a f\n11 1\n.end\n")
+    runner = CliRunner()
+    first = runner.invoke(main, ["emit", str(src)])
+    assert first.exit_code == 0, first.output
+    again = tmp_path / "again.blif"
+    again.write_text(first.output)
+    second = runner.invoke(main, ["emit", str(again)])
+    assert second.exit_code == 0, second.output
+    assert second.output == first.output
+
+
 def test_cli_library_expression_error_names_its_cell(tmp_path):
     badlib = tmp_path / "bad.genlib"
     badlib.write_text((DATA / "sfq.genlib").read_text()
