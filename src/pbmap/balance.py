@@ -468,12 +468,13 @@ class MappedNetwork:
                 continue
             cell = self.dff_cell if kind is DFFS else a.cell
             fmt = gate.get(cell.name)
-            if fmt is None:
-                conns = [f".{p}(%s)" for p in _ports(cell)]
+            if fmt is None:  # names as identifiers; pins hold no '%'
+                conns = [f".{_verilog_id(p)}(%s)" for p in _ports(cell)]
                 if cell.is_clocked:
                     conns.append(f".clk({clk})")
-                fmt = gate[cell.name] = (f"  {cell.name} ".replace("%", "%%")
-                                         + f"%s ({', '.join(conns)});\n")
+                fmt = gate[cell.name] = (
+                    f"  {_verilog_id(cell.name)} ".replace("%", "%%")
+                    + f"%s ({', '.join(conns)});\n")
             if kind is GATE:
                 yield fmt % (_free_name(f"u{a.idx}", io), *b)
             else:  # a DFF chain from net a, each DFF labelled u_<its net>

@@ -552,12 +552,18 @@ def parse_netlist(text: str) -> SubjectGraph:
             if any(ch.isspace() for ch in name):
                 raise NetlistError(f"{kind} name {name!r} holds whitespace")
             seen.add(name)
-    pis = dict(zip(pi_names, g.pis))
+    _check_outputs_named_like_inputs(g)
+    return g
+
+
+def _check_outputs_named_like_inputs(g: SubjectGraph):
+    """Raise ``NetlistError`` for a PO named like a PI that is not that PI,
+    uncomplemented: a netlist would give their net two drivers."""
+    pis = {g.pi_names[p]: p for p in g.pis}
     for name, lit in zip(g.po_names, g.pos):
         if name in pis and lit != (pis[name], False):
             raise NetlistError(f"output '{name}' is named like an input "
                                "but is not that input")
-    return g
 
 
 # ----------------------------------------------------------------------
@@ -568,7 +574,7 @@ def parse_netlist(text: str) -> SubjectGraph:
 def _free_name(name: str, io: set[str]) -> str:
     """A generated net name or instance label, or if a PI or PO already has
     it, the first ``<name>_<k>`` no PI or PO has.  Both writers name nets by
-    this rule.  Generated net names (``n<id>``, ``const0``, ``pbd<i>``)
+    this rule.  Generated net names (``n<id>``, ``pbd<i>``)
     hold no ``_`` of their own, so a suffixed one meets no other generated
     name; labels (``u<idx>``, ``u_<dff net>``) and the Verilog clock port
     ``clk`` start unlike any generated net."""
@@ -586,20 +592,20 @@ def _free_names(names: list[str], io: set[str]) -> list[str]:
 
 
 def write_blif(g: SubjectGraph) -> str:
-    """``g`` as BLIF.  A PI's net is its name, an AND node's ``n<id>`` and
-    the constant's ``const0``, each renamed by ``_free_name`` away from the
-    PI and PO names.  A PO that is its own PI, uncomplemented, reads the PI's
-    net and writes no ``.names``."""
+    """``g`` as BLIF.  A PI's net is its name and an AND node's ``n<id>``,
+    renamed by ``_free_name`` away from the PI and PO names.  A PO that is
+    its own PI, uncomplemented, reads the PI's net and writes no ``.names``;
+    a constant PO is a ``.names`` of its own, as no AND node reads the
+    constant.  A PO named like a PI that it is not raises ``NetlistError``,
+    as ``parse_netlist`` does."""
+    _check_outputs_named_like_inputs(g)
     io = set(g.pi_names.values()) | set(g.po_names)
     order = g.topo_order()
     net = dict(zip(order, _free_names([f"n{nid}" for nid in order], io)))
     net.update(g.pi_names)
-    net[CONST0] = _free_name("const0", io)
     out = [f".model {g.name}"]
     out.append(".inputs " + " ".join(g.pi_names[p] for p in g.pis))
     out.append(".outputs " + " ".join(g.po_names))
-    if g.has_const and any(p == CONST0 for p, _ in g.pos):
-        out.append(f".names {net[CONST0]}")  # empty body: constant 0
     for nid in order:
         n = g.nodes[nid]
         a, b = n.fanin0, n.fanin1

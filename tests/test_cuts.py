@@ -2,14 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbmap import bench
 from pbmap.cuts import (CUT_CAP, compute_cut_functions, cone_function,
                         enumerate_cuts)
-from pbmap.netlist import SubjectGraph, _and_op, random_aig
+from pbmap.netlist import (CONST0, SubjectGraph, _and_op, parse_netlist,
+                           random_aig, write_blif)
 from pbmap.truthtable import tt_eval, var_table
 
 from conftest import subject_levels
+from cut_reference import reference_enumerate_cuts
 
 
 def two_level_tree():
@@ -206,3 +210,67 @@ def test_leaf_inside_other_fanin_cone_is_dominated():
     for nid, cs in cutsets.items():
         for cut in cs.cuts:
             assert cut.func == cone_function(g, nid, cut.leaves)
+
+
+# ----------------------------------------------------------------------
+# the level-batched kernel against the per-node loop it replaced
+# ----------------------------------------------------------------------
+
+
+def assert_same_cuts(g, k, cap=CUT_CAP):
+    """``enumerate_cuts`` gives the reference's nodes in its order, and per
+    node the same (leaves, func) list in order and the same truncated
+    count."""
+    got = enumerate_cuts(g, k=k, cap=cap)
+    want = reference_enumerate_cuts(g, k=k, cap=cap)
+    assert list(got) == list(want)
+    for nid, cs in want.items():
+        assert got[nid].root == nid
+        assert [(c.leaves, c.func) for c in got[nid].cuts] == \
+            [(c.leaves, c.func) for c in cs.cuts], (k, cap, nid)
+        assert got[nid].truncated == cs.truncated, (k, cap, nid)
+
+
+@st.composite
+def small_aigs(draw):
+    """A random AIG over 1-6 PIs: each AND reads two earlier literals,
+    complemented or not, the constant among them; constant POs too."""
+    g = SubjectGraph(name="h")
+    lits = [(g.add_pi(f"p{i}"), False) for i in range(draw(st.integers(1, 6)))]
+    lits.append(g.const_lit(False))
+    for _ in range(draw(st.integers(1, 40))):
+        a, b = (draw(st.sampled_from(lits)) for _ in "ab")
+        lit = g.add_and((a[0], a[1] ^ draw(st.booleans())),
+                        (b[0], b[1] ^ draw(st.booleans())))
+        if lit[0] != CONST0:
+            lits.append(lit)
+    for lit in draw(st.lists(st.sampled_from(lits), min_size=1, max_size=4)):
+        g.add_po((lit[0], lit[1] ^ draw(st.booleans())))
+    return g
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(g=small_aigs(), k=st.integers(2, 6), cap=st.sampled_from([2, 4, 250]))
+def test_level_kernel_matches_reference_on_random_aigs(g, k, cap):
+    assert_same_cuts(g, k, cap)
+
+
+@pytest.mark.parametrize("make", [bench.and_chain, bench.alternating_chain])
+def test_level_kernel_matches_reference_on_chains(make):
+    g = make(60)
+    for k in range(2, 7):
+        for cap in (2, 4, 250):
+            assert_same_cuts(g, k, cap)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_level_kernel_matches_reference_on_benchmark_circuits(seed):
+    # as the benchmark maps them: parsed back from their BLIF; only the
+    # random graph depends on the seed
+    circuits = [random_aig(600, 24, seed=seed, n_pos=None)]
+    if seed == 1:
+        circuits += [bench.kogge_stone_adder(64), bench.kogge_stone_adder(32),
+                     bench.barrel_shifter(128), bench.alu(64),
+                     bench.ripple_adder(256)]
+    for g in circuits:
+        assert_same_cuts(parse_netlist(write_blif(g)), 5)

@@ -9,8 +9,11 @@ from click.testing import CliRunner
 from pbmap import bench
 from pbmap.balance import CHUNK_CHARS, BalanceError
 from pbmap.cli import main
-from pbmap.flow import map_graph
+from pbmap.flow import map_graph, prepare_match_table
+from pbmap.library import parse_library
 from pbmap.netlist import parse_netlist, write_blif
+
+from conftest import DATA
 
 # PIs named like an internal net (n5), DFF nets (pbd0), a DFF label
 # (u_pbd1), the clock (clk) and an instance label (u0); POs named like an
@@ -188,6 +191,34 @@ def test_verilog_escapes_names_that_are_no_identifier(lib, table):
     # BLIF takes any name without whitespace as it is
     assert net.write_blif().startswith(
         ".model top.1\n.inputs a[0] b.1 wire\n.outputs f<0> g\n")
+
+
+# the bundled library with a cell name and pin names that are no Verilog
+# identifier (and2.x, or%2) or are reserved words (input, reg)
+VERILOG_ODD_CELLS = r"""module m (a, b, c, f, clk);
+  input a, b, c, clk;
+  output f;
+  wire n3, n4, pbd0;
+  \and2.x  u0 (.\input (a), .b(b), .o(n3), .clk(clk));
+  dff u_pbd0 (.a(c), .q(pbd0), .clk(clk));
+  \or%2  u1 (.a(n3), .\reg (pbd0), .o(n4), .clk(clk));
+  assign f = n4;
+endmodule
+"""
+
+
+def test_verilog_escapes_cell_and_pin_names():
+    text = ((DATA / "sfq.genlib").read_text()
+            .replace("GATE and2   0.0060 o=a*b;",
+                     "GATE and2.x 0.0060 o=input*b;")
+            .replace("GATE or2    0.0050 o=a+b;", "GATE or%2 0.0050 o=a+reg;"))
+    odd = parse_library(text, name="odd")
+    g = parse_netlist(".model m\n.inputs a b c\n.outputs f\n"
+                      ".names a b t\n11 1\n.names t c f\n1- 1\n-1 1\n.end\n")
+    net = map_graph(g, odd, prepare_match_table(odd)).after
+    assert net.write_verilog() == VERILOG_ODD_CELLS
+    # BLIF takes the names as they are
+    assert ".gate or%2 a=n3 reg=pbd0 o=n4\n" in net.write_blif()
 
 
 @pytest.fixture(scope="module")

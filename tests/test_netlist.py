@@ -207,6 +207,24 @@ def test_po_that_is_its_own_pi_writes_no_names_record():
                     ".names a b n3\n11 1\n.names n3 f\n1 1\n.end\n")
 
 
+def test_constant_po_writes_no_unread_constant_net():
+    # no AND node reads the constant, so only the PO's own .names is written
+    text = write_blif(parse_netlist(NAME_CLASHES["pi-named-const0"]))
+    assert text == (".model t\n.inputs const0 b\n.outputs f z\n"
+                    ".names const0 b n3\n11 1\n.names n3 f\n1 1\n"
+                    ".names z\n.end\n")
+
+
+def test_write_blif_rejects_po_named_like_another_pi():
+    # PO a = a & b would give net a two drivers, the PI and a .names
+    g = SubjectGraph(name="t")
+    a, b = g.add_pi("a"), g.add_pi("b")
+    g.add_po(g.add_and((a, False), (b, False)), "a")
+    with pytest.raises(NetlistError,
+                       match="output 'a' is named like an input"):
+        write_blif(g)
+
+
 @pytest.mark.parametrize("text,match", [
     (GOOD_AAG.replace("o0 f", "o0 a"), "output 'a' is named like an input"),
     # output literal 3 is input a complemented
