@@ -4,11 +4,11 @@ from .balance import MappedNetwork
 from .cuts import Cut, CutSet, compute_cut_functions, enumerate_cuts
 from .flow import FlowResult, map_graph, prepare_match_table
 from .library import (Cell, CellLibrary, LibraryError, MatchTable, Supergate,
-                      generate_supergates, parse_library)
+                      generate_supergates, parse_library, retimed_match_dffs)
 from .mapper import MappingError, map_dag
 from .netlist import NetlistError, SubjectGraph, parse_netlist, write_netlist
 from .report import MappingReport, build_report, emit
-from .retime import retime_min_registers, retimed_match_dffs
+from .retime import retime_min_registers
 from .trees import (TreeProfile, buffer_band_check, input_pins_from_profile,
                     most_balanced, most_unbalanced, push_to_last_level_check)
 

@@ -194,11 +194,15 @@ def check_identities(max_height):
 
     ok = True
     for x in range(2, 7):
-        for n in range(x + 1, 2 ** x + 1):
+        fewest: dict[int, int] = {}  # pins -> fewest buffers of any profile
+        for y, fertile in trees.enumerate_profiles(x):
+            n = trees.input_pins_from_profile(x, y)
+            if fertile == n >= x + 1:
+                fewest[n] = min(fewest.get(n, sum(y)), sum(y))
+        for n, buffers in fewest.items():
             prof = trees.most_balanced(x, n)
-            if prof.n != n:
-                ok = False
-    check("most-balanced profile consistency", ok)
+            ok &= prof.n == n and prof.Y == buffers
+    check("most-balanced profile is minimal (exhaustive enumeration)", ok)
 
     ok = all(trees.buffer_band_check(x, p)[1]
              for x in range(4, 201) for p in range(1, x))

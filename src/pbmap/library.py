@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from . import retime
 from .truthtable import (MAX_VARS, apply_cell, symmetry_perms, table_mask,
                          tt_not, var_table)
 
@@ -201,17 +200,10 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
                                f"{MAX_VARS} are supported")
         func = tt & table_mask(nvars) if nvars else None
 
-        kind = "logic"
-        lname = cname.lower()
+        kind = "logic"  # from the function; a name only marks a splitter
         if nvars == 1 and func == var_table(0, 1):
-            kind = "splitter" if (not is_clocked or "split" in lname) else "dff"
-            func = None
-        elif "split" in lname:
-            kind = "splitter"
-            func = None
-        elif lname in ("dff", "dffr", "dffe") and nvars <= 1:
-            kind = "dff"
-            func = None
+            split = not is_clocked or "split" in cname.lower()
+            kind, func = ("splitter" if split else "dff"), None
         elif nvars == 1 and func == tt_not(var_table(0, 1), 1):
             kind = "inverter"
         cells.append(Cell(cname, nvars, func, area, jj_count,
@@ -339,6 +331,25 @@ def _compose(root: Cell, children: tuple) -> Supergate:
                              default=0),
         groups=tuple(groups),
     )
+
+
+def retimed_match_dffs(supergate, heights) -> int:
+    """Minimum DFFs to balance a supergate whose leaves arrive at the given
+    clocked heights, with registers placed anywhere inside the match.
+
+    With every leaf's common slack pushed up, a cell ``v`` pads each child
+    ``c`` by ``M_v - M_c``, where ``M`` is the latest leaf arrival
+    ``a_i = h_i + leaf_depths[i]`` below it (a leaf's own for a leaf).
+    Summed over the cells this telescopes to
+    ``T - sum(a) + sum_v (c_v - 1) * M_v`` with ``T = max(a)``, over the
+    cells with ``c_v >= 2`` children: ``supergate.groups``."""
+    if len(heights) != supergate.n_inputs:
+        raise ValueError("leaf height count does not match supergate inputs")
+    arrivals = [h + d for h, d in zip(heights, supergate.leaf_depths)]
+    regs = max(arrivals) - sum(arrivals)
+    for weight, positions in supergate.groups:
+        regs += weight * max([arrivals[i] for i in positions])
+    return regs
 
 
 def _sort_key(sg: Supergate):
@@ -536,7 +547,7 @@ class MatchTable:
                     heights = tuple(base[p] for p in perm)
                     entries.append((
                         max(h + d for h, d in zip(heights, sg.leaf_depths)),
-                        retime.retimed_match_dffs(sg, heights), sg, perm))
+                        retimed_match_dffs(sg, heights), sg, perm))
             opts = self.option_cache[key] = _prune_options(entries)
         return opts
 

@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 
 from .balance import MappedNetwork
 from .cuts import CutSet
-from .library import MatchTable, Supergate, dominates
+from .library import MatchTable, Supergate, dominates, retimed_match_dffs
 from .netlist import CONST0, SubjectGraph
-from .retime import retimed_match_dffs
 from .truthtable import tt_not
 
 POS = "positive"

@@ -214,17 +214,19 @@ def _or_op(g, a, b):
 # BLIF
 # ----------------------------------------------------------------------
 
-# primitive .gate cells accepted on input; pin order is alphabetical
-_GATE_EXPRS = {
-    "and2": ("ab", lambda g, a, b: g.add_and(a, b)),
-    "nand2": ("ab", lambda g, a, b: _neg(g.add_and(a, b))),
-    "or2": ("ab", _or_op),
-    "nor2": ("ab", lambda g, a, b: _neg(_or_op(g, a, b))),
-    "xor2": ("ab", lambda g, a, b: _xor_op(g, a, b)),
-    "xnor2": ("ab", lambda g, a, b: _neg(_xor_op(g, a, b))),
-    "inv": ("a", lambda g, a: _neg(a)),
-    "buf": ("a", lambda g, a: a),
+# primitive .gate cells accepted on input, each read as the .names record of
+# its function: its input pins in order and the cubes over them
+_GATE_CUBES = {
+    "and2": ("ab", [("11", "1")]),
+    "nand2": ("ab", [("11", "0")]),
+    "or2": ("ab", [("1-", "1"), ("-1", "1")]),
+    "nor2": ("ab", [("00", "1")]),
+    "xor2": ("ab", [("10", "1"), ("01", "1")]),
+    "xnor2": ("ab", [("10", "0"), ("01", "0")]),
+    "inv": ("a", [("0", "1")]),
+    "buf": ("a", [("1", "1")]),
 }
+_GATE_OUTPUT_PINS = ("o", "q", "y", "z", "out")
 
 
 def _neg(lit):
@@ -261,93 +263,63 @@ def _parse_blif(text: str) -> SubjectGraph:
         lines.append((buf_line, buf.strip()))
 
     g = SubjectGraph()
-    inputs: list[str] = []
+    lits: dict[str, tuple[int, bool]] = {}  # PIs now, records as built
     outputs: list[str] = []
-    # each entry: (line, out_name, in_names, cubes) for .names,
-    # or (line, out_name, gate_name, pin_map) for .gate
-    names_records = []
-    gate_records = []
+    # output -> (line, input names, cubes): every .names record, and every
+    # .gate record as the .names record of its primitive
+    records: dict[str, tuple[int, list[str], list[tuple[str, str]]]] = {}
+
+    def define(lno, out, ins, cubes):
+        if out in records or out in lits:
+            raise NetlistError(f"signal '{out}' defined twice", lno)
+        records[out] = (lno, ins, cubes)
+
     i = 0
-    saw_model = False
+    saw_model = ended = False
     while i < len(lines):
         lno, line = lines[i]
         tok = line.split()
         kw = tok[0]
+        i += 1
+        if ended:
+            raise NetlistError(f"'{kw}' after .end: one model per file", lno)
         if kw == ".model":
+            if saw_model:
+                raise NetlistError("second .model: one model per file", lno)
             g.name = tok[1] if len(tok) > 1 else "top"
             saw_model = True
-            i += 1
         elif kw == ".inputs":
-            inputs.extend(tok[1:])
-            i += 1
+            # a repeated input name is rejected by parse_netlist
+            for name in tok[1:]:
+                if name in records:
+                    raise NetlistError(f"signal '{name}' defined twice", lno)
+                lits[name] = (g.add_pi(name), False)
         elif kw == ".outputs":
             outputs.extend(tok[1:])
-            i += 1
         elif kw == ".latch":
             raise NetlistError("sequential input (.latch) is not supported", lno)
         elif kw == ".names":
             if len(tok) < 2:
                 raise NetlistError(".names needs at least an output", lno)
-            ins, out = tok[1:-1], tok[-1]
+            ins = tok[1:-1]
             cubes = []
-            i += 1
             while i < len(lines) and not lines[i][1].startswith("."):
-                clno, cline = lines[i]
-                parts = cline.split()
-                if ins:
-                    if len(parts) != 2:
-                        raise NetlistError(f"malformed cube '{cline}'", clno)
-                    mask, val = parts
-                    if len(mask) != len(ins) or any(ch not in "01-" for ch in mask):
-                        raise NetlistError(f"malformed cube '{cline}'", clno)
-                else:
-                    if len(parts) != 1 or parts[0] not in "01":
-                        raise NetlistError(f"malformed constant '{cline}'", clno)
-                    mask, val = "", parts[0]
-                if val not in "01":
-                    raise NetlistError(f"cube output must be 0 or 1", clno)
-                cubes.append((mask, val))
+                cubes.append(_cube(ins, *lines[i]))
                 i += 1
-            names_records.append((lno, out, ins, cubes))
+            if any(v != cubes[0][1] for _, v in cubes):
+                raise NetlistError("mixed on-set/off-set cubes in one .names "
+                                   "body", lno)
+            define(lno, tok[-1], ins, cubes)
         elif kw == ".gate":
-            if len(tok) < 3:
-                raise NetlistError("malformed .gate", lno)
-            gname = tok[1]
-            pin_map = {}
-            for assign in tok[2:]:
-                if "=" not in assign:
-                    raise NetlistError(f"malformed pin binding '{assign}'", lno)
-                pin, net = assign.split("=", 1)
-                pin_map[pin.lower()] = net
-            gate_records.append((lno, gname, pin_map))
-            i += 1
+            define(lno, *_gate_as_names(tok, lno))
         elif kw == ".end":
-            i += 1
+            ended = True
         elif kw == ".exdc":
             raise NetlistError(".exdc is not supported", lno)
         else:
             raise NetlistError(f"unsupported construct '{kw}'", lno)
-    if not saw_model and not inputs and not outputs:
+    if not saw_model and not g.pis and not outputs:
         raise NetlistError("not a BLIF file (no .model/.inputs/.outputs)")
-
-    # a repeated input name is rejected by parse_netlist
-    lits = {name: (g.add_pi(name), False) for name in inputs}
-
-    # defer records until all their inputs are defined
-    pending = [("names", r) for r in names_records] + [("gate", r) for r in gate_records]
-    defined_by: dict[str, tuple] = {}
-    for kind, rec in pending:
-        if kind == "names":
-            out = rec[1]
-        else:
-            pins = rec[2]
-            outs = [n for p, n in pins.items() if p in ("o", "q", "y", "z", "out")]
-            if not outs:
-                raise NetlistError("cannot identify output pin of .gate", rec[0])
-            out = outs[0]
-        if out in defined_by or out in lits:
-            raise NetlistError(f"signal '{out}' defined twice", rec[0])
-        defined_by[out] = (kind, rec)
 
     def resolve(name: str, lno) -> tuple[int, bool]:
         """Literal of ``name``.  Its cone is built depth-first, inputs in
@@ -358,24 +330,19 @@ def _parse_blif(text: str) -> SubjectGraph:
             sig, ref, ins = stack.pop()
             if ins is not None:  # every input is built: build sig itself
                 on_path.discard(sig)
-                kind, rec = defined_by[sig]
-                in_lits = [lits[n] for n in ins]
-                if kind == "names":
-                    lits[sig] = _build_sop(g, in_lits, rec[3])
-                else:
-                    lits[sig] = _GATE_EXPRS[rec[1].lower()][1](g, *in_lits)
+                lits[sig] = _build_sop(g, [lits[n] for n in ins],
+                                       records[sig][2])
                 continue
             if sig in lits:
                 continue
-            if sig not in defined_by:
+            if sig not in records:
                 raise NetlistError(f"undefined signal '{sig}'", ref)
             if sig in on_path:
                 raise NetlistError(f"cyclic definition of '{sig}'", ref)
             on_path.add(sig)
-            kind, rec = defined_by[sig]
-            ins = _record_inputs(kind, rec)
-            stack.append((sig, rec[0], ins))
-            stack.extend((n, rec[0], None) for n in reversed(ins))
+            rlno, ins, _ = records[sig]
+            stack.append((sig, rlno, ins))
+            stack.extend((n, rlno, None) for n in reversed(ins))
         return lits[name]
 
     if not outputs:
@@ -386,34 +353,56 @@ def _parse_blif(text: str) -> SubjectGraph:
     return g
 
 
-def _record_inputs(kind: str, rec) -> list[str]:
-    """Input signal names of a BLIF record, in pin order."""
-    if kind == "names":
-        return rec[2]
-    rlno, gname, pin_map = rec
+def _cube(ins: list[str], lno: int, line: str) -> tuple[str, str]:
+    """The (input mask, output value) of a cube line of a .names body."""
+    parts = line.split()
+    if len(parts) != (2 if ins else 1):
+        raise NetlistError(f"malformed cube '{line}'", lno)
+    mask, val = parts if ins else ("", parts[0])
+    if len(mask) != len(ins) or any(ch not in "01-" for ch in mask):
+        raise NetlistError(f"malformed cube '{line}'", lno)
+    if val not in ("0", "1"):
+        raise NetlistError("cube output must be 0 or 1", lno)
+    return mask, val
+
+
+def _gate_as_names(tok: list[str], lno: int):
+    """The (output, input names, cubes) of a .gate line: the .names record
+    of its primitive's function over the nets bound to its pins.  Gate and
+    pin names are case-insensitive."""
+    if len(tok) < 3:
+        raise NetlistError("malformed .gate", lno)
+    gname = tok[1]
     key = gname.lower()
     if key in ("dff", "dfff", "splitter", "split"):
         raise NetlistError(
-            f"sequential or fanout cell '{gname}' not allowed in subject graph", rlno)
-    if key not in _GATE_EXPRS:
-        raise NetlistError(f"unknown gate '{gname}'", rlno)
-    for p in _GATE_EXPRS[key][0]:
-        if p not in pin_map:
-            raise NetlistError(f"gate '{gname}' missing pin '{p}'", rlno)
-    return [pin_map[p] for p in _GATE_EXPRS[key][0]]
+            f"sequential or fanout cell '{gname}' not allowed in subject graph", lno)
+    if key not in _GATE_CUBES:
+        raise NetlistError(f"unknown gate '{gname}'", lno)
+    pins, cubes = _GATE_CUBES[key]
+    nets = {}
+    for assign in tok[2:]:
+        pin, eq, net = assign.partition("=")
+        pin = pin.lower()
+        if not eq:
+            raise NetlistError(f"malformed pin binding '{assign}'", lno)
+        if pin in nets:
+            raise NetlistError(f"pin '{pin}' bound twice", lno)
+        nets[pin] = net
+    ins = sorted(nets.keys() - _GATE_OUTPUT_PINS)
+    outs = [nets[p] for p in nets if p in _GATE_OUTPUT_PINS]
+    if ins != list(pins) or len(outs) != 1:
+        raise NetlistError(
+            f"gate '{gname}' binds pins {' '.join(nets)}, not {' '.join(pins)} "
+            f"and one of {'/'.join(_GATE_OUTPUT_PINS)}", lno)
+    return outs[0], [nets[p] for p in pins], cubes
 
 
 def _build_sop(g: SubjectGraph, in_lits, cubes) -> tuple[int, bool]:
-    """Sum-of-cubes body of a .names record, balanced decomposition."""
-    if not in_lits:
-        if not cubes:
-            return g.const_lit(False)
-        return g.const_lit(cubes[0][1] == "1")
+    """Sum-of-cubes body of a .names record, balanced decomposition; the
+    cubes share one output value."""
     if not cubes:
         return g.const_lit(False)
-    out_val = cubes[0][1]
-    if any(v != out_val for _, v in cubes):
-        raise NetlistError("mixed on-set/off-set cubes in one .names body")
     terms = []
     for mask, _ in cubes:
         cube_lits = []
@@ -428,7 +417,7 @@ def _build_sop(g: SubjectGraph, in_lits, cubes) -> tuple[int, bool]:
         else:
             terms.append(balanced_reduce(g, cube_lits, _and_op))
     lit = balanced_reduce(g, terms, _or_op)
-    if out_val == "0":
+    if cubes[0][1] == "0":
         lit = _neg(lit)
     return lit
 

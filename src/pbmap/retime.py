@@ -1,12 +1,6 @@
-"""Register relocation: retimed DFF counts for single matches and global
-min-register retiming of a balanced mapped network.
-
-A match is a tree of clocked cells.  Balancing it for given leaf arrival
-heights needs, along each leaf-to-root path, exactly
-``max(arrival) - arrival`` registers; registers on shared internal edges
-serve every leaf below them, so pushing common slack upward (the retimed
-form) minimizes the count.
-"""
+"""Register relocation: global min-register retiming of a balanced mapped
+network.  The retimed DFF count of a single match is
+``library.retimed_match_dffs``."""
 
 from __future__ import annotations
 
@@ -18,25 +12,6 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 log = logging.getLogger(__name__)
-
-
-def retimed_match_dffs(supergate, heights) -> int:
-    """Minimum DFFs to balance a supergate whose leaves arrive at the given
-    clocked heights, with registers placed anywhere inside the match.
-
-    With every leaf's common slack pushed up, a cell ``v`` pads each child
-    ``c`` by ``M_v - M_c``, where ``M`` is the latest leaf arrival
-    ``a_i = h_i + leaf_depths[i]`` below it (a leaf's own for a leaf).
-    Summed over the cells this telescopes to
-    ``T - sum(a) + sum_v (c_v - 1) * M_v`` with ``T = max(a)``, over the
-    cells with ``c_v >= 2`` children: ``supergate.groups``."""
-    if len(heights) != supergate.n_inputs:
-        raise ValueError("leaf height count does not match supergate inputs")
-    arrivals = [h + d for h, d in zip(heights, supergate.leaf_depths)]
-    regs = max(arrivals) - sum(arrivals)
-    for weight, positions in supergate.groups:
-        regs += weight * max([arrivals[i] for i in positions])
-    return regs
 
 
 # ----------------------------------------------------------------------

@@ -153,6 +153,18 @@ def most_balanced(x: int, n: int) -> TreeProfile:
     return prof
 
 
+def enumerate_profiles(x: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every per-level pruning profile of a height-x tree, with its fertile
+    node count after the last level: at each level, from none to all but
+    one of the ``2 * fertile`` slots are pruned.  The exhaustive reference
+    that ``most_balanced`` is checked against."""
+    profiles = [((), 2)]
+    for _ in range(2, x + 1):
+        profiles = [(y + (take,), 2 * fertile - take)
+                    for y, fertile in profiles for take in range(2 * fertile)]
+    return profiles
+
+
 def buffer_band_check(x: int, p: int):
     """No balanced tree can land its buffer-count difference strictly
     between 1 and p; the difference is (-x^2 + 4(p+1)x - 2p - 3p^2 - 3)/2,

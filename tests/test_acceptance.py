@@ -14,14 +14,14 @@ from functools import lru_cache
 
 from pbmap import bench, flow
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
+from pbmap.library import retimed_match_dffs
 from pbmap.mapper import extract_cover, map_dag
 from pbmap.netlist import SubjectGraph, _and_op, _neg
 from pbmap.report import build_report
-from pbmap.retime import retimed_match_dffs
-from pbmap.trees import (buffer_band_check, input_pins_from_profile,
-                         measure_tree, most_balanced, most_unbalanced,
-                         push_to_last_level_check, random_tree,
-                         tree_leaf_depths)
+from pbmap.trees import (buffer_band_check, enumerate_profiles,
+                         input_pins_from_profile, measure_tree, most_balanced,
+                         most_unbalanced, push_to_last_level_check,
+                         random_tree, tree_leaf_depths)
 from pbmap.truthtable import symmetry_perms
 from conftest import tree_buffer_count, tree_node_count
 from test_mapper import tree_opt
@@ -271,24 +271,6 @@ def test_criterion_3_kogge_stone_metrics(lib, table, capsys):
 # ----------------------------------------------------------------------
 # criterion 4: balanced-tree counting formulas
 # ----------------------------------------------------------------------
-
-
-def enumerate_profiles(x):
-    """All feasible per-level pruning profiles of a height-x tree."""
-    results = []
-
-    def rec(lvl, fertile, y):
-        if lvl > x:
-            results.append((tuple(y), fertile))
-            return
-        slots = 2 * fertile
-        for take in range(slots):
-            rec(lvl + 1, slots - take, y + [take])
-
-    if x == 1:
-        return [((), 2)]
-    rec(2, 2, [])
-    return results
 
 
 def test_criterion_4_formula_suite(capsys):

@@ -15,7 +15,8 @@ from pbmap import (balance, cli, cuts, flow, library, mapper, netlist, retime,
 ANALYTICS = ("TreeProfile", "input_pins_from_profile", "tree_leaf_depths",
              "measure_tree", "caterpillar", "double_caterpillar",
              "random_tree", "most_unbalanced", "most_balanced",
-             "buffer_band_check", "push_to_last_level_check")
+             "enumerate_profiles", "buffer_band_check",
+             "push_to_last_level_check")
 
 DELETED = {
     trees: ("max_depth_gap", "tree_buffer_count", "tree_node_count",
@@ -27,6 +28,7 @@ DELETED = {
     cuts.Cut: ("signature",),
     netlist.SubjectGraph: ("compute_levels", "depth", "fanins"),
     library: ("_PIN_RE", "_eval_expr"),
+    netlist: ("_GATE_EXPRS", "_record_inputs"),
 }
 
 

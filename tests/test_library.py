@@ -56,6 +56,38 @@ GATE split 0.5 o=a; # CLOCKED=0
     assert by["dff"].kind == "dff"
 
 
+
+@pytest.mark.parametrize("lib_name", ["lib", "clocked_lib"])
+def test_cell_kinds_of_the_workload_libraries(lib_name, request):
+    lib = request.getfixturevalue(lib_name)
+    assert {c.name: c.kind for c in lib.cells} == {
+        "and2": "logic", "or2": "logic", "xor2": "logic", "inv": "inverter",
+        "dff": "dff", "split": "splitter"}
+
+
+@pytest.mark.parametrize("record,kind", [
+    ("GATE nosplit_and 2.0 o=a*b;", "logic"),
+    ("GATE split2 2.0 o=a+b;", "logic"),
+    ("GATE dffr 1.0 q=!a;", "inverter"),
+    ("GATE dff2 1.0 q=a;", "dff"),
+    ("GATE buf 1.0 o=a; # CLOCKED=0", "splitter"),
+    ("GATE fanout_split 1.0 o=a;", "splitter"),
+])
+def test_cell_kind_comes_from_the_function(record, kind):
+    # once a name holding "split" made any cell the splitter, and a cell
+    # named dff, dffr or dffe the DFF, whatever their functions
+    lib = parse_library(record + "\n" + MINI)
+    assert lib.cells[0].kind == kind
+    assert (lib.splitter.name, lib.dff.name) == (
+        lib.cells[0].name if kind == "splitter" else "split",
+        lib.cells[0].name if kind == "dff" else "dff")
+
+
+def test_inverting_dff_is_no_dff():
+    text = MINI.replace("q=a;", "q=!a;")
+    with pytest.raises(LibraryError, match="library has no DFF cell"):
+        parse_library(text)
+
 def expr_table(text: str) -> int:
     """The truth table of a genlib expression over its variables in order
     of first use, as ``parse_library`` builds a cell's."""

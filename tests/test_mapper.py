@@ -12,12 +12,11 @@ from pbmap import bench, flow
 from pbmap import mapper as mapmod
 from pbmap.cuts import compute_cut_functions, enumerate_cuts
 from pbmap.flow import prepare_match_table
-from pbmap.library import _prune_options, dominates
+from pbmap.library import _prune_options, dominates, retimed_match_dffs
 from pbmap.mapper import (Match, NodeSolution, _emit, _insert, extract_cover,
                           map_dag, map_depth_greedy)
 from pbmap.netlist import (CONST0, SubjectGraph, _and_op, _neg, _or_op,
                            balanced_reduce, random_aig)
-from pbmap.retime import retimed_match_dffs
 from pbmap.truthtable import symmetry_perms, tt_not
 
 POS = "positive"

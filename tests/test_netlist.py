@@ -2,6 +2,8 @@ import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbmap import bench
 from pbmap.netlist import (CONST0, AndNode, NetlistError, SubjectGraph, _and_op,
@@ -414,3 +416,136 @@ def test_shuffled_blif_is_out_of_dependency_order():
 def test_nodes_cannot_be_passed_in():
     with pytest.raises(TypeError):
         SubjectGraph(nodes={3: AndNode(3, (1, False), (2, False))})
+
+
+# -- .gate records ------------------------------------------------------------
+
+# each .gate primitive's input pins, its .names body over them and its
+# function, bitwise
+GATES = {
+    "and2": ("ab", "11 1", lambda a, b: a & b),
+    "nand2": ("ab", "11 0", lambda a, b: ~(a & b)),
+    "or2": ("ab", "1- 1\n-1 1", lambda a, b: a | b),
+    "nor2": ("ab", "00 1", lambda a, b: ~(a | b)),
+    "xor2": ("ab", "10 1\n01 1", lambda a, b: a ^ b),
+    "xnor2": ("ab", "10 0\n01 0", lambda a, b: ~(a ^ b)),
+    "inv": ("a", "0 1", lambda a: ~a),
+    "buf": ("a", "1 1", lambda a: a),
+}
+OUTPUT_PINS = ["o", "q", "y", "z", "out"]
+
+
+def gate_as_names(line: str) -> str:
+    """A primitive ``.gate`` line written as the ``.names`` record of its
+    function, its nets in pin order."""
+    _, gate, *binds = line.split()
+    nets = {p.lower(): n for p, n in (b.split("=") for b in binds)}
+    pins, body, _ = GATES[gate.lower()]
+    out = next(nets[p] for p in OUTPUT_PINS if p in nets)
+    return f".names {' '.join(nets[p] for p in pins)} {out}\n{body}"
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+@pytest.mark.parametrize("gate", GATES)
+def test_gate_reads_as_its_names_record(gate, upper):
+    pins, body, func = GATES[gate]
+    case = str.upper if upper else str.lower
+    binds = [f"{case(p)}={n}" for p, n in zip(pins, "xy")] + [f"{case('o')}=f"]
+    line = f".gate {case(gate)} {' '.join(binds)}"
+    head = ".model t\n.inputs x y\n.outputs f\n"
+    g = parse_netlist(f"{head}{line}\n.end\n")
+    names = parse_netlist(f"{head}{gate_as_names(line)}\n.end\n")
+    assert g.signature() == names.signature()
+    x, y = g.pis
+    xs, ys = 0b1010, 0b1100
+    want = func(xs, ys) if len(pins) == 2 else func(xs)
+    assert g.simulate({x: xs, y: ys})[0] & 0b1111 == want & 0b1111
+
+
+@st.composite
+def gate_blifs(draw):
+    """A BLIF of random primitive .gate records in shuffled order, gate and
+    pin names in random case, each reading PIs or earlier records."""
+    pool = ["i0", "i1", "i2"]
+    lines = []
+    for k in range(draw(st.integers(1, 12))):
+        gate = draw(st.sampled_from(sorted(GATES)))
+        ins = GATES[gate][0]
+        pins = [*ins, draw(st.sampled_from(OUTPUT_PINS))]
+        nets = [draw(st.sampled_from(pool)) for _ in ins] + [f"n{k}"]
+        binds = [f"{p.upper() if draw(st.booleans()) else p}={n}"
+                 for p, n in zip(pins, nets)]
+        gate = gate.upper() if draw(st.booleans()) else gate
+        lines.append(f".gate {gate} {' '.join(draw(st.permutations(binds)))}")
+        pool.append(f"n{k}")
+    outs = draw(st.lists(st.sampled_from(pool[3:]), min_size=1, max_size=3,
+                         unique=True))
+    lines = draw(st.permutations(lines))
+    return "\n".join([".model r", ".inputs i0 i1 i2",
+                      f".outputs {' '.join(outs)}", *lines, ".end"]) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=gate_blifs())
+def test_random_gate_blif_reads_as_its_names_form(text):
+    names = "\n".join(gate_as_names(line) if line.startswith(".gate") else line
+                      for line in text.splitlines()) + "\n"
+    assert ".gate" not in names
+    assert write_blif(parse_netlist(text)) == write_blif(parse_netlist(names))
+
+
+HEAD = ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n"
+
+# (text, line of the error, message): every record is checked when it is
+# read, so a record that nothing reads is checked too
+READER_ERRORS = {
+    "unknown-gate-unread": (HEAD + ".gate frob2 a=a b=b o=g\n", 6,
+                            "unknown gate 'frob2'"),
+    "dff-gate-unread": (HEAD + ".gate dff a=a q=g\n", 6,
+                        "sequential or fanout cell 'dff'"),
+    "split-gate-unread": (HEAD + ".gate SPLIT a=a o=g\n", 6,
+                          "sequential or fanout cell 'SPLIT'"),
+    "missing-pin-unread": (HEAD + ".gate and2 a=a o=g\n", 6,
+                           "gate 'and2' binds pins a o, not a b "),
+    "no-output-pin": (HEAD + ".gate and2 a=a b=b\n", 6,
+                      "gate 'and2' binds pins a b, not a b "),
+    "two-output-pins": (".model m\n.inputs a b\n.outputs f\n"
+                        ".gate and2 a=a b=b o=f q=f\n", 4,
+                        "gate 'and2' binds pins a b o q, not a b "),
+    "pin-bound-twice": (".model m\n.inputs a b\n.outputs f\n"
+                        ".gate and2 a=a b=b A=b o=f\n", 4,
+                        "pin 'a' bound twice"),
+    "unknown-pin": (".model m\n.inputs a b\n.outputs f\n"
+                    ".gate inv a=a b=b o=f\n", 4, "gate 'inv' binds pins a b o, not a "),
+    "mixed-cubes": (".model m\n.inputs a b\n.outputs f\n"
+                    ".names a b f\n11 1\n00 0\n", 4, "mixed on-set/off-set"),
+    "mixed-cubes-unread": (HEAD + ".names a b g\n11 1\n00 0\n", 6,
+                           "mixed on-set/off-set"),
+    "mixed-constant": (".model m\n.outputs f\n.names f\n1\n0\n", 3,
+                       "mixed on-set/off-set"),
+    "cube-output-01": (".model m\n.inputs a\n.outputs f\n.names a f\n1 01\n",
+                       5, "cube output must be 0 or 1"),
+    "constant-01": (".model m\n.outputs f\n.names f\n01\n", 4,
+                    "cube output must be 0 or 1"),
+    # once read as one graph named sub, with PIs a, b, c and POs f, g
+    "two-models": (".model top\n.inputs a b\n.outputs f\n.names a b f\n11 1\n"
+                   ".end\n.model sub\n.inputs c\n.outputs g\n.names c g\n"
+                   "1 1\n.end\n", 7, r"'\.model' after \.end"),
+    "second-model-no-end": (HEAD + ".model sub\n.inputs c\n", 6,
+                            r"second \.model: one model per file"),
+    "record-after-end": (HEAD + ".end\n.names a g\n1 1\n", 7,
+                         r"'\.names' after \.end"),
+    "gate-then-names-twice": (".model m\n.inputs a b\n.outputs f\n"
+                              ".gate and2 a=a b=b o=f\n.names a f\n1 1\n", 5,
+                              "signal 'f' defined twice"),
+    "record-then-input": (HEAD + ".inputs f\n", 6, "signal 'f' defined twice"),
+}
+
+
+@pytest.mark.parametrize("text,line,match", READER_ERRORS.values(),
+                         ids=READER_ERRORS)
+def test_blif_reader_error_names_its_line(text, line, match):
+    with pytest.raises(NetlistError, match=match) as err:
+        parse_netlist(text)
+    assert err.value.line == line
+

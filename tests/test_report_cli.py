@@ -210,6 +210,29 @@ def test_cli_emit_names_nets_apart_from_ports(tmp_path):
     assert second.output == first.output
 
 
+
+def test_cli_maps_and_writes_with_a_logic_cell_named_like_a_splitter(tmp_path):
+    # placed first, nosplit_and was once the library's splitter, and
+    # writing the netlist failed on its two pins (exit 4)
+    genlib = tmp_path / "nosplit.genlib"
+    genlib.write_text("GATE nosplit_and 0.0060 o=a*b; # JJ=6 CLOCKED=1\n"
+                      + (DATA / "sfq.genlib").read_text())
+    out = tmp_path / "ksa4.mapped.blif"
+    result = CliRunner().invoke(main, ["map", "--lib", str(genlib), "-o",
+                                       str(out), str(KSA4)])
+    assert result.exit_code == 0, result.output
+    assert ".gate split a=" in out.read_text()
+
+
+def test_cli_inverting_dff_exits_3(tmp_path):
+    # once the balancing DFF by its name, inverting every padded signal
+    genlib = tmp_path / "invdff.genlib"
+    genlib.write_text((DATA / "sfq.genlib").read_text()
+                      .replace("q=a;", "q=!a;"))
+    result = CliRunner().invoke(main, ["map", "--lib", str(genlib), str(KSA4)])
+    assert result.exit_code == 3, result.output
+    assert "library has no DFF cell" in result.output
+
 def test_cli_library_expression_error_names_its_cell(tmp_path):
     badlib = tmp_path / "bad.genlib"
     badlib.write_text((DATA / "sfq.genlib").read_text()
@@ -400,6 +423,18 @@ def test_cli_check_identities_pin_count_can_fail(monkeypatch):
     assert result.exit_code == 1
     assert "FAIL pin count = node count + 1 (random trees)" in result.output
 
+
+
+def test_cli_check_identities_minimal_profile_can_fail(monkeypatch):
+    # (0, 3) has the 5 pins of the minimal (1, 1) at height 3, and one more
+    # buffer: a pin-count check alone cannot see it
+    real = trees.most_balanced
+    monkeypatch.setattr(trees, "most_balanced", lambda x, n: (
+        trees.TreeProfile(3, (0, 3)) if (x, n) == (3, 5) else real(x, n)))
+    assert trees.most_balanced(3, 5).n == 5
+    result = CliRunner().invoke(main, ["check-identities", "--max-height", "4"])
+    assert result.exit_code == 1
+    assert "FAIL most-balanced profile is minimal" in result.output
 
 def test_cli_hit_rate():
     runner = CliRunner()

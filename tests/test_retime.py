@@ -9,8 +9,9 @@ from scipy.sparse import csr_matrix
 from pbmap import bench
 from pbmap.balance import MappedNetwork
 from pbmap.flow import map_graph
+from pbmap.library import retimed_match_dffs
 from pbmap.mapper import _instantiate
-from pbmap.retime import lag_window, retime_min_registers, retimed_match_dffs
+from pbmap.retime import lag_window, retime_min_registers
 from pbmap.trees import push_to_last_level_check
 from test_golden_qor import CIRCUITS
 
