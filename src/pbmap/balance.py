@@ -339,16 +339,13 @@ class MappedNetwork:
             raise BalanceError("network has DFFs but no DFF cell")
         io = self._io_names()
         names = self._net_names(io)
-        # the PO chains' DFFs are numbered after every gate fanin's
-        end = self.dff_total - self.po_pad_dffs
+        # a PO named like a PI must be that PI's net, read without a DFF
         for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
-            n = self.dff.get((sig, ("po", i)), 0)
-            end += n
-            src = _free_name(f"pbd{end - 1}", io) if n else names[sig]
-            if name in pis and src != name:
-                raise BalanceError(f"PO {name} is named like a PI but driven "
-                                   f"by net {src}: net {name} would have two "
-                                   "drivers")
+            if name in pis and (names[sig] != name
+                                or self.dff.get((sig, ("po", i)))):
+                raise BalanceError(f"PO {name} is named like a PI but does "
+                                   "not read its net undelayed: net "
+                                   f"{name} would have two drivers")
         parts = (self._blif_parts if fmt == "blif"
                  else self._verilog_parts)(io, names)
         return _chunked(parts)

@@ -172,7 +172,8 @@ def analyze_tree(height, pins):
 
 
 @main.command("check-identities")
-@click.option("--max-height", default=20, show_default=True)
+@click.option("--max-height", default=20, show_default=True,
+              type=click.IntRange(min=2))
 def check_identities(max_height):
     """Machine-check the tree-count identities and extremal-tree formulas."""
     failures = []

@@ -252,41 +252,27 @@ def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
     ``cutsets``, ``table`` and ``frontier_cap`` are unused, kept for the
     benchmark's traced pipeline, which still passes them."""
     net = MappedNetwork(name=g.name)
-    pi_sig = {}
-    for pid in g.pis:
-        pi_sig[pid] = net.add_pi(g.pi_names[pid])
+    # (node, phase, height) -> signal; a PI's positive phase is its wire
+    sig_of: dict[tuple[int, str, int], int] = {
+        (pid, POS, 0): net.add_pi(g.pi_names[pid]) for pid in g.pis}
 
-    sig_of: dict[tuple[int, str, int], int] = {}
-
-    def visit(nid: int, phase: str, match: Match):
-        """``(sig, None)`` for a PI's positive phase or an emitted match,
-        else ``(None, (key, match))`` for a match whose cover is still to
-        be built."""
-        if g.is_pi(nid) and phase == POS:
-            return pi_sig[nid], None
-        key = (nid, phase, match.height)
-        if key in sig_of:
-            return sig_of[key], None
-        return None, (key, match)
-
-    def demand(nid: int, phase: str) -> int:
-        """Build the cover of one node bottom-up with an explicit stack: a
-        match's leaves are visited in order, each completed before the next,
-        and its supergate is instantiated after them, so the netlist order is
-        that of a depth-first walk at any depth."""
-        sig, todo = visit(nid, phase, solutions[(nid, phase)].best)
-        if todo is None:
-            return sig
-        stack = [(*todo, [])]  # (key, match, leaf signals so far)
+    def demand(key: tuple[int, str, int], match: Match) -> int:
+        """Build the cover of one memo ``key`` not yet in ``sig_of``,
+        ``match`` its point, bottom-up with an explicit stack: a match's
+        leaves are visited in order, each completed before the next, and its
+        supergate is instantiated after them, so the netlist order is that of
+        a depth-first walk at any depth."""
+        stack = [(key, match, [])]  # (key, match, leaf signals so far)
         while True:
             key, match, leaf_sigs = stack[-1]
             i = len(leaf_sigs)
             if i < len(match.leaves):
-                sig, todo = visit(match.leaves[i], POS, match.inputs[i])
-                if todo is None:
-                    leaf_sigs.append(sig)
+                point = match.inputs[i]
+                leaf = (match.leaves[i], POS, point.height)
+                if leaf in sig_of:
+                    leaf_sigs.append(sig_of[leaf])
                 else:
-                    stack.append((*todo, []))
+                    stack.append((leaf, point, []))
                 continue
             stack.pop()
             sig = sig_of[key] = _instantiate(net, match.supergate, leaf_sigs)
@@ -298,8 +284,10 @@ def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
         if p == CONST0:
             net.add_const_po(name, bool(c))
             continue
-        sig = demand(p, NEG if c else POS)
-        net.add_po(sig, name)
+        phase = NEG if c else POS
+        match = solutions[(p, phase)].best
+        key = (p, phase, match.height)
+        net.add_po(sig_of[key] if key in sig_of else demand(key, match), name)
     return net
 
 

@@ -45,7 +45,6 @@ class SubjectGraph:
     def __post_init__(self):
         self._next_id = 1
         self._strash: dict[tuple, int] = {}
-        self._fanout: dict[int, int] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -55,7 +54,6 @@ class SubjectGraph:
         self._next_id += 1
         self.pis.append(nid)
         self.pi_names[nid] = name if name is not None else f"pi{len(self.pis)}"
-        self._fanout = None
         return nid
 
     def const_lit(self, value: bool) -> tuple[int, bool]:
@@ -88,20 +86,15 @@ class SubjectGraph:
             self._next_id += 1
             self.nodes[nid] = AndNode(nid, f0, f1)
             self._strash[key] = nid
-            self._fanout = None
         return (nid, False)
 
     def add_po(self, lit: tuple[int, bool], name: str | None = None):
         self.pos.append(lit)
         self.po_names.append(name if name is not None else f"po{len(self.pos)}")
-        self._fanout = None
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def is_pi(self, nid: int) -> bool:
-        return nid in self.pi_names
-
     def topo_order(self) -> list[int]:
         """Internal nodes in topological order (fanins first): node order.
         ``add_and`` only takes fanins that already exist and ids only grow,
@@ -109,8 +102,7 @@ class SubjectGraph:
         return list(self.nodes)
 
     def fanout_counts(self) -> dict[int, int]:
-        if self._fanout is not None:
-            return self._fanout
+        """Reads of each PI and node by nodes and POs, counted per call."""
         counts: dict[int, int] = {nid: 0 for nid in list(self.nodes) + self.pis}
         for n in self.nodes.values():
             for f, _ in (n.fanin0, n.fanin1):
@@ -119,7 +111,6 @@ class SubjectGraph:
         for p, _ in self.pos:
             if p != CONST0:
                 counts[p] += 1
-        self._fanout = counts
         return counts
 
     def sweep_dangling(self):
@@ -143,7 +134,6 @@ class SubjectGraph:
                 tuple(sorted((n.fanin0, n.fanin1))): nid
                 for nid, n in self.nodes.items()
             }
-            self._fanout = None
 
     # ------------------------------------------------------------------
     # structural identity

@@ -19,19 +19,19 @@ log = logging.getLogger(__name__)
 # ----------------------------------------------------------------------
 
 
-def lag_window(tail, head, weight, host):
+def lag_window(tail, head, weight, host, order):
     """The lag window ``lo <= r <= hi`` that the legality rows
     ``r(tail) - r(head) <= weight`` imply, per vertex ``0..host``:
     ``hi(v)`` is the fewest DFFs on any path from ``v`` to the host,
     ``lo(v)`` minus the fewest on any path from the host to ``v`` (``inf``
-    where no path exists).  The edges between instances form a DAG, so
-    both are one walk in topological order and one in reverse."""
+    where no path exists).  ``order`` lists the instances ``0..host - 1``
+    in a topological order of the edges between them, so both are one walk
+    along it and one back."""
     inf = float("inf")
     down = [inf] * (host + 1)  # fewest DFFs from the host
     up = [inf] * (host + 1)    # fewest DFFs to the host
     down[host] = up[host] = 0
     out = [[] for _ in range(host)]
-    indeg = [0] * host
     for t, h, w in zip(tail.tolist(), head.tolist(), weight.tolist()):
         if t == host:
             down[h] = min(down[h], w)
@@ -39,18 +39,11 @@ def lag_window(tail, head, weight, host):
             up[t] = min(up[t], w)
         else:
             out[t].append((h, w))
-            indeg[h] += 1
-    order = [v for v in range(host) if not indeg[v]]
-    for v in order:  # Kahn's algorithm: order grows as the walk goes
+    for v in order:
         dv = down[v]
         for h, w in out[v]:
             if dv + w < down[h]:
                 down[h] = dv + w
-            indeg[h] -= 1
-            if not indeg[h]:
-                order.append(h)
-    if len(order) != host:
-        raise ValueError("retiming graph has a cycle between instances")
     for v in reversed(order):
         for h, w in out[v]:
             if w + up[h] < up[v]:
@@ -67,14 +60,18 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
     the LP optimum is integral).  Vertices are instance indices, with PIs
     and POs on one fixed host vertex so I/O latency is pinned; one row per
     edge in ``edge_list`` order (host-to-host edges left out), one column
-    per used instance in index order.  Each column is bounded by its
-    ``lag_window``, built from the edge rows alone: the bounds follow from
-    the rows (the splitter rows of ``allow_across_splitters=False`` only
-    tighten them), so the feasible set and the optimum are unchanged and
-    HiGHS only takes a shorter path to it.  Returns a new MappedNetwork.
+    per instance in index order, since every instance heads its fanin
+    edges.  Each column is bounded by its ``lag_window``, built from the
+    edge rows alone along ``topo_instances`` (which raises BalanceError on a
+    cycle): the bounds follow from the rows (the splitter rows of
+    ``allow_across_splitters=False`` only tighten them), so the feasible set
+    and the optimum are unchanged and HiGHS only takes a shorter path to it.
+    Returns a new MappedNetwork.
     """
-    edges = net.edge_list()
     host = len(net.instances)
+    if not host:
+        return net.copy()
+    edges = net.edge_list()
     driver = net.driver
     tail = np.fromiter((host if d[0] == "pi" else d[1]
                         for d in (driver[sig] for sig, _ in edges)),
@@ -83,20 +80,13 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
                        dtype=np.int64, count=len(edges))
     weight = np.fromiter((net.dff.get(e, 0) for e in edges),
                          dtype=np.int64, count=len(edges))
-    used = np.zeros(host + 1, dtype=bool)
-    used[tail] = True
-    used[head] = True
-    used[host] = False
-    if not used.any():
-        return net.copy()
-    col = np.cumsum(used) - 1  # instance index -> LP column
-    nvar = int(used.sum())
-    lo, hi = lag_window(tail, head, weight, host)
-    bounds = np.column_stack([lo[used], hi[used]])
+    lo, hi = lag_window(tail, head, weight, host,
+                        [i.idx for i in net.topo_instances()])
+    bounds = np.column_stack([lo[:host], hi[:host]])
 
     # minimize sum_e w_r(e) = W + sum_v r(v) * (indeg(v) - outdeg(v))
     cost = (np.bincount(head, minlength=host + 1)
-            - np.bincount(tail, minlength=host + 1))[used].astype(float)
+            - np.bincount(tail, minlength=host + 1))[:host].astype(float)
 
     # legality: w + r(head) - r(tail) >= 0  ->  r(tail) - r(head) <= w;
     # a row holds its tail entry, then its head entry, each unless host
@@ -117,19 +107,18 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
     pair = pair[keep]
     rows, side = np.nonzero(pair != host)  # row-major: tail, then head
     vals = 1.0 - 2.0 * side  # +1 at the tail, -1 at the head
-    a = csr_matrix((vals, (rows, col[pair[rows, side]])),
-                   shape=(len(pair), nvar))
+    a = csr_matrix((vals, (rows, pair[rows, side])), shape=(len(pair), host))
     b_ub = np.concatenate(rhs)[keep].astype(float)
     start = time.perf_counter()
     res = linprog(cost, A_ub=a, b_ub=b_ub, bounds=bounds, method="highs")
     log.debug("retiming LP %s: %d rows, %d columns (%d zero-width), "
-              "%d iterations, %.4f s", net.name, len(pair), nvar,
+              "%d iterations, %.4f s", net.name, len(pair), host,
               int((bounds[:, 0] == bounds[:, 1]).sum()), res.nit,
               time.perf_counter() - start)
     if not res.success:  # identity retiming is always feasible
         raise RuntimeError(f"retiming LP failed: {res.message}")
     lag = np.zeros(host + 1, dtype=np.int64)
-    lag[used] = np.rint(res.x)
+    lag[:host] = np.rint(res.x)
 
     new = weight + lag[head] - lag[tail]
     if (new < 0).any():

@@ -26,7 +26,7 @@ DELETED = {
     mapper.NodeSolution: ("opt", "point_at"),
     mapper.Match: ("leaf_heights", "is_wire"),
     cuts.Cut: ("signature",),
-    netlist.SubjectGraph: ("compute_levels", "depth", "fanins"),
+    netlist.SubjectGraph: ("compute_levels", "depth", "fanins", "is_pi"),
     library: ("_PIN_RE", "_eval_expr"),
     netlist: ("_GATE_EXPRS", "_record_inputs"),
 }
@@ -72,6 +72,7 @@ SIGNATURES = {
     library.parse_library: ("text", "name"),
     netlist.parse_netlist: ("text",),
     cuts.enumerate_cuts: ("g", "k", "cap"),
+    retime.lag_window: ("tail", "head", "weight", "host", "order"),
 }
 
 OPTIONS = {

@@ -310,6 +310,19 @@ def test_po_named_like_a_pi_is_never_written(lib, table):
                 write()
 
 
+def test_po_named_like_a_pi_through_a_splitter_is_never_written(lib, table):
+    # PO a reads PI a undelayed, but through the splitter of a's two reads:
+    # writing it drives net a a second time
+    text = ".model s\n.inputs a b\n.outputs a g\n.names a g\n1 1\n.end\n"
+    res = map_graph(parse_netlist(text), lib, table)
+    for net in (res.before, res.after):
+        assert net.depth == 0 and not net.dff
+        assert [i.cell.kind for i in net.instances] == ["splitter"]
+        for write in (net.write_blif, net.write_verilog):
+            with pytest.raises(BalanceError, match="PO a is named like a PI"):
+                write()
+
+
 def test_po_that_is_its_own_pi_is_written(lib, table):
     # an undelayed PO on the PI of its name: the BLIF reads one driver
     text = ".model w\n.inputs a b\n.outputs a\n.end\n"

@@ -214,11 +214,17 @@ def test_complemented_and_constant_pos(table):
     assert net.const_pos == [("one", True), ("zero", False)]
 
 
-@pytest.mark.parametrize("mapper", [map_dag, map_depth_greedy],
-                         ids=["dp", "depth_greedy"])
-def test_cover_only_reads_the_solutions(table, mapper):
+@pytest.mark.parametrize("clocked,mapper", [
+    (False, map_dag), (False, map_depth_greedy),
+    (True, map_dag), (True, map_depth_greedy)],
+    ids=["dp", "depth_greedy", "clocked_inv-dp", "clocked_inv-depth_greedy"])
+def test_cover_only_reads_the_solutions(table, clocked_table, clocked, mapper):
     # both sweeps solve every (node, phase) the cover demands, complemented
-    # POs included, so the cover adds nothing to the solutions
+    # POs included, so the cover adds nothing to the solutions; with a
+    # clocked inverter a PI's negative phase sits at height 1, beside the
+    # height-0 wire of its positive phase
+    if clocked:
+        table = clocked_table
     g = SubjectGraph()
     a = (g.add_pi("a"), False)
     b = (g.add_pi("b"), False)
@@ -230,6 +236,7 @@ def test_cover_only_reads_the_solutions(table, mapper):
     before = dict(sols)
     net = extract_cover(sols, g)
     assert {(n[0], NEG), (a[0], NEG)} <= set(sols)
+    assert sols[(a[0], NEG)].best.height == (1 if clocked else 0)
     assert list(sols) == list(before)
     assert all(sols[key] is sol for key, sol in before.items())
     assert_equivalent(g, net)

@@ -436,6 +436,16 @@ def test_cli_check_identities_minimal_profile_can_fail(monkeypatch):
     assert result.exit_code == 1
     assert "FAIL most-balanced profile is minimal" in result.output
 
+
+@pytest.mark.parametrize("height", ["1", "-3"])
+def test_cli_check_identities_rejects_a_height_that_checks_nothing(height):
+    # the push-to-last-level check starts at height 2: below it no case runs
+    result = CliRunner().invoke(main, ["check-identities", "--max-height",
+                                       height])
+    assert result.exit_code == 2
+    assert "ok  " not in result.output
+
+
 def test_cli_hit_rate():
     runner = CliRunner()
     result = runner.invoke(main, ["hit-rate", "--json", str(KSA4)])
