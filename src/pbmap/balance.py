@@ -1,7 +1,8 @@
 """Path-balancing insertion on a mapped cover.
 
 A MappedNetwork holds primitive cell instances; balancing DFFs live as
-integer weights on edges, not as instances, so retiming is a pure
+integer counts on edges (an instance's ``pads``, one per fanin, and the
+network's ``po_pads``), not as instances, so retiming is a pure
 edge-weight transformation.  Clocked gates and DFFs contribute one level
 each; splitters are asynchronous and contribute none.
 """
@@ -28,13 +29,11 @@ class Instance:
     cell: Cell
     fanins: list[int]
     outs: list[int]
+    pads: list[int]  # DFFs on each fanin edge
 
     @property
     def out(self) -> int:
         return self.outs[0]
-
-
-# edge keys: (sig, ("inst", idx, pin)) or (sig, ("po", po_index))
 
 
 @dataclass
@@ -45,42 +44,40 @@ class MappedNetwork:
     instances: list[Instance] = field(default_factory=list)
     pos: list[int] = field(default_factory=list)  # driving signal per PO
     po_names: list[str] = field(default_factory=list)
+    po_pads: list[int] = field(default_factory=list)  # DFFs on each PO edge
     const_pos: list[tuple[str, bool]] = field(default_factory=list)
-    dff: dict = field(default_factory=dict)  # edge -> register count
     depth: int = 0  # clocked level every PO arrives at once balanced
     dff_cell: Cell | None = None
     splitter_cell: Cell | None = None
 
     def __post_init__(self):
-        self._next_sig = 0
-        self.driver: dict[int, tuple] = {}
+        # per signal: the index of the instance driving it, -1 at a PI
+        self.driver: list[int] = []
         self._topo: list[Instance] | None = None  # see topo_instances
 
     # -- construction --------------------------------------------------
 
     def add_pi(self, name: str) -> int:
-        sig = self._next_sig
-        self._next_sig += 1
+        sig = len(self.driver)
+        self.driver.append(-1)
         self.pi_names.append(name)
         self.pi_sigs.append(sig)
-        self.driver[sig] = ("pi", len(self.pi_sigs) - 1)
         return sig
 
     def add_gate(self, cell: Cell, fanins: list[int]) -> int:
         idx = len(self.instances)
-        first = self._next_sig
-        self._next_sig += 2 if cell.kind == "splitter" else 1
-        outs = list(range(first, self._next_sig))
-        inst = Instance(idx, cell, list(fanins), outs)
-        self.instances.append(inst)
+        first = len(self.driver)
+        self.driver += [idx] * (2 if cell.kind == "splitter" else 1)
+        outs = list(range(first, len(self.driver)))
+        self.instances.append(
+            Instance(idx, cell, list(fanins), outs, [0] * len(fanins)))
         self._topo = None
-        for slot, sig in enumerate(outs):
-            self.driver[sig] = ("inst", idx, slot)
         return outs[0]
 
     def add_po(self, sig: int, name: str):
         self.pos.append(sig)
         self.po_names.append(name)
+        self.po_pads.append(0)
 
     def add_const_po(self, name: str, value: bool):
         self.const_pos.append((name, value))
@@ -88,9 +85,14 @@ class MappedNetwork:
     # -- topology ------------------------------------------------------
 
     def consumers(self) -> dict[int, list[tuple]]:
+        """Every signal's readers: ``("inst", idx, pin)`` per instance pin,
+        then ``("po", i)`` per PO."""
         out: dict[int, list[tuple]] = {}
-        for sig, consumer in self.edge_list():
-            out.setdefault(sig, []).append(consumer)
+        for inst in self.instances:
+            for pin, sig in enumerate(inst.fanins):
+                out.setdefault(sig, []).append(("inst", inst.idx, pin))
+        for i, sig in enumerate(self.pos):
+            out.setdefault(sig, []).append(("po", i))
         return out
 
     def topo_instances(self) -> list[Instance]:
@@ -104,9 +106,9 @@ class MappedNetwork:
             for inst in self.instances:
                 for sig in inst.fanins:
                     drv = self.driver[sig]
-                    if drv[0] == "inst":
+                    if drv >= 0:
                         indeg[inst.idx] += 1
-                        deps[drv[1]].append(inst.idx)
+                        deps[drv].append(inst.idx)
             ready = [i for i in range(n) if not indeg[i]]
             heapq.heapify(ready)
             order = []
@@ -122,31 +124,18 @@ class MappedNetwork:
             self._topo = order
         return self._topo
 
-    def edge_list(self) -> list[tuple]:
-        """All (sig, consumer) edges in a fixed deterministic order."""
-        edges = []
-        for inst in self.instances:
-            for pin, sig in enumerate(inst.fanins):
-                edges.append((sig, ("inst", inst.idx, pin)))
-        for i, sig in enumerate(self.pos):
-            edges.append((sig, ("po", i)))
-        return edges
-
     def arrivals(self, balanced: bool = False) -> dict[int, int]:
         """Clocked level of every signal: 0 at a PI; at a cell's outputs the
         latest fanin arrival including its edge DFFs, plus one if clocked.
         With ``balanced``, a cell whose fanins do not arrive together raises
         BalanceError."""
         h = {sig: 0 for sig in self.pi_sigs}
-        dff = self.dff
         for inst in self.topo_instances():
-            idx = inst.idx
-            arrs = [h[f] + dff.get((f, ("inst", idx, pin)), 0)
-                    for pin, f in enumerate(inst.fanins)]
+            arrs = [h[f] + p for f, p in zip(inst.fanins, inst.pads)]
             arr = max(arrs)
             if balanced and min(arrs) != arr:
-                raise BalanceError(
-                    f"unbalanced fanins at {inst.cell.name} #{idx}: {arrs}")
+                raise BalanceError(f"unbalanced fanins at {inst.cell.name} "
+                                   f"#{inst.idx}: {arrs}")
             arr += inst.cell.is_clocked
             for sig in inst.outs:
                 h[sig] = arr
@@ -203,28 +192,25 @@ class MappedNetwork:
         """Per-gate fanin equalization plus PO padding; sets ``depth``.
         Padding a fanin up to the latest one moves no arrival, so one walk
         of the unpadded network gives every pad."""
-        self.dff = {}
+        for inst in self.instances:
+            inst.pads = [0] * len(inst.fanins)
         h = self.arrivals()
         for inst in self.instances:
             target = h[inst.out] - inst.cell.is_clocked  # the latest fanin
-            for pin, f in enumerate(inst.fanins):
-                if h[f] < target:
-                    self.dff[(f, ("inst", inst.idx, pin))] = target - h[f]
+            inst.pads = [target - h[f] for f in inst.fanins]
         self.depth = max((h[s] for s in self.pos), default=0)
-        for i, sig in enumerate(self.pos):
-            if h[sig] < self.depth:
-                self.dff[(sig, ("po", i))] = self.depth - h[sig]
+        self.po_pads = [self.depth - h[s] for s in self.pos]
         return self
 
     # -- metrics -------------------------------------------------------
 
     @property
     def dff_total(self) -> int:
-        return sum(self.dff.values())
+        return sum(sum(i.pads) for i in self.instances) + self.po_pad_dffs
 
     @property
     def po_pad_dffs(self) -> int:
-        return sum(w for (s, c), w in self.dff.items() if c[0] == "po")
+        return sum(self.po_pads)
 
     @property
     def splitter_count(self) -> int:
@@ -252,8 +238,7 @@ class MappedNetwork:
         i.e. has fanout above one.  Retiming keeps every PI-to-PO register
         count, so a retimed network keeps its depth."""
         h = self.arrivals(balanced=True)
-        po_arr = {h[s] + self.dff.get((s, ("po", i)), 0)
-                  for i, s in enumerate(self.pos)}
+        po_arr = {h[s] + p for s, p in zip(self.pos, self.po_pads)}
         if po_arr - {self.depth}:
             raise BalanceError(f"PO arrivals {sorted(po_arr)} differ from "
                                f"depth {self.depth}")
@@ -288,30 +273,27 @@ class MappedNetwork:
 
     def retiming_edges(self) -> list[tuple]:
         """(tail_vertex, head_vertex, weight) triples; PIs and POs attach to
-        the fixed 'host' vertex so I/O latency is pinned."""
-        edges = []
-        for sig, consumer in self.edge_list():
-            drv = self.driver[sig]
-            tail = "host" if drv[0] == "pi" else ("inst", drv[1])
-            head = "host" if consumer[0] == "po" else ("inst", consumer[1])
-            edges.append((tail, head, self.dff.get((sig, consumer), 0)))
-        return edges
+        the fixed 'host' vertex so I/O latency is pinned; instance pins in
+        index order, then POs."""
+        vertex = ["host" if d < 0 else ("inst", d) for d in self.driver]
+        return [(vertex[f], ("inst", inst.idx), p) for inst in self.instances
+                for f, p in zip(inst.fanins, inst.pads)] + [
+            (vertex[s], "host", p) for s, p in zip(self.pos, self.po_pads)]
 
     def copy(self) -> "MappedNetwork":
         net = MappedNetwork(name=self.name)
         net.pi_names = list(self.pi_names)
         net.pi_sigs = list(self.pi_sigs)
-        net.instances = [Instance(i.idx, i.cell, list(i.fanins), list(i.outs))
-                         for i in self.instances]
+        net.instances = [Instance(i.idx, i.cell, list(i.fanins), list(i.outs),
+                                  list(i.pads)) for i in self.instances]
         net.pos = list(self.pos)
         net.po_names = list(self.po_names)
+        net.po_pads = list(self.po_pads)
         net.const_pos = list(self.const_pos)
-        net.dff = dict(self.dff)
         net.depth = self.depth
         net.dff_cell = self.dff_cell
         net.splitter_cell = self.splitter_cell
-        net._next_sig = self._next_sig
-        net.driver = dict(self.driver)
+        net.driver = list(self.driver)
         if self._topo is not None:
             net._topo = [net.instances[i.idx] for i in self._topo]
         return net
@@ -335,14 +317,13 @@ class MappedNetwork:
             if both is not None:
                 raise BalanceError(f"PO {both} is named like a PI: a Verilog "
                                    "port is an input or an output, not both")
-        if self.dff and self.dff_cell is None:
+        if self.dff_total and self.dff_cell is None:
             raise BalanceError("network has DFFs but no DFF cell")
         io = self._io_names()
         names = self._net_names(io)
         # a PO named like a PI must be that PI's net, read without a DFF
-        for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
-            if name in pis and (names[sig] != name
-                                or self.dff.get((sig, ("po", i)))):
+        for name, sig, pad in zip(self.po_names, self.pos, self.po_pads):
+            if name in pis and (names[sig] != name or pad):
                 raise BalanceError(f"PO {name} is named like a PI but does "
                                    "not read its net undelayed: net "
                                    f"{name} would have two drivers")
@@ -365,7 +346,7 @@ class MappedNetwork:
     def _net_names(self, io: set[str]) -> list[str]:
         """Every signal's net name, indexed by signal: a PI's own name, else
         ``n<sig>``."""
-        names = _free_names([f"n{sig}" for sig in range(self._next_sig)], io)
+        names = _free_names([f"n{sig}" for sig in range(len(self.driver))], io)
         for name, sig in zip(self.pi_names, self.pi_sigs):
             names[sig] = name
         return names
@@ -378,13 +359,12 @@ class MappedNetwork:
         per PO.  A chain reads net ``src`` and its DFFs drive the nets
         ``_dff_nets(dffs, io)`` of the integer range ``dffs``, numbered in
         file order, each DFF reading the one before."""
-        dff, first = self.dff, 0
+        first = 0
 
-        def chain(sig, consumer):
-            """The DFF chain record of one edge (None if it has no DFF) and
-            the net the consumer reads."""
+        def chain(sig, n):
+            """The DFF chain record of an edge from ``sig`` with ``n`` DFFs
+            (None if it has none) and the net the consumer reads."""
             nonlocal first
-            n = dff.get((sig, consumer))
             if not n:
                 return None, names[sig]
             dffs = range(first, first + n)
@@ -393,15 +373,15 @@ class MappedNetwork:
 
         for inst in self.instances:
             nets = []
-            for pin, f in enumerate(inst.fanins):
-                rec, src = chain(f, ("inst", inst.idx, pin))
+            for f, pad in zip(inst.fanins, inst.pads):
+                rec, src = chain(f, pad)
                 if rec:
                     yield rec
                 nets.append(src)
             nets += [names[s] for s in inst.outs]
             yield GATE, inst, tuple(nets)
-        for i, (name, sig) in enumerate(zip(self.po_names, self.pos)):
-            rec, src = chain(sig, ("po", i))
+        for name, sig, pad in zip(self.po_names, self.pos, self.po_pads):
+            rec, src = chain(sig, pad)
             if rec:
                 yield rec
             yield PO, name, src
@@ -447,8 +427,7 @@ class MappedNetwork:
                f"  input {', '.join(pis + [clk])};\n")
         if outs:
             yield f"  output {', '.join(outs)};\n"
-        wires = sorted(names[s] for s in self.driver
-                       if self.driver[s][0] != "pi")
+        wires = sorted(names[s] for s, d in enumerate(self.driver) if d >= 0)
         dffs = self.dff_total
         if wires or dffs:
             yield f"  wire {', '.join(wires)}"

@@ -109,7 +109,6 @@ class Cut(NamedTuple):
 
 @dataclass
 class CutSet:
-    root: int
     cuts: list[Cut] = field(default_factory=list)
     truncated: int = 0  # cuts dropped by the per-node cap
 
@@ -273,8 +272,7 @@ def enumerate_cuts(g: SubjectGraph, k: int = 5,
                     pool.func[:pool.size].view(np.uint64).tolist()))
     off, cnt = pool.off.tolist(), pool.cnt.tolist()
     truncated = pool.truncated.tolist()
-    return {nid: CutSet(nid, cuts[off[nid]:off[nid] + cnt[nid]],
-                        truncated[nid])
+    return {nid: CutSet(cuts[off[nid]:off[nid] + cnt[nid]], truncated[nid])
             for nid in (*sources, *order)}
 
 

@@ -9,6 +9,7 @@ pin delays.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -188,6 +189,9 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
         except ValueError:
             raise LibraryError(f"cell '{cname}' has a non-numeric area "
                                f"{m.group('area')!r}") from None
+        if not math.isfinite(area):  # an overflow, e.g. 1e400
+            raise LibraryError(f"cell '{cname}' has a non-finite area "
+                               f"{m.group('area')!r}")
         parser = _ExprParser(m.group("expr"))
         try:
             tt = parser.parse()

@@ -63,7 +63,6 @@ class Match:
 
 @dataclass
 class NodeSolution:
-    node: int
     frontier: list[Match] = field(default_factory=list)  # by (dffs, height)
     # non-trivial cuts of the node, and those with a match in this phase:
     # the terms of ``library.hit_rate``, counted as the sweep looks them up
@@ -187,7 +186,7 @@ def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
         raise MappingError(
             f"node {nid} ({phase}) has no matchable cut: the library or the "
             "supergate depth cannot cover its cuts")
-    return NodeSolution(nid, [_match(p) for p in points], cuts, hits)
+    return NodeSolution([_match(p) for p in points], cuts, hits)
 
 
 def _sweep(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
@@ -203,7 +202,7 @@ def _sweep(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
     """
     wire = Match(None, 0, 0, 0.0, 0)
     srcs = g.pis + [CONST0] if g.has_const else g.pis
-    solutions = {(s, POS): NodeSolution(s, [wire]) for s in srcs}
+    solutions = {(s, POS): NodeSolution([wire]) for s in srcs}
     fanout = g.fanout_counts()
     for nid in g.topo_order():
         sol = _solve_node(nid, POS, cutsets, table, solutions, frontier_cap,

@@ -59,27 +59,27 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
     (difference constraints; the constraint matrix is totally unimodular, so
     the LP optimum is integral).  Vertices are instance indices, with PIs
     and POs on one fixed host vertex so I/O latency is pinned; one row per
-    edge in ``edge_list`` order (host-to-host edges left out), one column
-    per instance in index order, since every instance heads its fanin
-    edges.  Each column is bounded by its ``lag_window``, built from the
-    edge rows alone along ``topo_instances`` (which raises BalanceError on a
-    cycle): the bounds follow from the rows (the splitter rows of
-    ``allow_across_splitters=False`` only tighten them), so the feasible set
-    and the optimum are unchanged and HiGHS only takes a shorter path to it.
-    Returns a new MappedNetwork.
+    edge, instance pins in index order, then POs (host-to-host edges left
+    out), one column per instance in index order, since every instance
+    heads its fanin edges.  Each column is bounded by its ``lag_window``,
+    built from the edge rows alone along ``topo_instances`` (which raises
+    BalanceError on a cycle): the bounds follow from the rows (the splitter
+    rows of ``allow_across_splitters=False`` only tighten them), so the
+    feasible set and the optimum are unchanged and HiGHS only takes a
+    shorter path to it.  Returns a new MappedNetwork with the new pads.
     """
     host = len(net.instances)
     if not host:
         return net.copy()
-    edges = net.edge_list()
-    driver = net.driver
-    tail = np.fromiter((host if d[0] == "pi" else d[1]
-                        for d in (driver[sig] for sig, _ in edges)),
-                       dtype=np.int64, count=len(edges))
-    head = np.fromiter((host if c[0] == "po" else c[1] for _, c in edges),
-                       dtype=np.int64, count=len(edges))
-    weight = np.fromiter((net.dff.get(e, 0) for e in edges),
-                         dtype=np.int64, count=len(edges))
+    insts = net.instances
+    vertex = np.array(net.driver, dtype=np.int64)  # per signal
+    vertex[vertex < 0] = host
+    tail = vertex[np.array([f for i in insts for f in i.fanins] + net.pos,
+                           dtype=np.intp)]
+    head = np.array([i.idx for i in insts for _ in i.fanins]
+                    + [host] * len(net.pos), dtype=np.int64)
+    weight = np.array([p for i in insts for p in i.pads] + net.po_pads,
+                      dtype=np.int64)
     lo, hi = lag_window(tail, head, weight, host,
                         [i.idx for i in net.topo_instances()])
     bounds = np.column_stack([lo[:host], hi[:host]])
@@ -97,8 +97,7 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
         split = []
         for inst in net.instances:
             if inst.cell.kind == "splitter":
-                d = driver[inst.fanins[0]]
-                split.append((inst.idx, host if d[0] == "pi" else d[1]))
+                split.append((inst.idx, vertex[inst.fanins[0]]))
         sd = np.array(split, dtype=np.int64).reshape(-1, 2)
         pairs.append(np.stack([sd, sd[:, ::-1]], axis=1).reshape(-1, 2))
         rhs.append(np.zeros(len(pairs[-1]), dtype=np.int64))
@@ -125,6 +124,9 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
         raise RuntimeError("retiming produced a negative edge weight")
     if new.sum() > weight.sum():
         raise RuntimeError("retiming increased the register count")
-    after = net.copy()
-    after.dff = {e: w for e, w in zip(edges, new.tolist()) if w}
+    after, new, at = net.copy(), new.tolist(), 0
+    for inst in after.instances:
+        inst.pads = new[at:at + len(inst.pads)]
+        at += len(inst.pads)
+    after.po_pads = new[at:]
     return after

@@ -50,6 +50,21 @@ def subject_depth(g) -> int:
     return max((levels[p] for p, _ in g.pos), default=0)
 
 
+def balanced_po_arrivals(net) -> set[int] | None:
+    """The set of PO arrivals, DFFs included, by an arrival walk written
+    apart from ``MappedNetwork.arrivals``; None if some cell's fanins do not
+    arrive together."""
+    h = {sig: 0 for sig in net.pi_sigs}
+    for inst in net.topo_instances():
+        arrs = {h[f] + pad for f, pad in zip(inst.fanins, inst.pads)}
+        if len(arrs) != 1:
+            return None
+        arr = arrs.pop() + (1 if inst.cell.is_clocked else 0)
+        for sig in inst.outs:
+            h[sig] = arr
+    return {h[s] + pad for s, pad in zip(net.pos, net.po_pads)}
+
+
 # -- tree oracles: nested tuples, a pin is None and a gate (l, r) ------------
 
 

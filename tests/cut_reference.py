@@ -70,7 +70,7 @@ def reference_enumerate_cuts(g: SubjectGraph, k: int = 5,
     if g.has_const:
         sources.append(CONST0)
     for nid in sources:
-        result[nid] = CutSet(nid, [Cut((nid,), TRIVIAL_FUNC)])
+        result[nid] = CutSet([Cut((nid,), TRIVIAL_FUNC)])
         sigs[nid] = [1 << (nid & SIG_MASK)]
         sets[nid] = [frozenset((nid,))]
     for nid in g.topo_order():
@@ -92,7 +92,7 @@ def reference_enumerate_cuts(g: SubjectGraph, k: int = 5,
         merged = _drop_dominated(sorted(
             (len(u), tuple(sorted(u)), u, sigs0[i] | sigs1[j])
             for u, (i, j) in first.items()))
-        cs = CutSet(nid, [Cut((nid,), TRIVIAL_FUNC)])
+        cs = CutSet([Cut((nid,), TRIVIAL_FUNC)])
         node_sigs, node_sets = [1 << (nid & SIG_MASK)], [frozenset((nid,))]
         for width, ls, leaf_set, sig in merged:
             if len(cs.cuts) >= cap:

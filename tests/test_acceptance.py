@@ -23,7 +23,7 @@ from pbmap.trees import (buffer_band_check, enumerate_profiles,
                          most_unbalanced, push_to_last_level_check,
                          random_tree, tree_leaf_depths)
 from pbmap.truthtable import symmetry_perms
-from conftest import tree_buffer_count, tree_node_count
+from conftest import balanced_po_arrivals, tree_buffer_count, tree_node_count
 from test_mapper import tree_opt
 
 K = 5
@@ -333,27 +333,9 @@ def test_criterion_4_formula_suite(capsys):
 # ----------------------------------------------------------------------
 
 
-def recomputed_arrivals(net):
-    h = {sig: 0 for sig in net.pi_sigs}
-    for inst in net.topo_instances():
-        arrs = [h[f] + net.dff.get((f, ("inst", inst.idx, pin)), 0)
-                for pin, f in enumerate(inst.fanins)]
-        bump = 1 if inst.cell.is_clocked else 0
-        for sig in inst.outs:
-            h[sig] = max(arrs) + bump
-    return h
-
-
 def structurally_sound(net):
-    h = recomputed_arrivals(net)
-    for inst in net.instances:
-        arrs = [h[f] + net.dff.get((f, ("inst", inst.idx, pin)), 0)
-                for pin, f in enumerate(inst.fanins)]
-        if len(set(arrs)) != 1:
-            return False
-    po_arr = {h[s] + net.dff.get((s, ("po", i)), 0)
-              for i, s in enumerate(net.pos)}
-    if len(po_arr) > 1:
+    po_arr = balanced_po_arrivals(net)
+    if po_arr is None or len(po_arr) > 1:
         return False
     return all(len(sinks) <= 1 for sinks in net.consumers().values())
 

@@ -22,7 +22,7 @@ DELETED = {
     trees: ("max_depth_gap", "tree_buffer_count", "tree_node_count",
             "tree_height", "depth_gap_pad_lengths", "depth_gap_buffers"),
     truthtable: ("support", "tt_eval_packed"),
-    balance.MappedNetwork: ("gate_count",),
+    balance.MappedNetwork: ("gate_count", "edge_list"),
     mapper.NodeSolution: ("opt", "point_at"),
     mapper.Match: ("leaf_heights", "is_wire"),
     cuts.Cut: ("signature",),
@@ -59,10 +59,24 @@ def test_deleted_name_is_gone(owner, name):
     assert name not in pbmap.__all__
 
 
+def fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def test_deleted_fields_are_gone():
-    assert "delay" not in {f.name for f in dataclasses.fields(library.Cell)}
-    assert "sfq_mode" not in {f.name
-                              for f in dataclasses.fields(library.CellLibrary)}
+    assert "delay" not in fields(library.Cell)
+    assert "sfq_mode" not in fields(library.CellLibrary)
+    assert "root" not in fields(cuts.CutSet)
+    assert "node" not in fields(mapper.NodeSolution)
+
+
+def test_dffs_live_on_their_edges():
+    assert "dff" not in fields(balance.MappedNetwork)
+    assert fields(balance.Instance) == ("idx", "cell", "fanins", "outs",
+                                        "pads")
+    net = balance.MappedNetwork()
+    assert not hasattr(net, "_next_sig")
+    assert net.driver == [] and net.po_pads == []
 
 
 # parameter names in order; the first one or two are the inputs

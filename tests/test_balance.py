@@ -12,7 +12,8 @@ from pbmap.trees import (buffer_band_check, caterpillar, double_caterpillar,
                          input_pins_from_profile, measure_tree, most_balanced,
                          most_unbalanced, random_tree, tree_leaf_depths)
 
-from conftest import DATA, tree_buffer_count, tree_height, tree_node_count
+from conftest import (DATA, balanced_po_arrivals, tree_buffer_count,
+                      tree_height, tree_node_count)
 
 
 # ----------------------------------------------------------------------
@@ -20,26 +21,9 @@ from conftest import DATA, tree_buffer_count, tree_height, tree_node_count
 # ----------------------------------------------------------------------
 
 
-def independent_arrivals(net):
-    """Recompute signal arrival heights from scratch."""
-    h = {sig: 0 for sig in net.pi_sigs}
-    for inst in net.topo_instances():
-        arrs = [h[f] + net.dff.get((f, ("inst", inst.idx, pin)), 0)
-                for pin, f in enumerate(inst.fanins)]
-        bump = 1 if inst.cell.is_clocked else 0
-        for sig in inst.outs:
-            h[sig] = max(arrs) + bump
-    return h
-
-
 def check_balanced(net):
-    h = independent_arrivals(net)
-    for inst in net.instances:
-        arrs = [h[f] + net.dff.get((f, ("inst", inst.idx, pin)), 0)
-                for pin, f in enumerate(inst.fanins)]
-        assert len(set(arrs)) == 1, f"unbalanced fanins at instance {inst.idx}"
-    po_arr = {h[s] + net.dff.get((s, ("po", i)), 0)
-              for i, s in enumerate(net.pos)}
+    po_arr = balanced_po_arrivals(net)
+    assert po_arr is not None, "unbalanced fanins"
     assert len(po_arr) <= 1, "PO path lengths differ"
 
 
@@ -190,9 +174,7 @@ def test_balancing_example_heights_3_5(lib):
     top = net.add_gate(and2, [l, r])
     net.add_po(top, "f")
     net.insert_balancing()
-    key = next(k for k in net.dff if k[1] == ("inst", net.instances.index(
-        next(i for i in net.instances if i.out == top)), 0))
-    assert net.dff[key] == 2
+    assert next(i for i in net.instances if i.out == top).pads == [2, 0]
     assert net.dff_total == 2
 
 
@@ -206,9 +188,9 @@ def test_fully_balanced_cover_needs_no_dffs(lib, table):
 def test_dff_total_decomposition(lib, table):
     res = map_graph(bench.ksa4(), lib, table)
     net = res.before
-    edge_sum = sum(net.dff.get(e, 0) for e in net.edge_list())
-    assert edge_sum == net.dff_total  # every weighted edge is a real edge
-    assert net.po_pad_dffs <= net.dff_total
+    edge_sum = sum(w for _, _, w in net.retiming_edges())
+    assert edge_sum == net.dff_total  # every edge's pads, counted once
+    assert net.po_pad_dffs == sum(net.po_pads) <= net.dff_total
 
 
 def test_write_blif_contains_dff_instances(lib, table):
@@ -304,7 +286,7 @@ PO_NAMED_LIKE_PI = (".model m\n.inputs a b c\n.outputs a f\n"
 def test_po_named_like_a_pi_is_never_written(lib, table):
     res = map_graph(parse_netlist(PO_NAMED_LIKE_PI), lib, table)
     for net in (res.before, res.after):
-        assert net.dff.get((net.pos[0], ("po", 0)), 0) > 0
+        assert net.po_pads[0] > 0
         for write in (net.write_blif, net.write_verilog):
             with pytest.raises(BalanceError, match="PO a is named like a PI"):
                 write()
@@ -316,7 +298,7 @@ def test_po_named_like_a_pi_through_a_splitter_is_never_written(lib, table):
     text = ".model s\n.inputs a b\n.outputs a g\n.names a g\n1 1\n.end\n"
     res = map_graph(parse_netlist(text), lib, table)
     for net in (res.before, res.after):
-        assert net.depth == 0 and not net.dff
+        assert net.depth == 0 and net.dff_total == 0
         assert [i.cell.kind for i in net.instances] == ["splitter"]
         for write in (net.write_blif, net.write_verilog):
             with pytest.raises(BalanceError, match="PO a is named like a PI"):
@@ -392,10 +374,8 @@ def test_validate_rejects_a_signal_read_twice(lib, table):
     res = map_graph(bench.ksa4(), lib, table)
     for net in (res.before, res.after):
         net.validate()
-        pad = net.dff.get((net.pos[0], ("po", 0)), 0)
         net.add_po(net.pos[0], "again")
-        if pad:
-            net.dff[(net.pos[0], ("po", len(net.pos) - 1))] = pad
+        net.po_pads[-1] = net.po_pads[0]
         with pytest.raises(BalanceError, match="has fanout 2"):
             net.validate()
 
@@ -406,10 +386,10 @@ def test_validate_catches_imbalance(lib):
     net.insert_balancing()
     net.validate()
     # corrupt one edge weight
-    key = next(iter(net.dff)) if net.dff else None
-    if key is None:
+    inst = next((i for i in net.instances if any(i.pads)), None)
+    if inst is None:
         pytest.skip("no weighted edges to corrupt")
-    net.dff[key] += 1
+    inst.pads[next(pin for pin, w in enumerate(inst.pads) if w)] += 1
     with pytest.raises(BalanceError):
         net.validate()
 

@@ -14,7 +14,7 @@ import pytest
 
 from pbmap import bench, flow
 from pbmap.netlist import random_aig
-from test_balance import independent_arrivals
+from conftest import balanced_po_arrivals
 
 # circuit: (dffs_before, dffs_after, jj_total, splitters, depth)
 GOLDEN = {
@@ -140,10 +140,7 @@ def test_golden_netlist_text(name, mapped):
     # depth is the one PO arrival of the balanced network, before and after
     # retiming, by an arrival walk written independently of the mapper's
     for net in (res.before, res.after):
-        h = independent_arrivals(net)
-        po_arr = {h[s] + net.dff.get((s, ("po", i)), 0)
-                  for i, s in enumerate(net.pos)}
-        assert po_arr == {net.depth}
+        assert balanced_po_arrivals(net) == {net.depth}
 
 
 @pytest.mark.parametrize("variant,name", list(GOLDEN_VARIANTS))

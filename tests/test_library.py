@@ -215,6 +215,14 @@ def test_non_numeric_area_rejected():
         parse_library(MINI + "GATE g 1e o=a*b;\n")
 
 
+@pytest.mark.parametrize("area", ["1e400", "-1e400"])
+def test_non_finite_area_rejected(area):
+    # float() overflows these to infinity, which no JSON report can hold
+    with pytest.raises(LibraryError,
+                       match=f"^cell 'g' has a non-finite area '{area}'"):
+        parse_library(MINI + f"GATE g {area} o=a*b;\n")
+
+
 def test_cell_wider_than_a_truth_table_rejected():
     # its table would need more than MAX_VARS variables
     with pytest.raises(LibraryError, match="7 inputs"):

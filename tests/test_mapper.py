@@ -365,9 +365,9 @@ def reference_depth_greedy(g, cutsets, table):
     """Depth-greedy baseline choosing its wiring by a min over every
     symmetry permutation."""
     wire = Match(None, 0, 0, 0.0, 0)
-    solutions = {(pi, POS): NodeSolution(pi, [wire]) for pi in g.pis}
+    solutions = {(pi, POS): NodeSolution([wire]) for pi in g.pis}
     if g.has_const:
-        solutions[(CONST0, POS)] = NodeSolution(CONST0, [wire])
+        solutions[(CONST0, POS)] = NodeSolution([wire])
     for nid in g.topo_order():
         best = None
         for cut in cutsets[nid].cuts:
@@ -394,7 +394,7 @@ def reference_depth_greedy(g, cutsets, table):
                 if best is None or key < (best.height, best.area, best.jj,
                                           best.supergate.name):
                     best = cand
-        solutions[(nid, POS)] = NodeSolution(nid, [best])
+        solutions[(nid, POS)] = NodeSolution([best])
     return solutions
 
 

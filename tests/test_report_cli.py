@@ -233,6 +233,20 @@ def test_cli_inverting_dff_exits_3(tmp_path):
     assert result.exit_code == 3, result.output
     assert "library has no DFF cell" in result.output
 
+
+def test_cli_infinite_area_exits_3(tmp_path):
+    # once mapped, with "area": Infinity in the --json report, which is no
+    # JSON (RFC 8259)
+    genlib = tmp_path / "inf.genlib"
+    genlib.write_text((DATA / "sfq.genlib").read_text()
+                      .replace("GATE and2   0.0060", "GATE and2 1e400"))
+    result = CliRunner().invoke(main, ["map", "--lib", str(genlib), "--json",
+                                       str(KSA4)])
+    assert result.exit_code == 3, result.output
+    assert "cell 'and2' has a non-finite area '1e400'" in result.output
+    assert "Infinity" not in result.output
+
+
 def test_cli_library_expression_error_names_its_cell(tmp_path):
     badlib = tmp_path / "bad.genlib"
     badlib.write_text((DATA / "sfq.genlib").read_text()

@@ -173,10 +173,11 @@ def shared_source_net(lib):
 def test_push_back_across_splitter(lib):
     net = shared_source_net(lib)
     # one DFF per splitter sink edge, plus one inside each side cone
-    sink_edges = [(s, c) for (s, c), w in net.dff.items()
-                  if c[0] == "inst" and net.instances[c[1]].cell.name == "and2"
-                  and net.driver[s][0] == "inst"
-                  and net.instances[net.driver[s][1]].cell.kind == "splitter"]
+    sink_edges = [(f, inst.idx) for inst in net.instances
+                  if inst.cell.name == "and2"
+                  for f, w in zip(inst.fanins, inst.pads)
+                  if w and net.driver[f] >= 0
+                  and net.instances[net.driver[f]].cell.kind == "splitter"]
     assert len(sink_edges) == 2
     assert net.dff_total == 4
     after = retime_min_registers(net, allow_across_splitters=True)
@@ -228,10 +229,10 @@ def reference_window(edges):
     return {v: (-down[v], up[v]) for v in vertices}
 
 
-def reference_retimed_dff(net, allow_across_splitters, bounded=True):
+def reference_retimed_weights(net, allow_across_splitters, bounded=True):
     """The dict-built LP retime_min_registers replaced, returning the
-    retimed ``dff`` dict; ``bounded`` gives each column its lag window,
-    computed from the edge rows alone."""
+    retimed weight of each edge in ``retiming_edges`` order; ``bounded``
+    gives each column its lag window, computed from the edge rows alone."""
     edges = net.retiming_edges()
     vertices = sorted({v for t, h, _ in edges for v in (t, h)} - {"host"})
     vidx = {v: i for i, v in enumerate(vertices)}
@@ -259,7 +260,7 @@ def reference_retimed_dff(net, allow_across_splitters, bounded=True):
             if inst.cell.kind != "splitter":
                 continue
             drv = net.driver[inst.fanins[0]]
-            d = "host" if drv[0] == "pi" else ("inst", drv[1])
+            d = "host" if drv < 0 else ("inst", drv)
             for a, b in ((("inst", inst.idx), d), (d, ("inst", inst.idx))):
                 row = {}
                 if a != "host":
@@ -279,11 +280,17 @@ def reference_retimed_dff(net, allow_across_splitters, bounded=True):
     assert res.success
     r = {v: int(round(x)) for v, x in zip(vertices, res.x)}
     r["host"] = 0
-    out = {}
-    for edge, (tail, head, w) in zip(net.edge_list(), edges):
-        wr = w + r[head] - r[tail]
-        if wr:
-            out[edge] = wr
+    return [w + r[head] - r[tail] for tail, head, w in edges]
+
+
+def with_edge_weights(net, weights):
+    """A copy of ``net`` whose edges, in ``retiming_edges`` order (instance
+    pins in index order, then POs), carry ``weights``."""
+    out, rest = net.copy(), list(weights)
+    for inst in out.instances:
+        inst.pads, rest = rest[:len(inst.fanins)], rest[len(inst.fanins):]
+    out.po_pads = rest
+    assert len(rest) == len(out.pos)
     return out
 
 
@@ -291,12 +298,14 @@ def reference_retimed_dff(net, allow_across_splitters, bounded=True):
 @pytest.mark.parametrize("name", list(CIRCUITS))
 def test_array_lp_matches_dict_lp(lib, table, name, across):
     net = map_graph(CIRCUITS[name](), lib, table, retime=False).before
-    dff_in = dict(net.dff)
+    edges_in = net.retiming_edges()
     after = retime_min_registers(net, allow_across_splitters=across)
-    want = reference_retimed_dff(net, across)
-    assert list(after.dff.items()) == list(want.items())
-    assert all(type(w) is int for w in after.dff.values())
-    assert net.dff == dff_in  # the input network is left as it was
+    want = reference_retimed_weights(net, across)
+    assert [w for _, _, w in after.retiming_edges()] == want
+    assert all(type(w) is int for i in after.instances for w in i.pads)
+    assert all(type(w) is int for w in after.po_pads)
+    # the input network is left as it was
+    assert net.retiming_edges() == edges_in
 
 
 def parallel_edge_net(lib):
@@ -307,7 +316,8 @@ def parallel_edge_net(lib):
     a, b = net.add_pi("a"), net.add_pi("b")
     f = net.add_gate(and2, [a, b])
     net.add_po(f, "f")
-    net.dff = {(b, ("inst", 0, 1)): 2, (f, ("po", 0)): 1}
+    net.instances[0].pads = [0, 2]
+    net.po_pads = [1]
     return net
 
 
@@ -338,7 +348,7 @@ def test_a_cyclic_network_is_rejected_before_the_lp(lib):
     u1 = net.add_gate(and2, [u0, b])
     assert u1 == 3
     net.add_po(u1, "f")
-    net.dff = {(u0, ("inst", 1, 0)): 1}
+    net.instances[1].pads = [1, 0]
     with pytest.raises(BalanceError, match="cycle"):
         net.topo_instances()
     with pytest.raises(BalanceError, match="cycle"):
@@ -354,8 +364,8 @@ def test_window_keeps_the_optimum(lib, table, clocked_lib, clocked_table,
     for make in CIRCUITS.values():
         net = map_graph(make(), lib, table, retime=False).before
         after = retime_min_registers(net, allow_across_splitters=across)
-        free = reference_retimed_dff(net, across, bounded=False)
-        assert after.dff_total == sum(free.values()), net.name
+        free = reference_retimed_weights(net, across, bounded=False)
+        assert after.dff_total == sum(free), net.name
 
 
 def alap_network(net):
@@ -363,13 +373,8 @@ def alap_network(net):
     allow, so no register can move any further toward the outputs."""
     edges = net.retiming_edges()
     window = reference_window(edges)
-    alap = net.copy()
-    alap.dff = {}
-    for edge, (tail, head, w) in zip(net.edge_list(), edges):
-        wr = w + window[head][1] - window[tail][1]
-        if wr:
-            alap.dff[edge] = wr
-    return alap
+    return with_edge_weights(net, [w + window[head][1] - window[tail][1]
+                                   for tail, head, w in edges])
 
 
 @pytest.mark.parametrize("name, alap_dffs, optimum", [
