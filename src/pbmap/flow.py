@@ -84,7 +84,7 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
         else:
             solutions = mapmod.map_dag(g, cutsets, table)
         del cutsets
-        net = mapmod.extract_cover(solutions, g)
+        net, _ = mapmod.choose_cover(solutions, g).instantiate()
         # library.hit_rate's terms, counted by the positive-phase sweep
         pos = [sol for (_, phase), sol in solutions.items()
                if phase == mapmod.POS]

@@ -153,7 +153,7 @@ _GATE_RE = re.compile(
     r"GATE\s+(?P<name>\S+)\s+(?P<area>[\d.eE+-]+)\s+(?P<out>\w+)\s*=\s*(?P<expr>[^;]+);",
     re.S,
 )
-_JJ_RE = re.compile(r"\bJJ\s*=\s*(\d+)")
+_JJ_RE = re.compile(r"\bJJ\s*=\s*(\S*)")
 _CLOCKED_RE = re.compile(r"\bCLOCKED\s*=\s*([01])")
 
 
@@ -171,7 +171,6 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
     for rec in records:
         jj = _JJ_RE.search(rec)
         clocked = _CLOCKED_RE.search(rec)
-        jj_count = int(jj.group(1)) if jj else 0
         is_clocked = bool(int(clocked.group(1))) if clocked else True
         # strip comments (annotations already captured)
         stripped = "\n".join(line.split("#")[0] for line in rec.splitlines())
@@ -192,6 +191,13 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
         if not math.isfinite(area):  # an overflow, e.g. 1e400
             raise LibraryError(f"cell '{cname}' has a non-finite area "
                                f"{m.group('area')!r}")
+        if area < 0:
+            raise LibraryError(f"cell '{cname}' has a negative area "
+                               f"{m.group('area')!r}")
+        if jj and not jj.group(1).isdecimal():  # e.g. JJ=-6 or JJ=x
+            raise LibraryError(f"cell '{cname}' has an unreadable JJ count "
+                               f"{jj.group(1)!r}")
+        jj_count = int(jj.group(1)) if jj else 0
         parser = _ExprParser(m.group("expr"))
         try:
             tt = parser.parse()

@@ -1,5 +1,5 @@
 """The path-balancing mapper core: a DP over cuts that minimizes inserted
-balancing DFFs, and cover extraction.
+balancing DFFs, and the choice and instantiation of its cover.
 
 Every node carries a small Pareto frontier of (height, dffs) matches; a
 match's DFF count is its leaves' cumulative counts plus the retimed DFF
@@ -239,55 +239,68 @@ def map_depth_greedy(g: SubjectGraph, cutsets, table):
 
 
 # ----------------------------------------------------------------------
-# cover extraction
+# the cover: chosen from the solutions, then instantiated
 # ----------------------------------------------------------------------
 
 
-def extract_cover(solutions, g: SubjectGraph, cutsets=None, table=None,
-                  frontier_cap: int = FRONTIER_CAP) -> MappedNetwork:
-    """Reverse traversal from the POs instantiating the chosen supergates.
-    It only reads ``solutions``, which must hold every (node, phase) the
-    cover demands, as ``map_dag`` and ``map_depth_greedy`` return them.
-    ``cutsets``, ``table`` and ``frontier_cap`` are unused, kept for the
-    benchmark's traced pipeline, which still passes them."""
-    net = MappedNetwork(name=g.name)
-    # (node, phase, height) -> signal; a PI's positive phase is its wire
-    sig_of: dict[tuple[int, str, int], int] = {
-        (pid, POS, 0): net.add_pi(g.pi_names[pid]) for pid in g.pis}
+@dataclass
+class Cover:
+    """A chosen cover of ``graph``: ``matches`` maps each (node, phase,
+    height) key to its Match, each after its leaves' keys, PIs' wires left
+    out; ``po_keys`` holds each PO's key, None for a constant PO."""
+    graph: SubjectGraph
+    matches: dict[tuple[int, str, int], Match]
+    po_keys: list[tuple[int, str, int] | None]
 
-    def demand(key: tuple[int, str, int], match: Match) -> int:
-        """Build the cover of one memo ``key`` not yet in ``sig_of``,
-        ``match`` its point, bottom-up with an explicit stack: a match's
-        leaves are visited in order, each completed before the next, and its
-        supergate is instantiated after them, so the netlist order is that of
-        a depth-first walk at any depth."""
-        stack = [(key, match, [])]  # (key, match, leaf signals so far)
-        while True:
-            key, match, leaf_sigs = stack[-1]
-            i = len(leaf_sigs)
-            if i < len(match.leaves):
-                point = match.inputs[i]
-                leaf = (match.leaves[i], POS, point.height)
-                if leaf in sig_of:
-                    leaf_sigs.append(sig_of[leaf])
-                else:
-                    stack.append((leaf, point, []))
-                continue
-            stack.pop()
-            sig = sig_of[key] = _instantiate(net, match.supergate, leaf_sigs)
-            if not stack:
-                return sig
-            stack[-1][2].append(sig)
+    def instantiate(self) -> tuple[MappedNetwork, dict]:
+        """The cover's network, and the signal of each key: the PIs, each
+        match's supergate in order, then the POs."""
+        g = self.graph
+        net = MappedNetwork(name=g.name)
+        sig_of = {(pid, POS, 0): net.add_pi(g.pi_names[pid]) for pid in g.pis}
+        for key, m in self.matches.items():
+            leaf_sigs = [sig_of[leaf, POS, p.height]
+                         for leaf, p in zip(m.leaves, m.inputs)]
+            sig_of[key] = _instantiate(net, m.supergate, leaf_sigs)
+        for name, key, (_, c) in zip(g.po_names, self.po_keys, g.pos):
+            if key is None:
+                net.add_const_po(name, bool(c))
+            else:
+                net.add_po(sig_of[key], name)
+        return net, sig_of
 
-    for name, (p, c) in zip(g.po_names, g.pos):
+
+def choose_cover(solutions, g: SubjectGraph) -> Cover:
+    """The cover of each PO's ``best`` point, walked depth first with one
+    explicit stack, a match's leaves in order.  It only reads ``solutions``,
+    which must hold every (node, phase) the cover demands, as ``map_dag``
+    and ``map_depth_greedy`` return them."""
+    matches, po_keys = {}, []
+    for p, c in g.pos:
         if p == CONST0:
-            net.add_const_po(name, bool(c))
+            po_keys.append(None)
             continue
         phase = NEG if c else POS
         match = solutions[(p, phase)].best
-        key = (p, phase, match.height)
-        net.add_po(sig_of[key] if key in sig_of else demand(key, match), name)
-    return net
+        po_keys.append((p, phase, match.height))
+        stack = [(po_keys[-1], match, 0)]  # (key, match, next leaf)
+        while stack:
+            key, match, i = stack.pop()
+            if i == 0 and (match.supergate is None or key in matches):
+                continue  # a PI's wire, or a key already chosen
+            if i == len(match.leaves):
+                matches[key] = match
+                continue
+            point = match.inputs[i]
+            stack += [(key, match, i + 1),
+                      ((match.leaves[i], POS, point.height), point, 0)]
+    return Cover(g, matches, po_keys)
+
+
+def extract_cover(solutions, g, cutsets=None, table=None, frontier_cap=None):
+    """The network of ``choose_cover``; the last three parameters are unused,
+    kept for the benchmark's traced pipeline, which still passes them."""
+    return choose_cover(solutions, g).instantiate()[0]
 
 
 def _instantiate(net: MappedNetwork, sg: Supergate, leaf_sigs: list[int]) -> int:

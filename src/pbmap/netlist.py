@@ -26,7 +26,6 @@ class NetlistError(Exception):
 
 @dataclass
 class AndNode:
-    id: int
     fanin0: tuple[int, bool]
     fanin1: tuple[int, bool]
 
@@ -84,7 +83,7 @@ class SubjectGraph:
         if nid is None:
             nid = self._next_id
             self._next_id += 1
-            self.nodes[nid] = AndNode(nid, f0, f1)
+            self.nodes[nid] = AndNode(f0, f1)
             self._strash[key] = nid
         return (nid, False)
 

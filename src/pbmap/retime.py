@@ -63,11 +63,13 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
     out), one column per instance in index order, since every instance
     heads its fanin edges.  Each column is bounded by its ``lag_window``,
     built from the edge rows alone along ``topo_instances`` (which raises
-    BalanceError on a cycle): the bounds follow from the rows (the splitter
-    rows of ``allow_across_splitters=False`` only tighten them), so the
+    BalanceError on a cycle): the bounds follow from the rows, so the
     feasible set and the optimum are unchanged and HiGHS only takes a
     shorter path to it.  Returns a new MappedNetwork with the new pads.
+    Registers move across splitters; ``allow_across_splitters=False`` raises.
     """
+    if not allow_across_splitters:
+        raise ValueError("splitters cannot be pinned to their drivers")
     host = len(net.instances)
     if not host:
         return net.copy()
@@ -90,24 +92,13 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
 
     # legality: w + r(head) - r(tail) >= 0  ->  r(tail) - r(head) <= w;
     # a row holds its tail entry, then its head entry, each unless host
-    pairs = [np.stack([tail, head], axis=1)]
-    rhs = [weight]
-    if not allow_across_splitters:
-        # pin each splitter's lag to its driver's: (s, d) and (d, s) rows
-        split = []
-        for inst in net.instances:
-            if inst.cell.kind == "splitter":
-                split.append((inst.idx, vertex[inst.fanins[0]]))
-        sd = np.array(split, dtype=np.int64).reshape(-1, 2)
-        pairs.append(np.stack([sd, sd[:, ::-1]], axis=1).reshape(-1, 2))
-        rhs.append(np.zeros(len(pairs[-1]), dtype=np.int64))
-    pair = np.concatenate(pairs)
+    pair = np.stack([tail, head], axis=1)
     keep = (pair != host).any(axis=1)  # a host-host edge constrains nothing
     pair = pair[keep]
     rows, side = np.nonzero(pair != host)  # row-major: tail, then head
     vals = 1.0 - 2.0 * side  # +1 at the tail, -1 at the head
     a = csr_matrix((vals, (rows, pair[rows, side])), shape=(len(pair), host))
-    b_ub = np.concatenate(rhs)[keep].astype(float)
+    b_ub = weight[keep].astype(float)
     start = time.perf_counter()
     res = linprog(cost, A_ub=a, b_ub=b_ub, bounds=bounds, method="highs")
     log.debug("retiming LP %s: %d rows, %d columns (%d zero-width), "

@@ -68,6 +68,12 @@ def test_deleted_fields_are_gone():
     assert "sfq_mode" not in fields(library.CellLibrary)
     assert "root" not in fields(cuts.CutSet)
     assert "node" not in fields(mapper.NodeSolution)
+    assert "id" not in fields(netlist.AndNode)  # its SubjectGraph.nodes key
+
+
+def test_the_cover_is_a_value():
+    # the chosen matches and each PO's key, which the network is built from
+    assert fields(mapper.Cover) == ("graph", "matches", "po_keys")
 
 
 def test_dffs_live_on_their_edges():
@@ -86,6 +92,7 @@ SIGNATURES = {
     library.parse_library: ("text", "name"),
     netlist.parse_netlist: ("text",),
     cuts.enumerate_cuts: ("g", "k", "cap"),
+    mapper.choose_cover: ("solutions", "g"),
     retime.lag_window: ("tail", "head", "weight", "host", "order"),
 }
 

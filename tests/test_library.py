@@ -223,6 +223,27 @@ def test_non_finite_area_rejected(area):
         parse_library(MINI + f"GATE g {area} o=a*b;\n")
 
 
+def test_negative_area_rejected():
+    # once accepted, with a negative report area and the DP's area
+    # tie-break preferring the cell
+    with pytest.raises(LibraryError,
+                       match="^cell 'g' has a negative area '-1.0'"):
+        parse_library(MINI + "GATE g -1.0 o=a*b;\n")
+
+
+@pytest.mark.parametrize("jj", ["-6", "x", "6.5", ""])
+def test_unreadable_jj_count_rejected(jj):
+    # once read as 0 JJs
+    with pytest.raises(LibraryError,
+                       match=f"^cell 'g' has an unreadable JJ count '{jj}'"):
+        parse_library(MINI + f"GATE g 1.0 o=a*b;  # JJ={jj}\n")
+
+
+def test_a_record_without_jj_counts_0():
+    lib = parse_library(MINI + "GATE g 1.0 o=a*b;  # CLOCKED=1\n")
+    assert next(c for c in lib.cells if c.name == "g").jj_count == 0
+
+
 def test_cell_wider_than_a_truth_table_rejected():
     # its table would need more than MAX_VARS variables
     with pytest.raises(LibraryError, match="7 inputs"):

@@ -415,7 +415,7 @@ def test_shuffled_blif_is_out_of_dependency_order():
 
 def test_nodes_cannot_be_passed_in():
     with pytest.raises(TypeError):
-        SubjectGraph(nodes={3: AndNode(3, (1, False), (2, False))})
+        SubjectGraph(nodes={3: AndNode((1, False), (2, False))})
 
 
 # -- .gate records ------------------------------------------------------------

@@ -247,6 +247,23 @@ def test_cli_infinite_area_exits_3(tmp_path):
     assert "Infinity" not in result.output
 
 
+@pytest.mark.parametrize("old,new,error", [
+    ("GATE and2   0.0060", "GATE and2   -1.0", "a negative area '-1.0'"),
+    ("o=a*b;   # JJ=6", "o=a*b;   # JJ=-6", "an unreadable JJ count '-6'")],
+    ids=["negative_area", "unreadable_jj"])
+def test_cli_nonsense_cell_cost_exits_3(tmp_path, old, new, error):
+    # each once mapped with exit 0: a negative "area", or ksa4's jj_total
+    # down from 633 to 489 with the and2 cells read as 0 JJs
+    text = (DATA / "sfq.genlib").read_text()
+    genlib = tmp_path / "bad.genlib"
+    genlib.write_text(text.replace(old, new, 1))
+    assert genlib.read_text() != text
+    result = CliRunner().invoke(main, ["map", "--lib", str(genlib), "--json",
+                                       str(KSA4)])
+    assert result.exit_code == 3, result.output
+    assert f"cell 'and2' has {error}" in result.output
+
+
 def test_cli_library_expression_error_names_its_cell(tmp_path):
     badlib = tmp_path / "bad.genlib"
     badlib.write_text((DATA / "sfq.genlib").read_text()

@@ -183,9 +183,9 @@ def test_push_back_across_splitter(lib):
     after = retime_min_registers(net, allow_across_splitters=True)
     assert after.dff_total == 3  # sibling sink DFFs merge behind the splitter
     after.validate()
-    # with splitters pinned to their drivers, no sharing is possible
-    pinned = retime_min_registers(net, allow_across_splitters=False)
-    assert pinned.dff_total == 4
+    # splitters cannot be pinned to their drivers, which forbids that sharing
+    with pytest.raises(ValueError, match="pinned"):
+        retime_min_registers(net, allow_across_splitters=False)
 
 
 def test_already_minimal_network_unchanged(lib, table):
@@ -229,7 +229,7 @@ def reference_window(edges):
     return {v: (-down[v], up[v]) for v in vertices}
 
 
-def reference_retimed_weights(net, allow_across_splitters, bounded=True):
+def reference_retimed_weights(net, bounded=True):
     """The dict-built LP retime_min_registers replaced, returning the
     retimed weight of each edge in ``retiming_edges`` order; ``bounded``
     gives each column its lag window, computed from the edge rows alone."""
@@ -255,20 +255,6 @@ def reference_retimed_weights(net, allow_across_splitters, bounded=True):
         if row:
             a_ub.append(row)
             b_ub.append(float(w))
-    if not allow_across_splitters:
-        for inst in net.instances:
-            if inst.cell.kind != "splitter":
-                continue
-            drv = net.driver[inst.fanins[0]]
-            d = "host" if drv < 0 else ("inst", drv)
-            for a, b in ((("inst", inst.idx), d), (d, ("inst", inst.idx))):
-                row = {}
-                if a != "host":
-                    row[vidx[a]] = 1.0
-                if b != "host":
-                    row[vidx[b]] = row.get(vidx[b], 0.0) - 1.0
-                a_ub.append(row)
-                b_ub.append(0.0)
     rows, cols, vals = [], [], []
     for i, row in enumerate(a_ub):
         for j, v in row.items():
@@ -299,11 +285,15 @@ def with_edge_weights(net, weights):
 def test_array_lp_matches_dict_lp(lib, table, name, across):
     net = map_graph(CIRCUITS[name](), lib, table, retime=False).before
     edges_in = net.retiming_edges()
-    after = retime_min_registers(net, allow_across_splitters=across)
-    want = reference_retimed_weights(net, across)
-    assert [w for _, _, w in after.retiming_edges()] == want
-    assert all(type(w) is int for i in after.instances for w in i.pads)
-    assert all(type(w) is int for w in after.po_pads)
+    if across:
+        after = retime_min_registers(net, allow_across_splitters=True)
+        want = reference_retimed_weights(net)
+        assert [w for _, _, w in after.retiming_edges()] == want
+        assert all(type(w) is int for i in after.instances for w in i.pads)
+        assert all(type(w) is int for w in after.po_pads)
+    else:  # splitters pinned to their drivers: refused
+        with pytest.raises(ValueError, match="pinned"):
+            retime_min_registers(net, allow_across_splitters=False)
     # the input network is left as it was
     assert net.retiming_edges() == edges_in
 
@@ -363,8 +353,12 @@ def test_window_keeps_the_optimum(lib, table, clocked_lib, clocked_table,
         lib, table = clocked_lib, clocked_table
     for make in CIRCUITS.values():
         net = map_graph(make(), lib, table, retime=False).before
-        after = retime_min_registers(net, allow_across_splitters=across)
-        free = reference_retimed_weights(net, across, bounded=False)
+        if not across:  # splitters pinned to their drivers: refused
+            with pytest.raises(ValueError, match="pinned"):
+                retime_min_registers(net, allow_across_splitters=False)
+            continue
+        after = retime_min_registers(net, allow_across_splitters=True)
+        free = reference_retimed_weights(net, bounded=False)
         assert after.dff_total == sum(free), net.name
 
 
