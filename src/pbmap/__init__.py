@@ -1,7 +1,8 @@
 """Path-balancing technology mapper for clocked SFQ cell libraries."""
 
 from .balance import MappedNetwork
-from .cuts import Cut, CutSet, compute_cut_functions, enumerate_cuts
+from .cuts import (Cut, CutSet, CutSets, compute_cut_functions,
+                   enumerate_cuts)
 from .flow import FlowResult, map_graph, prepare_match_table
 from .library import (Cell, CellLibrary, LibraryError, MatchTable, Supergate,
                       generate_supergates, parse_library, retimed_match_dffs)
@@ -15,9 +16,9 @@ from .trees import (TreeProfile, buffer_band_check, input_pins_from_profile,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cell", "CellLibrary", "Cut", "CutSet", "FlowResult", "LibraryError",
-    "MappedNetwork", "MappingError", "MappingReport", "MatchTable",
-    "NetlistError", "SubjectGraph", "Supergate", "TreeProfile",
+    "Cell", "CellLibrary", "Cut", "CutSet", "CutSets", "FlowResult",
+    "LibraryError", "MappedNetwork", "MappingError", "MappingReport",
+    "MatchTable", "NetlistError", "SubjectGraph", "Supergate", "TreeProfile",
     "build_report", "compute_cut_functions", "emit", "enumerate_cuts",
     "generate_supergates", "input_pins_from_profile",
     "push_to_last_level_check", "map_dag", "map_graph", "most_balanced",

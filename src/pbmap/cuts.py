@@ -44,6 +44,7 @@ circuit can produce, so a mapping built on it stays correct.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -111,6 +112,49 @@ class Cut(NamedTuple):
 class CutSet:
     cuts: list[Cut] = field(default_factory=list)
     truncated: int = 0  # cuts dropped by the per-node cap
+
+
+class CutSets(Mapping):
+    """Every PI's and internal node's cut set, keyed by node id, as rows of
+    the kernel's arrays: read-only, with a ``CutSet`` built on each access.
+
+    Row r holds a cut's leaf ids, sorted and right-aligned after -1 for
+    each empty slot, in ``leaves[r]``, their count in ``width[r]`` and its
+    table, as int64 bits, in ``func[r]``.  Node ``nid``'s cuts are rows
+    ``off[nid]`` to ``off[nid] + cnt[nid]``, its trivial cut first, and
+    ``truncated[nid]`` counts those the cap dropped."""
+
+    def __init__(self, nodes, leaves, func, off, cnt, truncated):
+        self.nodes = dict.fromkeys(nodes)  # in order, for iteration
+        self.leaves, self.width = leaves, (leaves >= 0).sum(axis=1)
+        self.func, self.off, self.cnt = func, off, cnt
+        self.truncated = truncated
+        for a in (leaves, self.width, func, off, cnt, truncated):
+            a.flags.writeable = False
+
+    def pairs(self, rows) -> list[tuple[tuple[int, ...], int]]:
+        """The (leaves, func) of each of ``rows``, in order."""
+        k = self.leaves.shape[1]
+        return [(tuple(row[k - w:]), func) for row, w, func in
+                zip(self.leaves[rows].tolist(), self.width[rows].tolist(),
+                    self.func[rows].view(np.uint64).tolist())]
+
+    def __getitem__(self, nid: int) -> CutSet:
+        if nid not in self.nodes:
+            raise KeyError(nid)
+        lo = int(self.off[nid])
+        rows = slice(lo, lo + int(self.cnt[nid]))
+        return CutSet([Cut(*pair) for pair in self.pairs(rows)],
+                      int(self.truncated[nid]))
+
+    def __contains__(self, nid) -> bool:
+        return nid in self.nodes
+
+    def __iter__(self):
+        return iter(self.nodes)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
 
 
 class _Pool:
@@ -237,9 +281,10 @@ def _level(pool: _Pool, nids, fanins, negs, cap: int):
 
 
 def enumerate_cuts(g: SubjectGraph, k: int = 5,
-                   cap: int = CUT_CAP) -> dict[int, CutSet]:
-    """Cut sets for every PI and internal node, keyed by node id; every cut's
-    ``func`` is set."""
+                   cap: int = CUT_CAP) -> CutSets:
+    """Cut sets for every PI and internal node, keyed by node id in the order
+    of the PIs, the constant and ``g.topo_order()``; every cut's ``func`` is
+    set."""
     if not 2 <= k <= 6:
         raise ValueError("k must be in 2..6")
     sources = list(g.pis)
@@ -265,15 +310,10 @@ def enumerate_cuts(g: SubjectGraph, k: int = 5,
              np.zeros(0, np.int64), np.zeros(0, np.int64))
     for lo, hi in zip(bounds, bounds[1:]):
         _level(pool, nids[lo:hi], fanins[lo:hi], negs[lo:hi], cap)
-    leaves = pool.leaves[:pool.size]
-    cuts = list(map(Cut, [tuple(row[k - w:]) for row, w in
-                          zip((leaves >> 2).tolist(),
-                              (leaves >= 0).sum(axis=1).tolist())],
-                    pool.func[:pool.size].view(np.uint64).tolist()))
-    off, cnt = pool.off.tolist(), pool.cnt.tolist()
-    truncated = pool.truncated.tolist()
-    return {nid: CutSet(cuts[off[nid]:off[nid] + cnt[nid]], truncated[nid])
-            for nid in (*sources, *order)}
+    # the rows without the pool's slack and signatures; an empty slot is -1
+    return CutSets((*sources, *order), pool.leaves[:pool.size] >> 2,
+                   pool.func[:pool.size].copy(), pool.off, pool.cnt,
+                   pool.truncated)
 
 
 def cone_function(g: SubjectGraph, root: int, leaves: tuple[int, ...]) -> int:
@@ -309,7 +349,7 @@ def cone_function(g: SubjectGraph, root: int, leaves: tuple[int, ...]) -> int:
     return tts[root] & mask
 
 
-def compute_cut_functions(g: SubjectGraph, cutsets: dict[int, CutSet]) -> dict[int, CutSet]:
+def compute_cut_functions(g: SubjectGraph, cutsets: CutSets) -> CutSets:
     """Return ``cutsets`` unchanged: ``enumerate_cuts`` already sets every
     cut's ``func``.  Kept because ``perfbench/tracing.py`` times it as a
     stage of its own."""

@@ -12,6 +12,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add
+
+import numpy as np
 
 from .truthtable import (MAX_VARS, apply_cell, symmetry_perms, table_mask,
                          tt_not, var_table)
@@ -154,7 +158,7 @@ _GATE_RE = re.compile(
     re.S,
 )
 _JJ_RE = re.compile(r"\bJJ\s*=\s*(\S*)")
-_CLOCKED_RE = re.compile(r"\bCLOCKED\s*=\s*([01])")
+_CLOCKED_RE = re.compile(r"\bCLOCKED\s*=[ \t]*(\w*)")
 
 
 def parse_library(text: str, name: str = "library") -> CellLibrary:
@@ -171,7 +175,6 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
     for rec in records:
         jj = _JJ_RE.search(rec)
         clocked = _CLOCKED_RE.search(rec)
-        is_clocked = bool(int(clocked.group(1))) if clocked else True
         # strip comments (annotations already captured)
         stripped = "\n".join(line.split("#")[0] for line in rec.splitlines())
         m = _GATE_RE.search(stripped)
@@ -198,6 +201,10 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
             raise LibraryError(f"cell '{cname}' has an unreadable JJ count "
                                f"{jj.group(1)!r}")
         jj_count = int(jj.group(1)) if jj else 0
+        if clocked and clocked.group(1) not in ("0", "1"):  # e.g. CLOCKED=2
+            raise LibraryError(f"cell '{cname}' has an unreadable CLOCKED "
+                               f"flag {clocked.group(1)!r}")
+        is_clocked = clocked.group(1) == "1" if clocked else True
         parser = _ExprParser(m.group("expr"))
         try:
             tt = parser.parse()
@@ -270,6 +277,17 @@ class Supergate:
 
     def __hash__(self):
         return hash((self.name, self.n_inputs, self.func))
+
+    @cached_property
+    def dff_terms(self) -> tuple:
+        """The terms of ``retimed_match_dffs``, taken once per supergate
+        that is matched, not per one generated: 1 plus the weight of the
+        groups spanning every leaf, the sum of the leaf depths, and the
+        other groups."""
+        n = self.n_inputs
+        return (1 + sum(w for w, pos in self.groups if len(pos) == n),
+                sum(self.leaf_depths),
+                tuple(g for g in self.groups if len(g[1]) < n))
 
 
 def _render_name(root: Cell, children: tuple, base: int = 0) -> str:
@@ -352,12 +370,17 @@ def retimed_match_dffs(supergate, heights) -> int:
     ``a_i = h_i + leaf_depths[i]`` below it (a leaf's own for a leaf).
     Summed over the cells this telescopes to
     ``T - sum(a) + sum_v (c_v - 1) * M_v`` with ``T = max(a)``, over the
-    cells with ``c_v >= 2`` children: ``supergate.groups``."""
+    cells with ``c_v >= 2`` children: ``supergate.groups``.  A group that
+    spans every leaf has ``M_v = T``, so it is evaluated as
+    ``(1 + w) * T - sum(h) - sum(leaf_depths) + sum_g w_g * M_g``, ``w``
+    the weight of those groups and ``g`` the others
+    (``Supergate.dff_terms``)."""
     if len(heights) != supergate.n_inputs:
         raise ValueError("leaf height count does not match supergate inputs")
-    arrivals = [h + d for h, d in zip(heights, supergate.leaf_depths)]
-    regs = max(arrivals) - sum(arrivals)
-    for weight, positions in supergate.groups:
+    full, depth_sum, others = supergate.dff_terms
+    arrivals = list(map(add, heights, supergate.leaf_depths))
+    regs = full * max(arrivals) - sum(heights) - depth_sum
+    for weight, positions in others:
         regs += weight * max([arrivals[i] for i in positions])
     return regs
 
@@ -513,12 +536,28 @@ class MatchTable:
             self.table.setdefault((sg.n_inputs, sg.func), []).append(sg)
         for lst in self.table.values():
             lst.sort(key=_sort_key)
+        # per cut width, the functions held, sorted as int64 bits
+        self.funcs = [np.unique(np.array([f for n, f in self.table if n == w],
+                                         np.uint64).view(np.int64))
+                      for w in range(MAX_VARS + 1)]
         self.supergates = supergates
         self.wiring_cache: dict[tuple, tuple] = {}
         self.option_cache: dict[tuple, tuple] = {}
 
     def lookup(self, func: int, nvars: int) -> list[Supergate]:
         return self.table.get((nvars, func), [])
+
+    def holds(self, widths: np.ndarray, funcs: np.ndarray) -> np.ndarray:
+        """Whether ``lookup`` finds a supergate for each (width, func) of the
+        two arrays, a function given as the int64 bits of its table."""
+        held = np.zeros(len(funcs), bool)
+        for w, known in enumerate(self.funcs):
+            rows = (widths == w).nonzero()[0]
+            if len(rows) and len(known):
+                f = funcs[rows]
+                at = known.searchsorted(f).clip(max=len(known) - 1)
+                held[rows] = known[at] == f
+        return held
 
     def wirings(self, func: int, base: tuple[int, ...]) -> tuple:
         """The perms of ``symmetry_perms(func, len(base))`` that give the
@@ -554,23 +593,18 @@ class MatchTable:
             entries = []
             for sg in self.lookup(func, len(base)):
                 for perm in perms:
-                    heights = tuple(base[p] for p in perm)
-                    entries.append((
-                        max(h + d for h, d in zip(heights, sg.leaf_depths)),
-                        retimed_match_dffs(sg, heights), sg, perm))
+                    heights = tuple([base[p] for p in perm])
+                    entries.append((max(map(add, heights, sg.leaf_depths)),
+                                    retimed_match_dffs(sg, heights), sg, perm))
             opts = self.option_cache[key] = _prune_options(entries)
         return opts
 
 
 def hit_rate(cutsets, table: MatchTable) -> float:
-    """Fraction of non-trivial cuts whose function has at least one match."""
-    total = 0
-    hits = 0
-    for nid, cs in cutsets.items():
-        for cut in cs.cuts:
-            if cut.is_trivial_for(nid):
-                continue
-            total += 1
-            if table.lookup(cut.func, len(cut.leaves)):
-                hits += 1
-    return hits / total if total else 0.0
+    """Fraction of the non-trivial cuts of ``cutsets``, a ``cuts.CutSets``,
+    whose function has at least one match, read from the kernel's rows."""
+    trivial = cutsets.off[list(cutsets)]
+    held = table.holds(cutsets.width, cutsets.func)
+    held[trivial] = False
+    total = len(held) - len(trivial)
+    return int(held.sum()) / total if total else 0.0

@@ -21,7 +21,8 @@ are, so no leaf choice of a tree is left untried.  The depth-greedy baseline wir
 ``MatchTable.wirings`` directly, one wiring per distinct permuted height
 profile.  The two rules share one sweep: both feed candidate points, plain
 tuples, through a node's frontier, and a ``Match`` is built only for the
-points it keeps.
+points it keeps.  The sweep reads the cut kernel's rows, and only the
+rows the match table holds become ``(leaves, func)`` tuples.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .balance import MappedNetwork
-from .cuts import CutSet
+from .cuts import CutSets
 from .library import MatchTable, Supergate, dominates, retimed_match_dffs
 from .netlist import CONST0, SubjectGraph
 from .truthtable import tt_not
@@ -65,7 +68,7 @@ class Match:
 class NodeSolution:
     frontier: list[Match] = field(default_factory=list)  # by (dffs, height)
     # non-trivial cuts of the node, and those with a match in this phase:
-    # the terms of ``library.hit_rate``, counted as the sweep looks them up
+    # the terms of ``library.hit_rate``, counted as the sweep reads them
     cuts: int = 0
     hits: int = 0
 
@@ -125,8 +128,7 @@ def _match(point) -> Match:
 
 
 def _combine(table: MatchTable, func: int, leaves: tuple[int, ...],
-             sgs: list[Supergate], leaf_fronts: list[list[Match]],
-             out: list[tuple], cap: int):
+             leaf_fronts: list[list[Match]], out: list[tuple], cap: int):
     """The DP's rule: Pareto candidates for one cut of ``func`` over its
     ``leaves``, one per leaf frontier choice.
 
@@ -135,14 +137,14 @@ def _combine(table: MatchTable, func: int, leaves: tuple[int, ...],
     the choice matter, so every distinct permuted height profile is a
     candidate (``MatchTable.options``).
     """
+    options = table.options
     for choice in itertools.product(*leaf_fronts):
         _emit(out, cap, choice, leaves,
-              table.options(func, tuple(m.height for m in choice)))
+              options(func, tuple([m.height for m in choice])))
 
 
 def _greedy(table: MatchTable, func: int, leaves: tuple[int, ...],
-            sgs: list[Supergate], leaf_fronts: list[list[Match]],
-            out: list[tuple], cap: int):
+            leaf_fronts: list[list[Match]], out: list[tuple], cap: int):
     """The depth-greedy rule: ``out`` holds the one point least by (height,
     alt), the first on a tie, ignoring DFF cost, over each leaf's first
     point.  A supergate's wiring is chosen by arrival height alone, ties
@@ -152,7 +154,7 @@ def _greedy(table: MatchTable, func: int, leaves: tuple[int, ...],
     leaf_area = sum(m.area for m in choice)
     leaf_jj = sum(m.jj for m in choice)
     perms = table.wirings(func, base)
-    for sg in sgs:
+    for sg in table.lookup(func, len(leaves)):
         depths = sg.leaf_depths
         # the wirings give distinct height tuples, so perm never breaks a tie
         height, heights, perm = min(
@@ -166,22 +168,49 @@ def _greedy(table: MatchTable, func: int, leaves: tuple[int, ...],
                    leaves)]
 
 
-def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
-                table: MatchTable, solutions, frontier_cap: int,
-                rule) -> NodeSolution:
-    points: list[tuple] = []
-    cuts = hits = 0
+def _positive_candidates(cutsets: CutSets, table: MatchTable, nodes):
+    """Per node of ``nodes``, in one pass over the kernel's rows: its
+    non-trivial rows whose (width, func) the table holds, as (leaves, func)
+    tuples in row order, the count of its non-trivial rows, and the count
+    of those held.  Skipping the trivial rows changes no frontier: their
+    function, the identity, is never held, as ``generate_supergates``
+    keeps no identity supergate."""
+    held = table.holds(cutsets.width, cutsets.func)
+    nodes = np.array(nodes, np.intp)
+    off, cnt = cutsets.off[nodes], cutsets.cnt[nodes]
+    held[off] = False  # the trivial rows
+    rows = held.nonzero()[0]
+    cands = cutsets.pairs(rows)
+    lo = rows.searchsorted(off).tolist()
+    hi = rows.searchsorted(off + cnt).tolist()
+    return ([cands[a:b] for a, b in zip(lo, hi)], (cnt - 1).tolist(),
+            [b - a for a, b in zip(lo, hi)])
+
+
+def _negative_candidates(nid: int, cutsets: CutSets, table: MatchTable):
+    """``_positive_candidates`` of one node's negative phase, read from its
+    ``CutSet`` with each complemented function, the trivial cut included:
+    its complement is an inverter's function."""
+    cands, cuts, hits = [], 0, 0
     for cut in cutsets[nid].cuts:
         n = len(cut.leaves)
-        func = cut.func if phase == POS else tt_not(cut.func, n)
-        sgs = table.lookup(func, n)
+        func = tt_not(cut.func, n)
+        held = bool(table.lookup(func, n))
+        if held:
+            cands.append((cut.leaves, func))
         if not cut.is_trivial_for(nid):
             cuts += 1
-            hits += bool(sgs)
-        if sgs:
-            rule(table, func, cut.leaves, sgs,
-                 [solutions[(leaf, POS)].frontier for leaf in cut.leaves],
-                 points, frontier_cap)
+            hits += held
+    return cands, cuts, hits
+
+
+def _solve_node(nid: int, phase: str, cands, cuts: int, hits: int,
+                table: MatchTable, fronts, frontier_cap: int,
+                rule) -> NodeSolution:
+    points: list[tuple] = []
+    for leaves, func in cands:
+        rule(table, func, leaves, list(map(fronts.__getitem__, leaves)),
+             points, frontier_cap)
     if not points:
         raise MappingError(
             f"node {nid} ({phase}) has no matchable cut: the library or the "
@@ -189,7 +218,7 @@ def _solve_node(nid: int, phase: str, cutsets: dict[int, CutSet],
     return NodeSolution([_match(p) for p in points], cuts, hits)
 
 
-def _sweep(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
+def _sweep(g: SubjectGraph, cutsets: CutSets, table: MatchTable,
            frontier_cap: int, rule):
     """Topological sweep over any acyclic subject graph, ``rule`` adding
     each matched cut's candidate points to a node's frontier.
@@ -203,22 +232,28 @@ def _sweep(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
     wire = Match(None, 0, 0, 0.0, 0)
     srcs = g.pis + [CONST0] if g.has_const else g.pis
     solutions = {(s, POS): NodeSolution([wire]) for s in srcs}
+    # the positive-phase frontiers, by node id, that leaf choices read
+    fronts = {s: solutions[(s, POS)].frontier for s in srcs}
     fanout = g.fanout_counts()
-    for nid in g.topo_order():
-        sol = _solve_node(nid, POS, cutsets, table, solutions, frontier_cap,
-                          rule)
+    order = g.topo_order()
+    for nid, cands, cuts, hits in zip(
+            order, *_positive_candidates(cutsets, table, order)):
+        sol = _solve_node(nid, POS, cands, cuts, hits, table, fronts,
+                          frontier_cap, rule)
         if fanout.get(nid, 0) > 1:
             # shared node: one implementation for all consumers
             del sol.frontier[1:]
         solutions[(nid, POS)] = sol
+        fronts[nid] = sol.frontier
     for p, c in g.pos:
         if c and p != CONST0 and (p, NEG) not in solutions:
-            solutions[(p, NEG)] = _solve_node(p, NEG, cutsets, table, solutions,
-                                              frontier_cap, _combine)
+            solutions[(p, NEG)] = _solve_node(
+                p, NEG, *_negative_candidates(p, cutsets, table), table,
+                fronts, frontier_cap, _combine)
     return solutions
 
 
-def map_dag(g: SubjectGraph, cutsets: dict[int, CutSet], table: MatchTable,
+def map_dag(g: SubjectGraph, cutsets: CutSets, table: MatchTable,
             frontier_cap: int = FRONTIER_CAP):
     """The DFF DP: every node keeps a Pareto frontier (see ``_sweep``)."""
     return _sweep(g, cutsets, table, frontier_cap, _combine)

@@ -274,3 +274,20 @@ def test_level_kernel_matches_reference_on_benchmark_circuits(seed):
                      bench.ripple_adder(256)]
     for g in circuits:
         assert_same_cuts(parse_netlist(write_blif(g)), 5)
+
+
+def test_cut_store_keeps_only_its_rows():
+    # the kernel's rows without the pool's slack or its signatures, read
+    # only, as the DP and every CutSet built on access read them
+    g = random_aig(150, 12, seed=3, n_pos=None)
+    cutsets = enumerate_cuts(g, k=5)
+    rows = sum(len(cs.cuts) for cs in cutsets.values())
+    assert len(cutsets.leaves) == len(cutsets.width) == len(cutsets.func) \
+        == rows
+    assert not hasattr(cutsets, "sig")
+    for array in (cutsets.leaves, cutsets.width, cutsets.func, cutsets.off):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert max(cutsets) + 1 not in cutsets
+    with pytest.raises(KeyError):
+        cutsets[max(cutsets) + 1]

@@ -5,6 +5,7 @@ import random
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,21 @@ def test_unreadable_jj_count_rejected(jj):
         parse_library(MINI + f"GATE g 1.0 o=a*b;  # JJ={jj}\n")
 
 
+@pytest.mark.parametrize("flag", ["2", "x", ""])
+def test_unreadable_clocked_flag_rejected(flag):
+    # CLOCKED=2 once read as no flag, so the cell was taken as clocked
+    with pytest.raises(LibraryError, match="^cell 'g' has an unreadable "
+                                           f"CLOCKED flag '{flag}'"):
+        parse_library(MINI + f"GATE g 1.0 o=a*b;  # JJ=6 CLOCKED={flag}\n")
+
+
+def test_clocked_flag_read_inside_prose():
+    # the flag ends at the first character that is not a word character
+    lib = parse_library(MINI + "GATE g 1.0 o=a*b;  # JJ=6 (CLOCKED=0), "
+                               "a transparent cell\n")
+    assert not next(c for c in lib.cells if c.name == "g").is_clocked
+
+
 def test_a_record_without_jj_counts_0():
     lib = parse_library(MINI + "GATE g 1.0 o=a*b;  # CLOCKED=1\n")
     assert next(c for c in lib.cells if c.name == "g").jj_count == 0
@@ -423,6 +439,28 @@ def test_lookup_matches_linear_scan(table):
                 if s.n_inputs == sg.n_inputs and s.func == sg.func]
         assert set(s.name for s in got) == set(s.name for s in want)
         assert sg.name in {s.name for s in got}
+
+
+@pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])
+def test_no_identity_or_constant_is_matched(lib_name, table, clocked_table):
+    # so the DP's positive phase may skip every node's trivial cut, whose
+    # function is the identity, without a lookup
+    tbl = table if lib_name == "bundled" else clocked_table
+    for n, func in tbl.table:
+        assert (n, func) != (1, var_table(0, 1))
+        assert func not in (0, table_mask(n))
+
+
+@pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])
+def test_holds_agrees_with_lookup(lib_name, table, clocked_table):
+    tbl = table if lib_name == "bundled" else clocked_table
+    rng = random.Random(5)
+    pairs = list(tbl.table) + [(n, rng.getrandbits(1 << n))
+                               for n in range(1, 7) for _ in range(50)]
+    widths = np.array([n for n, _ in pairs])
+    funcs = np.array([f for _, f in pairs], np.uint64).view(np.int64)
+    assert tbl.holds(widths, funcs).tolist() == [
+        bool(tbl.lookup(f, n)) for n, f in pairs]
 
 
 def test_negative_phase_lookup(table):

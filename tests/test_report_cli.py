@@ -264,6 +264,19 @@ def test_cli_nonsense_cell_cost_exits_3(tmp_path, old, new, error):
     assert f"cell 'and2' has {error}" in result.output
 
 
+def test_cli_unreadable_clocked_flag_exits_3(tmp_path):
+    # once mapped with exit 0, the inverter taken as clocked: a flag other
+    # than 0 or 1 was read as no flag
+    text = (DATA / "sfq.genlib").read_text()
+    genlib = tmp_path / "bad.genlib"
+    genlib.write_text(text.replace("# JJ=4 CLOCKED=0", "# JJ=4 CLOCKED=2", 1))
+    assert "GATE inv    0.0030 o=!a;    # JJ=4 CLOCKED=2" in genlib.read_text()
+    result = CliRunner().invoke(main, ["map", "--lib", str(genlib), "--json",
+                                       str(KSA4)])
+    assert result.exit_code == 3, result.output
+    assert "cell 'inv' has an unreadable CLOCKED flag '2'" in result.output
+
+
 def test_cli_library_expression_error_names_its_cell(tmp_path):
     badlib = tmp_path / "bad.genlib"
     badlib.write_text((DATA / "sfq.genlib").read_text()

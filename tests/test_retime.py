@@ -111,6 +111,27 @@ def test_closed_form_matches_walk(lib_name, table, clocked_table):
                                                                    heights)
 
 
+def reference_closed_form(supergate, heights: np.ndarray) -> np.ndarray:
+    """``retimed_match_dffs``'s docstring formula, ``T - sum(a) + sum_v
+    (c_v - 1) * M_v``, over every group, for each row of leaf heights."""
+    arrivals = heights + np.array(supergate.leaf_depths)
+    regs = arrivals.max(axis=1) - arrivals.sum(axis=1)
+    for weight, positions in supergate.groups:
+        regs += weight * arrivals[:, list(positions)].max(axis=1)
+    return regs
+
+
+@pytest.mark.parametrize("lib_name", ["bundled", "clocked_inv"])
+def test_split_terms_match_the_closed_form(lib_name, table, clocked_table):
+    # the groups spanning every leaf are folded into one factor of T
+    tbl = table if lib_name == "bundled" else clocked_table
+    rng = np.random.default_rng(31)
+    for sg in tbl.supergates:
+        heights = rng.integers(0, 9, (200, sg.n_inputs))
+        assert ([retimed_match_dffs(sg, h) for h in heights.tolist()]
+                == reference_closed_form(sg, heights).tolist()), sg.name
+
+
 def test_leaf_height_count_checked(table):
     sg = table.supergates[0]
     with pytest.raises(ValueError):
