@@ -101,12 +101,13 @@ def main():
 @_k_option
 @_depth_option
 @click.option("--no-retime", is_flag=True, help="report pre-retiming numbers")
-@click.option("--output", "-o", type=click.Path(), default=None,
+@click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="mapped netlist path (single input only)")
 @click.option("--netlist-format", default="blif", show_default=True,
               type=click.Choice(["blif", "verilog"]))
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
+@click.option("--csv", "csv_path", type=click.Path(dir_okay=False),
+              default=None,
               help="write the aggregate CSV here")
 def map_cmd(inputs, lib_path, k, supergate_depth, no_retime, output,
             netlist_format, as_json, csv_path):

@@ -64,6 +64,9 @@ CUT_CAP = 250
 _EMPTY = -4
 _POW4 = 4 ** np.arange(6)
 _BYTE = np.arange(8)
+# the table mask of each cut width, as int64 bits
+WIDTH_MASK = np.array([table_mask(n) for n in range(7)],
+                      np.uint64).view(np.int64)
 
 
 def _stretch_tables():
@@ -91,8 +94,7 @@ def _stretch_tables():
     empty = (digits > 0).argmax(axis=1)  # empty slots before the leaves
     masks = np.stack([((digits & tag) > 0) @ (1 << np.arange(6)) >> empty
                       for tag in (1, 2)], axis=1)
-    union_mask = np.array([table_mask(n) for n in range(7)],
-                          np.uint64).view(np.int64)[(digits > 0).sum(axis=1)]
+    union_mask = WIDTH_MASK[(digits > 0).sum(axis=1)]
     return masks, byte_stretch, union_mask
 
 
@@ -132,20 +134,21 @@ class CutSets(Mapping):
         for a in (leaves, self.width, func, off, cnt, truncated):
             a.flags.writeable = False
 
-    def pairs(self, rows) -> list[tuple[tuple[int, ...], int]]:
-        """The (leaves, func) of each of ``rows``, in order."""
+    def pairs(self, rows, func) -> list[tuple[tuple[int, ...], int]]:
+        """The (leaves, func) of each of ``rows``, in order, ``func`` giving
+        each row's table as int64 bits."""
         k = self.leaves.shape[1]
-        return [(tuple(row[k - w:]), func) for row, w, func in
+        return [(tuple(row[k - w:]), f) for row, w, f in
                 zip(self.leaves[rows].tolist(), self.width[rows].tolist(),
-                    self.func[rows].view(np.uint64).tolist())]
+                    func.view(np.uint64).tolist())]
 
     def __getitem__(self, nid: int) -> CutSet:
         if nid not in self.nodes:
             raise KeyError(nid)
         lo = int(self.off[nid])
         rows = slice(lo, lo + int(self.cnt[nid]))
-        return CutSet([Cut(*pair) for pair in self.pairs(rows)],
-                      int(self.truncated[nid]))
+        pairs = self.pairs(rows, self.func[rows])
+        return CutSet([Cut(*p) for p in pairs], int(self.truncated[nid]))
 
     def __contains__(self, nid) -> bool:
         return nid in self.nodes

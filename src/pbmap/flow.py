@@ -83,14 +83,10 @@ def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None
             solutions = mapmod.map_depth_greedy(g, cutsets, table)
         else:
             solutions = mapmod.map_dag(g, cutsets, table)
+        rate = libmod.hit_rate(cutsets, table)
         del cutsets
         net, _ = mapmod.choose_cover(solutions, g).instantiate()
-        # library.hit_rate's terms, counted by the positive-phase sweep
-        pos = [sol for (_, phase), sol in solutions.items()
-               if phase == mapmod.POS]
-        cuts = sum(sol.cuts for sol in pos)
-        rate = sum(sol.hits for sol in pos) / cuts if cuts else 0.0
-        del solutions, pos
+        del solutions
         net.insert_splitters(lib)
         net.insert_balancing()
         net.validate()

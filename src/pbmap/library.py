@@ -173,15 +173,18 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
     cells = []
     seen = set()
     for rec in records:
-        jj = _JJ_RE.search(rec)
-        clocked = _CLOCKED_RE.search(rec)
-        # strip comments (annotations already captured)
-        stripped = "\n".join(line.split("#")[0] for line in rec.splitlines())
+        lines = rec.splitlines()
+        stripped = "\n".join(line.split("#")[0] for line in lines)
         m = _GATE_RE.search(stripped)
         if not m:
             # rec starts where ^\s*GATE matched, so blank lines may lead it
             raise LibraryError(
                 f"malformed GATE record: {rec.strip().splitlines()[0]!r}")
+        # annotations are read from the statement's own lines, through the
+        # one holding its ';', never from a comment before the next GATE
+        own = "\n".join(lines[:stripped.count("\n", 0, m.end()) + 1])
+        jj = _JJ_RE.search(own)
+        clocked = _CLOCKED_RE.search(own)
         cname = m.group("name")
         if cname in seen:
             raise LibraryError(f"duplicate cell name '{cname}'")

@@ -21,7 +21,7 @@ are, so no leaf choice of a tree is left untried.  The depth-greedy baseline wir
 ``MatchTable.wirings`` directly, one wiring per distinct permuted height
 profile.  The two rules share one sweep: both feed candidate points, plain
 tuples, through a node's frontier, and a ``Match`` is built only for the
-points it keeps.  The sweep reads the cut kernel's rows, and only the
+points it keeps.  Both phases read the cut kernel's rows, and only the
 rows the match table holds become ``(leaves, func)`` tuples.
 """
 
@@ -33,10 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balance import MappedNetwork
-from .cuts import CutSets
+from .cuts import WIDTH_MASK, CutSets
 from .library import MatchTable, Supergate, dominates, retimed_match_dffs
 from .netlist import CONST0, SubjectGraph
-from .truthtable import tt_not
 
 POS = "positive"
 NEG = "negative"
@@ -67,10 +66,6 @@ class Match:
 @dataclass
 class NodeSolution:
     frontier: list[Match] = field(default_factory=list)  # by (dffs, height)
-    # non-trivial cuts of the node, and those with a match in this phase:
-    # the terms of ``library.hit_rate``, counted as the sweep reads them
-    cuts: int = 0
-    hits: int = 0
 
     @property
     def best(self) -> Match:
@@ -168,45 +163,29 @@ def _greedy(table: MatchTable, func: int, leaves: tuple[int, ...],
                    leaves)]
 
 
-def _positive_candidates(cutsets: CutSets, table: MatchTable, nodes):
-    """Per node of ``nodes``, in one pass over the kernel's rows: its
-    non-trivial rows whose (width, func) the table holds, as (leaves, func)
-    tuples in row order, the count of its non-trivial rows, and the count
-    of those held.  Skipping the trivial rows changes no frontier: their
-    function, the identity, is never held, as ``generate_supergates``
-    keeps no identity supergate."""
-    held = table.holds(cutsets.width, cutsets.func)
+def _candidates(cutsets: CutSets, table: MatchTable, nodes, negate: bool):
+    """Per node of ``nodes``, in one pass over the kernel's rows: its rows
+    whose (width, func), the func complemented when ``negate`` is set, the
+    table holds, as (leaves, func) tuples in row order.  A trivial row needs
+    no special case: in the positive phase its function, the identity, is
+    never held, as ``generate_supergates`` keeps no identity supergate, and
+    in the negative phase it is held as the inverter."""
     nodes = np.array(nodes, np.intp)
-    off, cnt = cutsets.off[nodes], cutsets.cnt[nodes]
-    held[off] = False  # the trivial rows
-    rows = held.nonzero()[0]
-    cands = cutsets.pairs(rows)
-    lo = rows.searchsorted(off).tolist()
-    hi = rows.searchsorted(off + cnt).tolist()
-    return ([cands[a:b] for a, b in zip(lo, hi)], (cnt - 1).tolist(),
-            [b - a for a, b in zip(lo, hi)])
+    cnt = cutsets.cnt[nodes]
+    ends = cnt.cumsum()
+    rows = (cutsets.off[nodes] - ends + cnt).repeat(cnt)
+    rows += np.arange(len(rows))
+    width, func = cutsets.width[rows], cutsets.func[rows]
+    if negate:
+        func = func ^ WIDTH_MASK[width]
+    held = table.holds(width, func)
+    cands = cutsets.pairs(rows[held], func[held])
+    hi = held.cumsum()[ends - 1].tolist()
+    return [cands[a:b] for a, b in zip([0] + hi, hi)]
 
 
-def _negative_candidates(nid: int, cutsets: CutSets, table: MatchTable):
-    """``_positive_candidates`` of one node's negative phase, read from its
-    ``CutSet`` with each complemented function, the trivial cut included:
-    its complement is an inverter's function."""
-    cands, cuts, hits = [], 0, 0
-    for cut in cutsets[nid].cuts:
-        n = len(cut.leaves)
-        func = tt_not(cut.func, n)
-        held = bool(table.lookup(func, n))
-        if held:
-            cands.append((cut.leaves, func))
-        if not cut.is_trivial_for(nid):
-            cuts += 1
-            hits += held
-    return cands, cuts, hits
-
-
-def _solve_node(nid: int, phase: str, cands, cuts: int, hits: int,
-                table: MatchTable, fronts, frontier_cap: int,
-                rule) -> NodeSolution:
+def _solve_node(nid: int, phase: str, cands, table: MatchTable, fronts,
+                frontier_cap: int, rule) -> NodeSolution:
     points: list[tuple] = []
     for leaves, func in cands:
         rule(table, func, leaves, list(map(fronts.__getitem__, leaves)),
@@ -215,7 +194,7 @@ def _solve_node(nid: int, phase: str, cands, cuts: int, hits: int,
         raise MappingError(
             f"node {nid} ({phase}) has no matchable cut: the library or the "
             "supergate depth cannot cover its cuts")
-    return NodeSolution([_match(p) for p in points], cuts, hits)
+    return NodeSolution([_match(p) for p in points])
 
 
 def _sweep(g: SubjectGraph, cutsets: CutSets, table: MatchTable,
@@ -236,20 +215,17 @@ def _sweep(g: SubjectGraph, cutsets: CutSets, table: MatchTable,
     fronts = {s: solutions[(s, POS)].frontier for s in srcs}
     fanout = g.fanout_counts()
     order = g.topo_order()
-    for nid, cands, cuts, hits in zip(
-            order, *_positive_candidates(cutsets, table, order)):
-        sol = _solve_node(nid, POS, cands, cuts, hits, table, fronts,
-                          frontier_cap, rule)
+    for nid, cands in zip(order, _candidates(cutsets, table, order, False)):
+        sol = _solve_node(nid, POS, cands, table, fronts, frontier_cap, rule)
         if fanout.get(nid, 0) > 1:
             # shared node: one implementation for all consumers
             del sol.frontier[1:]
         solutions[(nid, POS)] = sol
         fronts[nid] = sol.frontier
-    for p, c in g.pos:
-        if c and p != CONST0 and (p, NEG) not in solutions:
-            solutions[(p, NEG)] = _solve_node(
-                p, NEG, *_negative_candidates(p, cutsets, table), table,
-                fronts, frontier_cap, _combine)
+    negs = list(dict.fromkeys(p for p, c in g.pos if c and p != CONST0))
+    for p, cands in zip(negs, _candidates(cutsets, table, negs, True)):
+        solutions[(p, NEG)] = _solve_node(p, NEG, cands, table, fronts,
+                                          frontier_cap, _combine)
     return solutions
 
 

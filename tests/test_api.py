@@ -23,6 +23,7 @@ DELETED = {
             "tree_height", "depth_gap_pad_lengths", "depth_gap_buffers"),
     truthtable: ("support", "tt_eval_packed"),
     balance.MappedNetwork: ("gate_count", "edge_list"),
+    mapper: ("_positive_candidates", "_negative_candidates"),
     mapper.NodeSolution: ("opt", "point_at"),
     mapper.Match: ("leaf_heights", "is_wire"),
     cuts.Cut: ("signature",),
@@ -67,7 +68,7 @@ def test_deleted_fields_are_gone():
     assert "delay" not in fields(library.Cell)
     assert "sfq_mode" not in fields(library.CellLibrary)
     assert "root" not in fields(cuts.CutSet)
-    assert "node" not in fields(mapper.NodeSolution)
+    assert fields(mapper.NodeSolution) == ("frontier",)  # no cuts, hits
     assert "id" not in fields(netlist.AndNode)  # its SubjectGraph.nodes key
 
 

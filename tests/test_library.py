@@ -260,6 +260,29 @@ def test_a_record_without_jj_counts_0():
     assert next(c for c in lib.cells if c.name == "g").jj_count == 0
 
 
+def test_a_comment_between_records_annotates_neither():
+    # a record's text runs up to the next GATE, and a comment there once
+    # set the earlier cell's JJ count and clocking
+    lib = parse_library(
+        "GATE and2 0.006 o=a*b;\n"
+        "# the inverter below is level-transparent (CLOCKED=0) and costs "
+        "JJ=4\n"
+        "GATE inv 0.003 o=!a;  # JJ=4 CLOCKED=0\n"
+        "GATE dff 0.0025 q=a;  # JJ=4 CLOCKED=1\n"
+        "GATE split 0.0015 o=a;  # JJ=3 CLOCKED=0\n")
+    and2 = next(c for c in lib.cells if c.name == "and2")
+    assert (and2.is_clocked, and2.jj_count) == (True, 0)
+
+
+def test_annotations_read_through_the_line_ending_the_statement():
+    # a statement may span lines, and any of them may annotate it; a PIN
+    # line after its ';' once set its clocking
+    lib = parse_library(MINI + "GATE g 1.0  # JJ=7\n  o=a*b;\n"
+                               "  PIN * NONINV 1 999 1 0 1 0  # CLOCKED=0\n")
+    g = next(c for c in lib.cells if c.name == "g")
+    assert (g.is_clocked, g.jj_count) == (True, 7)
+
+
 def test_cell_wider_than_a_truth_table_rejected():
     # its table would need more than MAX_VARS variables
     with pytest.raises(LibraryError, match="7 inputs"):

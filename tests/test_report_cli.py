@@ -114,6 +114,20 @@ def test_cli_map_writes_netlist_and_csv(tmp_path):
     assert csv.read_text().startswith(CSV_HEADER)
 
 
+@pytest.mark.parametrize("option", ["-o", "--csv"])
+def test_cli_directory_as_output_path_is_a_usage_error(tmp_path, monkeypatch,
+                                                       option):
+    # once every circuit was mapped first, then the write exited 4
+    def refuse(*args, **kwargs):
+        raise AssertionError("a circuit was mapped")
+
+    monkeypatch.setattr("pbmap.flow.map_graph", refuse)
+    result = CliRunner().invoke(main, ["map", str(KSA4), option,
+                                       str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "is a directory" in result.output
+
+
 def test_cli_map_directory_batch(tmp_path):
     for g in (bench.and_chain(6), bench.ripple_adder(3)):
         (tmp_path / f"{g.name}.blif").write_text(write_blif(g))

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from pbmap import bench, flow
-from pbmap import mapper as mapmod
 from pbmap.netlist import parse_netlist, write_blif
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -31,8 +30,8 @@ def test_traced_pipeline_gives_the_flow_result(lib, table, clocked_lib,
     res = flow.map_graph(parse_netlist(blif), library, tbl)
     assert qor(traced.before, traced.after) == qor(res.before, res.after)
     assert traced.hit_rate == res.hit_rate
-    # the traced counters read the cut sets; the sweep counted the same cuts
+    # the traced counters read the cut sets: every kernel row but each
+    # node's trivial one
     counts = tracing.layer_counts([traced])
-    assert counts["cuts.nontrivial"] == sum(
-        sol.cuts for (_, phase), sol in traced.solutions.items()
-        if phase == mapmod.POS)
+    cutsets = traced.cutsets
+    assert counts["cuts.nontrivial"] == len(cutsets.func) - len(cutsets)
