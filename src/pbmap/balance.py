@@ -9,7 +9,6 @@ each; splitters are asynchronous and contribute none.
 
 from __future__ import annotations
 
-import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,7 +24,6 @@ class BalanceError(Exception):
 
 @dataclass
 class Instance:
-    idx: int
     cell: Cell
     fanins: list[int]
     outs: list[int]
@@ -41,19 +39,19 @@ class MappedNetwork:
     name: str = "top"
     pi_names: list[str] = field(default_factory=list)
     pi_sigs: list[int] = field(default_factory=list)
-    instances: list[Instance] = field(default_factory=list)
+    # topological: add_gate reads only driven signals, and insert_splitters
+    # places each splitter chain right after its source's driver
+    instances: list[Instance] = field(default_factory=list, init=False)
     pos: list[int] = field(default_factory=list)  # driving signal per PO
     po_names: list[str] = field(default_factory=list)
     po_pads: list[int] = field(default_factory=list)  # DFFs on each PO edge
-    const_pos: list[tuple[str, bool]] = field(default_factory=list)
+    # (position among all POs, name, value) per constant PO
+    const_pos: list[tuple[int, str, bool]] = field(default_factory=list)
     depth: int = 0  # clocked level every PO arrives at once balanced
     dff_cell: Cell | None = None
     splitter_cell: Cell | None = None
-
-    def __post_init__(self):
-        # per signal: the index of the instance driving it, -1 at a PI
-        self.driver: list[int] = []
-        self._topo: list[Instance] | None = None  # see topo_instances
+    # per signal: the index of the instance driving it, -1 at a PI
+    driver: list[int] = field(default_factory=list, init=False)
 
     # -- construction --------------------------------------------------
 
@@ -65,77 +63,56 @@ class MappedNetwork:
         return sig
 
     def add_gate(self, cell: Cell, fanins: list[int]) -> int:
+        self._check_driven(fanins)
         idx = len(self.instances)
         first = len(self.driver)
         self.driver += [idx] * (2 if cell.kind == "splitter" else 1)
         outs = list(range(first, len(self.driver)))
         self.instances.append(
-            Instance(idx, cell, list(fanins), outs, [0] * len(fanins)))
-        self._topo = None
+            Instance(cell, list(fanins), outs, [0] * len(fanins)))
         return outs[0]
 
     def add_po(self, sig: int, name: str):
+        self._check_driven([sig])
         self.pos.append(sig)
         self.po_names.append(name)
         self.po_pads.append(0)
 
     def add_const_po(self, name: str, value: bool):
-        self.const_pos.append((name, value))
+        self.const_pos.append((len(self.pos) + len(self.const_pos), name,
+                               value))
+
+    def _check_driven(self, sigs: list[int]):
+        bad = [s for s in sigs if not 0 <= s < len(self.driver)]
+        if bad:
+            raise BalanceError(f"signal {bad[0]} is not driven yet")
 
     # -- topology ------------------------------------------------------
 
-    def consumers(self) -> dict[int, list[tuple]]:
-        """Every signal's readers: ``("inst", idx, pin)`` per instance pin,
-        then ``("po", i)`` per PO."""
-        out: dict[int, list[tuple]] = {}
-        for inst in self.instances:
+    def consumers(self) -> dict[int, list[tuple[int, int]]]:
+        """Every signal's readers: ``(instance, pin)`` per instance pin,
+        then ``(-1, po)`` per PO."""
+        out: dict[int, list[tuple[int, int]]] = {}
+        for i, inst in enumerate(self.instances):
             for pin, sig in enumerate(inst.fanins):
-                out.setdefault(sig, []).append(("inst", inst.idx, pin))
+                out.setdefault(sig, []).append((i, pin))
         for i, sig in enumerate(self.pos):
-            out.setdefault(sig, []).append(("po", i))
+            out.setdefault(sig, []).append((-1, i))
         return out
 
-    def topo_instances(self) -> list[Instance]:
-        """The instances in Kahn's order, lowest index first among the ready
-        ones.  Computed once per structure and shared by every caller:
-        ``add_gate`` and ``_rewire`` drop it, ``copy`` carries it."""
-        if self._topo is None:
-            n = len(self.instances)
-            indeg = [0] * n
-            deps: list[list[int]] = [[] for _ in range(n)]
-            for inst in self.instances:
-                for sig in inst.fanins:
-                    drv = self.driver[sig]
-                    if drv >= 0:
-                        indeg[inst.idx] += 1
-                        deps[drv].append(inst.idx)
-            ready = [i for i in range(n) if not indeg[i]]
-            heapq.heapify(ready)
-            order = []
-            while ready:
-                i = heapq.heappop(ready)
-                order.append(self.instances[i])
-                for j in deps[i]:
-                    indeg[j] -= 1
-                    if not indeg[j]:
-                        heapq.heappush(ready, j)
-            if len(order) != n:
-                raise BalanceError("mapped network contains a cycle")
-            self._topo = order
-        return self._topo
-
-    def arrivals(self, balanced: bool = False) -> dict[int, int]:
-        """Clocked level of every signal: 0 at a PI; at a cell's outputs the
-        latest fanin arrival including its edge DFFs, plus one if clocked.
-        With ``balanced``, a cell whose fanins do not arrive together raises
-        BalanceError."""
-        h = {sig: 0 for sig in self.pi_sigs}
-        for inst in self.topo_instances():
+    def arrivals(self, balanced: bool = False) -> list[int]:
+        """Clocked level of every signal, indexed by signal: 0 at a PI; at a
+        cell's outputs the latest fanin arrival including its edge DFFs,
+        plus one if clocked.  One walk of ``instances``, which is in
+        topological order.  With ``balanced``, a cell whose fanins do not
+        arrive together raises BalanceError."""
+        h = [0] * len(self.driver)
+        for i, inst in enumerate(self.instances):
             arrs = [h[f] + p for f, p in zip(inst.fanins, inst.pads)]
             arr = max(arrs)
             if balanced and min(arrs) != arr:
                 raise BalanceError(f"unbalanced fanins at {inst.cell.name} "
-                                   f"#{inst.idx}: {arrs}")
+                                   f"#{i}: {arrs}")
             arr += inst.cell.is_clocked
             for sig in inst.outs:
                 h[sig] = arr
@@ -146,45 +123,47 @@ class MappedNetwork:
     def insert_splitters(self, lib: CellLibrary):
         """Give every multi-fanout signal a chain-shaped splitter tree with
         the most DFF-critical sink nearest the source; f-1 splitters per
-        f-fanout signal."""
+        f-fanout signal.  Each chain is placed right after the instance
+        driving its signal (chains on PIs first), so the instance list
+        stays topological."""
         self.splitter_cell = lib.splitter
         self.dff_cell = lib.dff
         if self.splitter_cell is None or self.dff_cell is None:
             raise BalanceError("library lacks splitter or DFF cell")
         h = self.arrivals()
-        cons = self.consumers()
+        cons = {s: c for s, c in self.consumers().items() if len(c) > 1}
         po_height = max((h[s] for s in self.pos), default=0)
-        # estimated DFFs each sink's edge would need, snapshotted before any
+        old, self.instances = self.instances, []
+
+        # estimated DFFs a sink's edge would need, by the arrivals before any
         # rewiring: fewer = more critical.  A cell's latest fanin arrives
         # at its output's arrival less its clock.
-        gate_target = {inst.idx: h[inst.out] - inst.cell.is_clocked
-                       for inst in self.instances}
+        def criticality(sig, sink):
+            i, pin = sink
+            if i < 0:
+                return (po_height - h[sig], 1, pin)
+            return (h[old[i].out] - old[i].cell.is_clocked - h[sig], 0, i)
 
-        def criticality(sig, key):
-            if key[0] == "po":
-                return (po_height - h[sig], 1, key[1])
-            return (gate_target[key[1]] - h[sig], 0, key[1])
-
-        for sig in sorted(cons):
-            sinks = cons[sig]
-            if len(sinks) < 2:
-                continue
-            sinks = sorted(sinks, key=lambda c: criticality(sig, c))
-            cur = sig
-            for sink in sinks[:-1]:
-                self.add_gate(self.splitter_cell, [cur])
-                sp = self.instances[-1]
-                self._rewire(sink, sp.outs[0])
-                cur = sp.outs[1]
-            self._rewire(sinks[-1], cur)
-
-    def _rewire(self, consumer_key, new_sig):
-        self._topo = None
-        if consumer_key[0] == "inst":
-            _, idx, pin = consumer_key
-            self.instances[idx].fanins[pin] = new_sig
-        else:
-            self.pos[consumer_key[1]] = new_sig
+        for i in range(-1, len(old)):  # -1: the PIs, as in ``driver``
+            if i < 0:
+                sigs = self.pi_sigs
+            else:  # the instance, then the chains on its outputs
+                sigs = old[i].outs
+                for sig in sigs:
+                    self.driver[sig] = len(self.instances)
+                self.instances.append(old[i])
+            for sig in sigs:
+                sinks = sorted(cons.get(sig, ()),
+                               key=lambda c: criticality(sig, c))
+                reads, cur = [], sig  # the signal each sink reads, in order
+                for _ in sinks[1:]:
+                    reads.append(self.add_gate(self.splitter_cell, [cur]))
+                    cur = reads[-1] + 1
+                for (j, pin), new in zip(sinks, reads + [cur]):
+                    if j < 0:
+                        self.pos[pin] = new
+                    else:
+                        old[j].fanins[pin] = new
 
     # -- DFF insertion -------------------------------------------------
 
@@ -233,10 +212,18 @@ class MappedNetwork:
     # -- validation ----------------------------------------------------
 
     def validate(self):
-        """Every cell's fanins arrive together (checked by the arrival
-        walk), every PO arrives at ``depth`` and no signal is read twice,
-        i.e. has fanout above one.  Retiming keeps every PI-to-PO register
-        count, so a retimed network keeps its depth."""
+        """Every instance reads only signals driven before it, so the list
+        is topological, every cell's fanins arrive together (checked by the
+        arrival walk), every PO arrives at ``depth`` and no signal is read
+        twice, i.e. has fanout above one.  Retiming keeps every PI-to-PO
+        register count, so a retimed network keeps its depth."""
+        n = len(self.driver)
+        for i, inst in enumerate(self.instances):
+            late = [f for f in inst.fanins
+                    if not (0 <= f < n and self.driver[f] < i)]
+            if late:
+                raise BalanceError(f"{inst.cell.name} #{i} reads signal "
+                                   f"{late[0]}, not driven before it")
         h = self.arrivals(balanced=True)
         po_arr = {h[s] + p for s, p in zip(self.pos, self.po_pads)}
         if po_arr - {self.depth}:
@@ -256,7 +243,7 @@ class MappedNetwork:
         """Bit-parallel combinational evaluation; DFFs and splitters act as
         wires.  Returns {po_name: packed value}."""
         vals = dict(zip(self.pi_sigs, pi_values))
-        for inst in self.topo_instances():
+        for inst in self.instances:
             ins = [vals[f] for f in inst.fanins]
             if inst.cell.kind in ("dff", "splitter"):
                 v = ins[0]
@@ -265,7 +252,7 @@ class MappedNetwork:
             for sig in inst.outs:
                 vals[sig] = v
         out = {name: vals[sig] for name, sig in zip(self.po_names, self.pos)}
-        for name, value in self.const_pos:
+        for _, name, value in self.const_pos:
             out[name] = mask if value else 0
         return out
 
@@ -274,28 +261,23 @@ class MappedNetwork:
     def retiming_edges(self) -> list[tuple]:
         """(tail_vertex, head_vertex, weight) triples; PIs and POs attach to
         the fixed 'host' vertex so I/O latency is pinned; instance pins in
-        index order, then POs."""
+        list order, then POs."""
         vertex = ["host" if d < 0 else ("inst", d) for d in self.driver]
-        return [(vertex[f], ("inst", inst.idx), p) for inst in self.instances
+        return [(vertex[f], ("inst", i), p)
+                for i, inst in enumerate(self.instances)
                 for f, p in zip(inst.fanins, inst.pads)] + [
             (vertex[s], "host", p) for s, p in zip(self.pos, self.po_pads)]
 
     def copy(self) -> "MappedNetwork":
-        net = MappedNetwork(name=self.name)
-        net.pi_names = list(self.pi_names)
-        net.pi_sigs = list(self.pi_sigs)
-        net.instances = [Instance(i.idx, i.cell, list(i.fanins), list(i.outs),
+        net = MappedNetwork(
+            name=self.name, pi_names=list(self.pi_names),
+            pi_sigs=list(self.pi_sigs), pos=list(self.pos),
+            po_names=list(self.po_names), po_pads=list(self.po_pads),
+            const_pos=list(self.const_pos), depth=self.depth,
+            dff_cell=self.dff_cell, splitter_cell=self.splitter_cell)
+        net.instances = [Instance(i.cell, list(i.fanins), list(i.outs),
                                   list(i.pads)) for i in self.instances]
-        net.pos = list(self.pos)
-        net.po_names = list(self.po_names)
-        net.po_pads = list(self.po_pads)
-        net.const_pos = list(self.const_pos)
-        net.depth = self.depth
-        net.dff_cell = self.dff_cell
-        net.splitter_cell = self.splitter_cell
         net.driver = list(self.driver)
-        if self._topo is not None:
-            net._topo = [net.instances[i.idx] for i in self._topo]
         return net
 
     # -- emission ------------------------------------------------------
@@ -341,7 +323,11 @@ class MappedNetwork:
         return set(self.pi_names) | set(self._po_ports())
 
     def _po_ports(self) -> list[str]:
-        return self.po_names + [name for name, _ in self.const_pos]
+        """The PO names in port order, each constant PO at its position."""
+        ports = list(self.po_names)
+        for at, name, _ in self.const_pos:
+            ports.insert(at, name)
+        return ports
 
     def _net_names(self, io: set[str]) -> list[str]:
         """Every signal's net name, indexed by signal: a PI's own name, else
@@ -353,10 +339,10 @@ class MappedNetwork:
 
     def _records(self, io: set[str], names: list[str]):
         """The netlist body in file order, shared by both writers: a
-        ``(GATE, inst, nets)`` record per instance, its nets in the order of
-        ``_ports(cell)``, and a ``(DFFS, src, dffs)`` record per edge's DFF
-        chain, just before its consumer; then a ``(PO, name, net)`` record
-        per PO.  A chain reads net ``src`` and its DFFs drive the nets
+        ``(GATE, i, nets)`` record per instance, ``i`` its list position and
+        its nets in the order of ``_ports(cell)``, and a ``(DFFS, src,
+        dffs)`` record per edge's DFF chain, just before its consumer; then
+        a ``(PO, name, net)`` record per PO.  A chain reads net ``src`` and its DFFs drive the nets
         ``_dff_nets(dffs, io)`` of the integer range ``dffs``, numbered in
         file order, each DFF reading the one before."""
         first = 0
@@ -371,7 +357,7 @@ class MappedNetwork:
             first += n
             return (DFFS, names[sig], dffs), _free_name(f"pbd{dffs[-1]}", io)
 
-        for inst in self.instances:
+        for i, inst in enumerate(self.instances):
             nets = []
             for f, pad in zip(inst.fanins, inst.pads):
                 rec, src = chain(f, pad)
@@ -379,7 +365,7 @@ class MappedNetwork:
                     yield rec
                 nets.append(src)
             nets += [names[s] for s in inst.outs]
-            yield GATE, inst, tuple(nets)
+            yield GATE, i, tuple(nets)
         for name, sig, pad in zip(self.po_names, self.pos, self.po_pads):
             rec, src = chain(sig, pad)
             if rec:
@@ -398,7 +384,7 @@ class MappedNetwork:
                 if a != b:
                     yield f".names {b} {a}\n1 1\n"
                 continue
-            cell = self.dff_cell if kind is DFFS else a.cell
+            cell = self.dff_cell if kind is DFFS else self.instances[a].cell
             fmt = gate.get(cell.name)
             if fmt is None:
                 fmt = gate[cell.name] = (
@@ -410,7 +396,7 @@ class MappedNetwork:
                 qs = _dff_nets(b, io)
                 yield _rows(fmt, [a, *qs[:-1]], qs)
         yield "".join(f".names {name}\n1\n" if value else f".names {name}\n"
-                      for name, value in self.const_pos) + ".end\n"
+                      for _, name, value in self.const_pos) + ".end\n"
 
     def _verilog_parts(self, io: set[str], names: list[str]):
         """The Verilog text, one string per record; the ``wire`` declaration
@@ -442,7 +428,7 @@ class MappedNetwork:
             if kind is PO:  # its name and the net it reads
                 yield f"  assign {_verilog_id(a)} = {b};\n"
                 continue
-            cell = self.dff_cell if kind is DFFS else a.cell
+            cell = self.dff_cell if kind is DFFS else self.instances[a].cell
             fmt = gate.get(cell.name)
             if fmt is None:  # names as identifiers; pins hold no '%'
                 conns = [f".{_verilog_id(p)}(%s)" for p in _ports(cell)]
@@ -452,13 +438,13 @@ class MappedNetwork:
                     f"  {_verilog_id(cell.name)} ".replace("%", "%%")
                     + f"%s ({', '.join(conns)});\n")
             if kind is GATE:
-                yield fmt % (_free_name(f"u{a.idx}", io), *b)
+                yield fmt % (_free_name(f"u{a}", io), *b)
             else:  # a DFF chain from net a, each DFF labelled u_<its net>
                 qs = _dff_nets(b, io)
                 labels = _free_names([f"u_{q}" for q in qs], io)
                 yield _rows(fmt, labels, [a, *qs[:-1]], qs)
         yield "".join(f"  assign {_verilog_id(name)} = 1'b{int(value)};\n"
-                      for name, value in self.const_pos) + "endmodule\n"
+                      for _, name, value in self.const_pos) + "endmodule\n"
 
 
 # record kinds of MappedNetwork._records

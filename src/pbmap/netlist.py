@@ -310,36 +310,40 @@ def _parse_blif(text: str) -> SubjectGraph:
     if not saw_model and not g.pis and not outputs:
         raise NetlistError("not a BLIF file (no .model/.inputs/.outputs)")
 
-    def resolve(name: str, lno) -> tuple[int, bool]:
-        """Literal of ``name``.  Its cone is built depth-first, inputs in
-        order, on an explicit stack, so a chain of any depth parses."""
-        on_path: set[str] = set()  # entered, inputs not yet all built
-        stack = [(name, lno, None)]
-        while stack:
-            sig, ref, ins = stack.pop()
-            if ins is not None:  # every input is built: build sig itself
-                on_path.discard(sig)
-                lits[sig] = _build_sop(g, [lits[n] for n in ins],
-                                       records[sig][2])
-                continue
-            if sig in lits:
-                continue
-            if sig not in records:
-                raise NetlistError(f"undefined signal '{sig}'", ref)
-            if sig in on_path:
-                raise NetlistError(f"cyclic definition of '{sig}'", ref)
-            on_path.add(sig)
-            rlno, ins, _ = records[sig]
-            stack.append((sig, rlno, ins))
-            stack.extend((n, rlno, None) for n in reversed(ins))
-        return lits[name]
-
     if not outputs:
         raise NetlistError("no outputs declared")
     for name in outputs:
-        g.add_po(resolve(name, None), name)
+        g.add_po(_resolve(g, records, lits, name, None, "signal '{}'"), name)
     g.sweep_dangling()
     return g
+
+
+def _resolve(g: SubjectGraph, records: dict, lits: dict, name, lno,
+             noun: str) -> tuple[int, bool]:
+    """Literal of ``name``, whose cone of ``records`` (name -> line, input
+    names, .names cubes) is added to ``g`` and ``lits`` (name -> literal)
+    depth-first, inputs in order, on an explicit stack, so a chain of any
+    depth parses.  An undefined or cyclic name raises, named by ``noun``."""
+    on_path: set = set()  # entered, inputs not yet all built
+    stack = [(name, lno, None)]
+    while stack:
+        sig, ref, ins = stack.pop()
+        if ins is not None:  # every input is built: build sig itself
+            on_path.discard(sig)
+            lits[sig] = _build_sop(g, [lits[n] for n in ins], records[sig][2])
+            continue
+        if sig in lits:
+            continue
+        if sig not in records:
+            raise NetlistError(f"undefined {noun.format(sig)}", ref)
+        if sig in on_path:
+            raise NetlistError(f"cyclic definition of {noun.format(sig)}",
+                               ref)
+        on_path.add(sig)
+        rlno, ins, _ = records[sig]
+        stack.append((sig, rlno, ins))
+        stack.extend((n, rlno, None) for n in reversed(ins))
+    return lits[name]
 
 
 def _cube(ins: list[str], lno: int, line: str) -> tuple[str, str]:
@@ -484,29 +488,26 @@ def _parse_aag(text: str) -> SubjectGraph:
             raise NetlistError("malformed symbol line", idx)
         (in_names if line[0] == "i" else out_names)[int(pos)] = name
 
-    lit_map: dict[int, tuple[int, bool]] = {0: g.const_lit(False), 1: g.const_lit(True)}
+    # each AND is read as the .names record of its function, one cube over
+    # its operands' variables; a variable is named by its even literal
+    lits: dict[int, tuple[int, bool]] = {0: g.const_lit(False)}
     for k, lit in enumerate(in_lits):
-        if lit in lit_map:  # input k is on line k + 2
+        if lit in lits:  # input k is on line k + 2
             raise NetlistError(f"literal {lit} defined twice", k + 2)
-        nid = g.add_pi(in_names.get(k, f"i{k}"))
-        lit_map[lit] = (nid, False)
-        lit_map[lit ^ 1] = (nid, True)
-
-    def lookup(lit, lno):
-        if lit not in lit_map:
-            raise NetlistError(f"undefined literal {lit}", lno)
-        return lit_map[lit]
-
+        lits[lit] = (g.add_pi(in_names.get(k, f"i{k}")), False)
+    records = {}
     for lno, lhs, rhs0, rhs1 in and_defs:
         if lhs % 2:
             raise NetlistError("and output literal must be even", lno)
-        if lhs in lit_map:
+        if lhs in lits or lhs in records:
             raise NetlistError(f"literal {lhs} defined twice", lno)
-        out = g.add_and(lookup(rhs0, lno), lookup(rhs1, lno))
-        lit_map[lhs] = out
-        lit_map[lhs ^ 1] = _neg(out)
+        records[lhs] = (lno, [rhs0 & ~1, rhs1 & ~1],
+                        [("10"[rhs0 % 2] + "10"[rhs1 % 2], "1")])
+    for lhs in records:  # in file order: an ordered file keeps its node ids
+        _resolve(g, records, lits, lhs, None, "literal {}")
     for k, (lno, lit) in enumerate(out_lits):
-        g.add_po(lookup(lit, lno), out_names.get(k, f"o{k}"))
+        out = _resolve(g, records, lits, lit & ~1, lno, "literal {}")
+        g.add_po(_neg(out) if lit % 2 else out, out_names.get(k, f"o{k}"))
     g.sweep_dangling()
     return g
 

@@ -19,14 +19,15 @@ log = logging.getLogger(__name__)
 # ----------------------------------------------------------------------
 
 
-def lag_window(tail, head, weight, host, order):
+def lag_window(tail, head, weight, host):
     """The lag window ``lo <= r <= hi`` that the legality rows
     ``r(tail) - r(head) <= weight`` imply, per vertex ``0..host``:
     ``hi(v)`` is the fewest DFFs on any path from ``v`` to the host,
     ``lo(v)`` minus the fewest on any path from the host to ``v`` (``inf``
-    where no path exists).  ``order`` lists the instances ``0..host - 1``
-    in a topological order of the edges between them, so both are one walk
-    along it and one back."""
+    where no path exists).  Every edge between instances runs from a lower
+    vertex to a higher one, as a MappedNetwork's instance list is in
+    topological order, so both are one walk up the vertices and one
+    back."""
     inf = float("inf")
     down = [inf] * (host + 1)  # fewest DFFs from the host
     up = [inf] * (host + 1)    # fewest DFFs to the host
@@ -39,12 +40,12 @@ def lag_window(tail, head, weight, host, order):
             up[t] = min(up[t], w)
         else:
             out[t].append((h, w))
-    for v in order:
+    for v in range(host):
         dv = down[v]
         for h, w in out[v]:
             if dv + w < down[h]:
                 down[h] = dv + w
-    for v in reversed(order):
+    for v in reversed(range(host)):
         for h, w in out[v]:
             if w + up[h] < up[v]:
                 up[v] = w + up[h]
@@ -52,20 +53,19 @@ def lag_window(tail, head, weight, host, order):
 
 
 def retime_min_registers(net, allow_across_splitters: bool = True):
-    """Minimize the total DFF count of a balanced MappedNetwork by register
-    relocation, preserving function and every PI-to-PO clocked path length.
+    """Minimize the total DFF count of a MappedNetwork that passes
+    ``validate`` by register relocation, preserving function and every
+    PI-to-PO clocked path length.
 
     Solved as the LP relaxation of the min-register retiming problem
     (difference constraints; the constraint matrix is totally unimodular, so
     the LP optimum is integral).  Vertices are instance indices, with PIs
     and POs on one fixed host vertex so I/O latency is pinned; one row per
-    edge, instance pins in index order, then POs (host-to-host edges left
-    out), one column per instance in index order, since every instance
-    heads its fanin edges.  Each column is bounded by its ``lag_window``,
-    built from the edge rows alone along ``topo_instances`` (which raises
-    BalanceError on a cycle): the bounds follow from the rows, so the
-    feasible set and the optimum are unchanged and HiGHS only takes a
-    shorter path to it.  Returns a new MappedNetwork with the new pads.
+    edge, instance pins in list order, then POs (host-to-host edges left
+    out), one column per instance in list order, since every instance
+    heads its fanin edges.  Each column is bounded by its ``lag_window``:
+    the bounds follow from the rows, so the feasible set and the optimum
+    are unchanged and HiGHS only takes a shorter path to it.  Returns a new MappedNetwork with the new pads.
     Registers move across splitters; ``allow_across_splitters=False`` raises.
     """
     if not allow_across_splitters:
@@ -78,12 +78,11 @@ def retime_min_registers(net, allow_across_splitters: bool = True):
     vertex[vertex < 0] = host
     tail = vertex[np.array([f for i in insts for f in i.fanins] + net.pos,
                            dtype=np.intp)]
-    head = np.array([i.idx for i in insts for _ in i.fanins]
+    head = np.array([v for v, i in enumerate(insts) for _ in i.fanins]
                     + [host] * len(net.pos), dtype=np.int64)
     weight = np.array([p for i in insts for p in i.pads] + net.po_pads,
                       dtype=np.int64)
-    lo, hi = lag_window(tail, head, weight, host,
-                        [i.idx for i in net.topo_instances()])
+    lo, hi = lag_window(tail, head, weight, host)
     bounds = np.column_stack([lo[:host], hi[:host]])
 
     # minimize sum_e w_r(e) = W + sum_v r(v) * (indeg(v) - outdeg(v))

@@ -50,12 +50,26 @@ def subject_depth(g) -> int:
     return max((levels[p] for p, _ in g.pos), default=0)
 
 
+def assert_topological(net):
+    """Every fanin of ``net`` is a PI or an output of an earlier instance,
+    every PO reads a signal that exists, and ``net.driver`` gives each
+    output's instance by its list position: checked from the instances
+    alone."""
+    driver = {sig: -1 for sig in net.pi_sigs}
+    for i, inst in enumerate(net.instances):
+        assert all(f in driver for f in inst.fanins), (i, inst.fanins)
+        driver.update((sig, i) for sig in inst.outs)
+    assert all(s in driver for s in net.pos)
+    assert net.driver == [driver[s] for s in range(len(driver))]
+
+
 def balanced_po_arrivals(net) -> set[int] | None:
     """The set of PO arrivals, DFFs included, by an arrival walk written
     apart from ``MappedNetwork.arrivals``; None if some cell's fanins do not
-    arrive together."""
+    arrive together.  It walks ``net.instances`` in list order, which is
+    topological, so a signal read before it is driven raises KeyError."""
     h = {sig: 0 for sig in net.pi_sigs}
-    for inst in net.topo_instances():
+    for inst in net.instances:
         arrs = {h[f] + pad for f, pad in zip(inst.fanins, inst.pads)}
         if len(arrs) != 1:
             return None

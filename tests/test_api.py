@@ -22,7 +22,8 @@ DELETED = {
     trees: ("max_depth_gap", "tree_buffer_count", "tree_node_count",
             "tree_height", "depth_gap_pad_lengths", "depth_gap_buffers"),
     truthtable: ("support", "tt_eval_packed"),
-    balance.MappedNetwork: ("gate_count", "edge_list"),
+    balance.MappedNetwork: ("gate_count", "edge_list", "topo_instances",
+                            "_rewire"),
     mapper: ("_positive_candidates", "_negative_candidates"),
     mapper.NodeSolution: ("opt", "point_at"),
     mapper.Match: ("leaf_heights", "is_wire"),
@@ -79,8 +80,8 @@ def test_the_cover_is_a_value():
 
 def test_dffs_live_on_their_edges():
     assert "dff" not in fields(balance.MappedNetwork)
-    assert fields(balance.Instance) == ("idx", "cell", "fanins", "outs",
-                                        "pads")
+    # an instance's index is its list position, which is topological
+    assert fields(balance.Instance) == ("cell", "fanins", "outs", "pads")
     net = balance.MappedNetwork()
     assert not hasattr(net, "_next_sig")
     assert net.driver == [] and net.po_pads == []
@@ -94,7 +95,7 @@ SIGNATURES = {
     netlist.parse_netlist: ("text",),
     cuts.enumerate_cuts: ("g", "k", "cap"),
     mapper.choose_cover: ("solutions", "g"),
-    retime.lag_window: ("tail", "head", "weight", "host", "order"),
+    retime.lag_window: ("tail", "head", "weight", "host"),
 }
 
 OPTIONS = {

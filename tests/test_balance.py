@@ -12,8 +12,8 @@ from pbmap.trees import (buffer_band_check, caterpillar, double_caterpillar,
                          input_pins_from_profile, measure_tree, most_balanced,
                          most_unbalanced, random_tree, tree_leaf_depths)
 
-from conftest import (DATA, balanced_po_arrivals, tree_buffer_count,
-                      tree_height, tree_node_count)
+from conftest import (DATA, assert_topological, balanced_po_arrivals,
+                      tree_buffer_count, tree_height, tree_node_count)
 
 
 # ----------------------------------------------------------------------
@@ -84,50 +84,57 @@ def fanout4_net(lib):
     return net, src
 
 
-def kahn_order(net):
-    """Instance indices in Kahn's order, lowest ready index first, computed
-    from scratch: the smallest index whose driving instances are all
-    placed."""
-    driver = {sig: inst.idx for inst in net.instances for sig in inst.outs}
-    preds = [{driver[f] for f in inst.fanins if f in driver}
-             for inst in net.instances]
-    placed, order = set(), []
-    while len(order) < len(net.instances):
-        i = min(i for i in range(len(preds))
-                if i not in placed and preds[i] <= placed)
-        placed.add(i)
-        order.append(i)
-    return order
-
-
-def test_topological_order_follows_structure_edits(lib):
-    net, _src = fanout4_net(lib)
-    before = net.topo_instances()
-    assert [i.idx for i in before] == kahn_order(net)
-    assert net.topo_instances() is before  # computed once per structure
-    # each edit on its own: a new cell, then a sink moved behind a later one
-    and2 = next(c for c in lib.cells if c.name == "and2")
-    last = net.add_gate(and2, net.pi_sigs)
-    assert [i.idx for i in net.topo_instances()] == kahn_order(net)
-    net._rewire(("inst", 1, 0), last)
-    assert [i.idx for i in net.topo_instances()] == kahn_order(net)
-    assert net.topo_instances()[-1].idx != len(net.instances) - 1
-    net, _src = fanout4_net(lib)
-    net.topo_instances()
+def test_the_instance_list_stays_topological(lib):
+    net, src = fanout4_net(lib)
+    assert_topological(net)
     net.insert_splitters(lib)
     assert net.splitter_count > 0
-    assert [i.idx for i in net.topo_instances()] == kahn_order(net)
+    assert_topological(net)
+    # chains on PIs come first; a chain on a gate's output right after it
+    assert net.instances[0].cell.kind == "splitter"
+    head = net.instances[net.driver[src] + 1]
+    assert head.cell.kind == "splitter" and head.fanins == [src]
     net.insert_balancing()
+    n = len(net.instances)
     cp = net.copy()
-    # the copy carries the order, over its own instances
-    assert [i.idx for i in cp.topo_instances()] == kahn_order(cp)
-    assert all(i is cp.instances[i.idx] for i in cp.topo_instances())
-    # a splitter added to the copy changes the copy's order only
-    orig = [i.idx for i in net.topo_instances()]
-    cp.insert_splitters(lib)
-    cp._rewire(("po", 0), cp.add_gate(lib.splitter, [cp.pos[0]]))
-    assert [i.idx for i in cp.topo_instances()] == kahn_order(cp)
-    assert [i.idx for i in net.topo_instances()] == orig
+    assert_topological(cp)
+    # a gate added to the copy comes last, and changes the copy only
+    and2 = next(c for c in lib.cells if c.name == "and2")
+    cp.add_po(cp.add_gate(and2, [cp.pos[0], cp.pi_sigs[0]]), "g")
+    assert_topological(cp)
+    assert cp.driver[-1] == n and len(net.instances) == n
+    assert_topological(net)
+
+
+@pytest.mark.parametrize("sig", [2, 99, -1],
+                         ids=["next-signal", "unknown", "negative"])
+def test_only_driven_signals_are_read(lib, sig):
+    and2 = next(c for c in lib.cells if c.name == "and2")
+    net = MappedNetwork(name="early")
+    a, b = net.add_pi("a"), net.add_pi("b")
+    with pytest.raises(BalanceError, match=f"signal {sig} is not driven"):
+        net.add_gate(and2, [a, sig])
+    with pytest.raises(BalanceError, match=f"signal {sig} is not driven"):
+        net.add_po(sig, "f")
+    assert (net.instances, net.pos, net.driver) == ([], [], [-1, -1])
+
+
+@pytest.mark.parametrize("cycle", [False, True], ids=["acyclic", "cycle"])
+def test_validate_rejects_a_read_before_its_driver(lib, cycle):
+    # u0 = and2(u2, u1), u1 = and2(c, d), u2 = and2(a, b): balanced, every
+    # signal read once, but u0 reads two signals driven after it; or u0
+    # reads itself
+    and2 = next(c for c in lib.cells if c.name == "and2")
+    net = MappedNetwork(name="late")
+    a, b, c, d = (net.add_pi(name) for name in "abcd")
+    u0 = net.add_gate(and2, [a, b])
+    u1 = net.add_gate(and2, [c, d])
+    u2 = net.add_gate(and2, [a, b])
+    net.add_po(u0, "f")
+    net.instances[0].fanins = [u0 if cycle else u2, u1]
+    net.depth = 2
+    with pytest.raises(BalanceError, match="not driven before it"):
+        net.validate()
 
 
 def test_fanout4_gets_three_splitters_critical_first(lib):
@@ -143,8 +150,8 @@ def test_fanout4_gets_three_splitters_critical_first(lib):
                  if i.cell.kind == "splitter" and i.fanins == [src])
     tap = first.outs[0]
     consumer = net.consumers()[tap][0]
-    assert consumer[0] == "inst"
-    deep_inst = net.instances[consumer[1]]
+    assert consumer[0] >= 0  # an instance's pin, not a PO
+    deep_inst = net.instances[consumer[0]]
     assert deep_inst.cell.kind != "splitter"
     net.insert_balancing()
     net.validate()

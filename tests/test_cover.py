@@ -78,8 +78,8 @@ def check_cover(cover: Cover) -> int:
                 else key[:2] == (p, NEG if c else POS))
     assert net.pos == [sig_of[key] for *_, key in pos if key is not None]
     assert net.po_names == [name for name, p, *_ in pos if p != CONST0]
-    assert net.const_pos == [(name, bool(c)) for name, p, c, _ in pos
-                             if p == CONST0]
+    assert net.const_pos == [(k, name, bool(c)) for k, (name, p, c, _)
+                             in enumerate(pos) if p == CONST0]
     return len(cover.matches)
 
 

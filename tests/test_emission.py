@@ -30,19 +30,19 @@ BLIF_BEFORE = """\
 .model clash
 .inputs n5 pbd0 u_pbd1 clk u0 d
 .outputs u3 pbd2 n7 f
+.gate split a=u0 o=n14 o2=n15
+.gate split a=d o=n16 o2=n17
+.gate split a=n17 o=n18 o2=n19
 .gate and2 a=n5 b=pbd0 o=n6
 .gate inv a=clk o=n7_1
 .gate and2 a=u_pbd1 b=n7_1 o=n8
 .gate and2 a=n8 b=n6 o=n9
+.gate split a=n9 o=n20 o2=n21
 .gate and2 a=n14 b=n16 o=n10
 .gate and2 a=n15 b=n18 o=n11
 .gate inv a=n20 o=n12
 .gate dff a=n11 q=pbd0_1
 .gate and2 a=pbd0_1 b=n12 o=n13
-.gate split a=u0 o=n14 o2=n15
-.gate split a=d o=n16 o2=n17
-.gate split a=n17 o=n18 o2=n19
-.gate split a=n9 o=n20 o2=n21
 .gate dff a=n21 q=pbd1
 .names pbd1 u3
 1 1
@@ -65,19 +65,19 @@ module clash (n5, pbd0, u_pbd1, clk, u0, d, u3, pbd2, n7, f, clk_1);
   input n5, pbd0, u_pbd1, clk, u0, d, clk_1;
   output u3, pbd2, n7, f;
   wire n10, n11, n12, n13, n14, n15, n16, n17, n18, n19, n20, n21, n6, n7_1, n8, n9, pbd0_1, pbd1, pbd2_1, pbd3, pbd4, pbd5, pbd6;
-  and2 u0_1 (.a(n5), .b(pbd0), .o(n6), .clk(clk_1));
-  inv u1 (.a(clk), .o(n7_1));
-  and2 u2 (.a(u_pbd1), .b(n7_1), .o(n8), .clk(clk_1));
-  and2 u3_1 (.a(n8), .b(n6), .o(n9), .clk(clk_1));
-  and2 u4 (.a(n14), .b(n16), .o(n10), .clk(clk_1));
-  and2 u5 (.a(n15), .b(n18), .o(n11), .clk(clk_1));
-  inv u6 (.a(n20), .o(n12));
+  split u0_1 (.a(u0), .o(n14), .o2(n15));
+  split u1 (.a(d), .o(n16), .o2(n17));
+  split u2 (.a(n17), .o(n18), .o2(n19));
+  and2 u3_1 (.a(n5), .b(pbd0), .o(n6), .clk(clk_1));
+  inv u4 (.a(clk), .o(n7_1));
+  and2 u5 (.a(u_pbd1), .b(n7_1), .o(n8), .clk(clk_1));
+  and2 u6 (.a(n8), .b(n6), .o(n9), .clk(clk_1));
+  split u7 (.a(n9), .o(n20), .o2(n21));
+  and2 u8 (.a(n14), .b(n16), .o(n10), .clk(clk_1));
+  and2 u9 (.a(n15), .b(n18), .o(n11), .clk(clk_1));
+  inv u10 (.a(n20), .o(n12));
   dff u_pbd0_1 (.a(n11), .q(pbd0_1), .clk(clk_1));
-  and2 u7 (.a(pbd0_1), .b(n12), .o(n13), .clk(clk_1));
-  split u8 (.a(u0), .o(n14), .o2(n15));
-  split u9 (.a(d), .o(n16), .o2(n17));
-  split u10 (.a(n17), .o(n18), .o2(n19));
-  split u11 (.a(n9), .o(n20), .o2(n21));
+  and2 u11 (.a(pbd0_1), .b(n12), .o(n13), .clk(clk_1));
   dff u_pbd1_1 (.a(n21), .q(pbd1), .clk(clk_1));
   assign u3 = pbd1;
   dff u_pbd2_1 (.a(n19), .q(pbd2_1), .clk(clk_1));
@@ -95,20 +95,20 @@ BLIF_AFTER = """\
 .model clash
 .inputs n5 pbd0 u_pbd1 clk u0 d
 .outputs u3 pbd2 n7 f
-.gate and2 a=n5 b=pbd0 o=n6
-.gate inv a=clk o=n7_1
-.gate and2 a=u_pbd1 b=n7_1 o=n8
-.gate and2 a=n8 b=n6 o=n9
-.gate and2 a=n14 b=n16 o=n10
-.gate and2 a=n15 b=n18 o=n11
-.gate inv a=n20 o=n12
-.gate and2 a=n11 b=n12 o=n13
 .gate dff a=u0 q=pbd0_1
 .gate split a=pbd0_1 o=n14 o2=n15
 .gate dff a=d q=pbd1
 .gate split a=pbd1 o=n16 o2=n17
 .gate split a=n17 o=n18 o2=n19
+.gate and2 a=n5 b=pbd0 o=n6
+.gate inv a=clk o=n7_1
+.gate and2 a=u_pbd1 b=n7_1 o=n8
+.gate and2 a=n8 b=n6 o=n9
 .gate split a=n9 o=n20 o2=n21
+.gate and2 a=n14 b=n16 o=n10
+.gate and2 a=n15 b=n18 o=n11
+.gate inv a=n20 o=n12
+.gate and2 a=n11 b=n12 o=n13
 .gate dff a=n21 q=pbd2_1
 .names pbd2_1 u3
 1 1
@@ -129,20 +129,20 @@ module clash (n5, pbd0, u_pbd1, clk, u0, d, u3, pbd2, n7, f, clk_1);
   input n5, pbd0, u_pbd1, clk, u0, d, clk_1;
   output u3, pbd2, n7, f;
   wire n10, n11, n12, n13, n14, n15, n16, n17, n18, n19, n20, n21, n6, n7_1, n8, n9, pbd0_1, pbd1, pbd2_1, pbd3, pbd4, pbd5;
-  and2 u0_1 (.a(n5), .b(pbd0), .o(n6), .clk(clk_1));
-  inv u1 (.a(clk), .o(n7_1));
-  and2 u2 (.a(u_pbd1), .b(n7_1), .o(n8), .clk(clk_1));
-  and2 u3_1 (.a(n8), .b(n6), .o(n9), .clk(clk_1));
-  and2 u4 (.a(n14), .b(n16), .o(n10), .clk(clk_1));
-  and2 u5 (.a(n15), .b(n18), .o(n11), .clk(clk_1));
-  inv u6 (.a(n20), .o(n12));
-  and2 u7 (.a(n11), .b(n12), .o(n13), .clk(clk_1));
   dff u_pbd0_1 (.a(u0), .q(pbd0_1), .clk(clk_1));
-  split u8 (.a(pbd0_1), .o(n14), .o2(n15));
+  split u0_1 (.a(pbd0_1), .o(n14), .o2(n15));
   dff u_pbd1_1 (.a(d), .q(pbd1), .clk(clk_1));
-  split u9 (.a(pbd1), .o(n16), .o2(n17));
-  split u10 (.a(n17), .o(n18), .o2(n19));
-  split u11 (.a(n9), .o(n20), .o2(n21));
+  split u1 (.a(pbd1), .o(n16), .o2(n17));
+  split u2 (.a(n17), .o(n18), .o2(n19));
+  and2 u3_1 (.a(n5), .b(pbd0), .o(n6), .clk(clk_1));
+  inv u4 (.a(clk), .o(n7_1));
+  and2 u5 (.a(u_pbd1), .b(n7_1), .o(n8), .clk(clk_1));
+  and2 u6 (.a(n8), .b(n6), .o(n9), .clk(clk_1));
+  split u7 (.a(n9), .o(n20), .o2(n21));
+  and2 u8 (.a(n14), .b(n16), .o(n10), .clk(clk_1));
+  and2 u9 (.a(n15), .b(n18), .o(n11), .clk(clk_1));
+  inv u10 (.a(n20), .o(n12));
+  and2 u11 (.a(n11), .b(n12), .o(n13), .clk(clk_1));
   dff u_pbd2_1 (.a(n21), .q(pbd2_1), .clk(clk_1));
   assign u3 = pbd2_1;
   dff u_pbd3 (.a(n19), .q(pbd3), .clk(clk_1));
@@ -168,6 +168,21 @@ def test_writers_are_byte_exact_on_colliding_names(clash):
     assert clash.after.write_verilog() == VERILOG_AFTER
 
 
+# constant POs z (0) and y (1) on either side of the logic PO f
+CONST_PORTS = (".model m\n.inputs a b\n.outputs z f y\n.names z\n"
+               ".names a b f\n11 1\n.names y\n1\n.end\n")
+
+
+@pytest.mark.parametrize("fmt,head", [
+    ("blif", ".model m\n.inputs a b\n.outputs z f y\n"),
+    ("verilog", "module m (a, b, z, f, y, clk);\n  input a, b, clk;\n"
+                "  output z, f, y;\n"),
+])
+def test_constant_pos_keep_their_port_position(lib, table, fmt, head):
+    net = map_graph(parse_netlist(CONST_PORTS), lib, table).after
+    assert "".join(net.netlist_chunks(fmt)).startswith(head)
+
+
 # model, PI and PO names that are no simple Verilog identifier, or are a
 # reserved word, are written as escaped identifiers; the others as they are
 ODD_NAMES = (".model top.1\n.inputs a[0] b.1 wire\n.outputs f<0> g\n"
@@ -176,9 +191,9 @@ VERILOG_ODD_NAMES = r"""module \top.1  (\a[0] , \b.1 , \wire , \f<0> , g, clk);
   input \a[0] , \b.1 , \wire , clk;
   output \f<0> , g;
   wire n3, n4, n5, n6;
-  and2 u0 (.a(\a[0] ), .b(n5), .o(n3), .clk(clk));
-  and2 u1 (.a(n6), .b(\wire ), .o(n4), .clk(clk));
-  split u2 (.a(\b.1 ), .o(n5), .o2(n6));
+  split u0 (.a(\b.1 ), .o(n5), .o2(n6));
+  and2 u1 (.a(\a[0] ), .b(n5), .o(n3), .clk(clk));
+  and2 u2 (.a(n6), .b(\wire ), .o(n4), .clk(clk));
   assign \f<0>  = n3;
   assign g = n4;
 endmodule

@@ -14,7 +14,7 @@ import pytest
 
 from pbmap import bench, flow
 from pbmap.netlist import random_aig
-from conftest import balanced_po_arrivals
+from conftest import assert_topological, balanced_po_arrivals
 
 # circuit: (dffs_before, dffs_after, jj_total, splitters, depth)
 GOLDEN = {
@@ -29,59 +29,59 @@ GOLDEN = {
 
 # circuit: sha256 of (before BLIF, before Verilog, after BLIF, after Verilog)
 GOLDEN_TEXT = {
-    "ksa16": ("7a2c671ca4b1e7abee3beacb47d3ebed75bd17b3863f90ff9b5080e97a0df5ec",
-              "52fb41eb661797971fab81682ed737f385cc083159a69e5519c2d467361d6b7a",
-              "2cec17d76c28b561c1d883b8c33932fc69e57d535bd9b148d19dd0a38bb777e3",
-              "47224bcd96e9efacb2ff6b9201bbcde78a73cd3b1942b8a4a4db50f6884b627a"),
-    "alu8": ("f2c72201a2831d51ef153b957f5f09f4802952148bd3b7292e5382ca2be53dca",
-             "1d85b7dc0a478a5aefcd67977b4d80229f912a8e57506d6fbb66af8f3a3394dd",
-             "42aafa25e29855d29ea9c3de5e32a253aed90d91e88d90b9fc4c367e24719899",
-             "944ce734a42c3e1a2c2854d12db7245d144e1568604316e53cb230356c092c9b"),
-    "bshift16": ("2d511072f09ab47c00b462d5ce9c0326d8608031295f8218496f1be3a6c4d1a2",
-                 "f69d514d4a70938664d43991949f80a8bb4cbe5f2dc58bfd4202278213efc2d3",
-                 "79976a0c2f98be19cbee99af9c806c2ea7542391596a3c359ebc1760509778dd",
-                 "7248061c3b7ac9750c42757dc3774691104817a62b76f568bd15f83645ccdbb4"),
-    "prio16": ("f7d34e1256cc9da87a033b2d0de98f0446b1a20da4279e6aa7940f9ddcbe9809",
-               "a1efa3138617eeeeb6b05fb6215e50bb7a02dd825fe08d19720fbdaeb8b32e1f",
-               "63650a4dfcb63ba1e8dce59db5562d5ec20d0df210cf4750b64de8e17d56fce9",
-               "b3e5528e720783b6d61fb71849db816a2c1729e190912cecf27bb7310a1374db"),
-    "rand200": ("cd7e95091bbd94d7e0e073f3e626ff084dce0108ce611eb2fe2e2190ec79ffa3",
-                "1232ca9eb6fb167fbe67f938e3d20ba3258e2277e3378f07d6a0037911fb8ec3",
-                "f32dc89373b6379eee5f6fb30a7470aaf9eee087b73494031b3dfdd14476f1d1",
-                "c64be066e8beb14ff9b0f386e577d3506cd4dd2d26231c99a61bf06e7e6ccdb2"),
-    "rca64": ("fcd018dea97882f114fb2af6bd7649b21ee7b2cb04ca544cd4fac6282ee4a3cd",
-              "539db13901f06939972ccd7b32f2bde07c3649d326c70408a1a172b33f5a19dd",
-              "3dbe82341f3d01adcab65e4f4aac718df583967ef6fe34e46ba683eb5fb00cac",
-              "31225236f725c67adc849fead01bf3a2887fd16df298a571fd944c079ba5b60c"),
+    "ksa16": ("21bd0ba7f965b20cb93e0d4be02d4d43951af375ec2f9f774e475f1f9210440f",
+              "46f2e91ad18b23da3add04b7f244efc1d863df8c0a69a027b79a96f6963a051e",
+              "b24ab6863d40393238623c7787f7806de0244ca5fa5efb377d0e7c87fa075b5a",
+              "a68253e7ff25f7f340ad20694d9a889d3afd02280a0c8b81b72a353154d23b93"),
+    "alu8": ("c73db0a9a06b40a6a84f195c01f8743825e4881bb0881ea029ce61dddba91bf0",
+             "dd2fe7c019934893dc6755aa861f69144b975c3b33315ab833573fadbca6f4c2",
+             "63f29d8890cd733bb855ec3469a30674844bc9645414b3a4625c8f21d7377aa7",
+             "99a8e713cb940dd89744cdb088fb1c0cddedd912e83ac8b94784608eb6e3f200"),
+    "bshift16": ("1cf0c29ba3413202620892e7ded35f227e545ced3d36bb53b0e2ce90a2e7bad0",
+                 "e6cf703648fbfbef07cd4bbe6fd327a1013882382a64eb78efabd1c22458058d",
+                 "f689a33a51057f86e91cac7d1fcd463275299f29310c52a071b491cfb5e9431f",
+                 "3baad3d6480b3c5939f197c7b22203c3ec9c7ec0ab0fafc7d2dd1729461bed9f"),
+    "prio16": ("3fcfd7df5070087238f72e5c77224c49ac5bc88b97a507cf02c090e2d55ceae0",
+               "73d8c3a63570e0769c9d2a779f9a8a70fafc64f6c002afe77f615149d0107915",
+               "01d79007ee799c3e5718c8c71c9cc3f6b704d9cf72da023fc744a8bbd3abcf61",
+               "bcd84c04f3483ebfa7d431737295171a2d9a78b133007be16fccf6472f6aec24"),
+    "rand200": ("dc7eabee7ed3b4c17a65937b56032b95af72e39b63af17dbc8951666aeb87ce1",
+                "7b2b25db2bf82fadf34485a9b619bd690718437ea343ad20dbc97f7cf6241215",
+                "6cf97f8b42bc284b349b5ebf157b2d980d53a8dd15994a738356961c71a3d4e2",
+                "d0b632bd3fcaa93553017920eaa12f52a87c31a6fba670055f5782939d1928bd"),
+    "rca64": ("c438ec42a3da870c79d6bd34f42d5b5097ce5a2e8c3030082682900344f997fa",
+              "a68f19ac99b7d391fb4e4f9248bb36a2e1b4c09746179b1b6a4a8e8e9f7d52aa",
+              "a338e85792c0b1b593ee49c422116e560dcd85634a2c79ac9986d60a71b8c1f7",
+              "b00625822e7a8673c1743559566860061e834888fc874324e08a9233c9ddd911"),
 }
 
 # (variant, circuit): (dffs_before, dffs_after, jj_total, splitters, depth,
 #                      sha256 of the four netlist texts, in GOLDEN_TEXT's order)
 GOLDEN_VARIANTS = {
     ("depth_greedy", "ksa16"): (269, 220, 4475, 349, 10,
-        "c4e7a17a30f28bef56d8cfc7ed6061fdb18e927b854f9e1b5eb6b158cb17fe3f"),
+        "0d5e410e0af78d8f7059ca592222321a89ed28e0c23d5d5d0df0e482889b6157"),
     ("depth_greedy", "alu8"): (464, 270, 2411, 133, 18,
-        "6c48ff7ea5c03dcbeae94523a583d0842b05a9a3f70f900f36ba572397e15cfc"),
+        "5a5d39569a1bf5a49d64e5c3c9bfd800e1e2fd590091590366c0a492b68f9fca"),
     ("depth_greedy", "bshift16"): (384, 12, 2340, 236, 8,
-        "264bcd8a74aa5dc18af3bdccb92eb45007799ea0a9a703491ad004240460f4aa"),
+        "1215ce86f8a5028942014be25a19b7a06420be662ef29a4ce3e1133177f37e22"),
     ("depth_greedy", "prio16"): (80, 63, 839, 50, 9,
-        "46b439aaf251f28df7270aa9464d76d6e4648f689b64b9fd2d8014fd7ee50c9b"),
+        "93295db72bed9ecf3b59b34011025b9ad0d3d287bf8fb8590e3db2ba4be94218"),
     ("depth_greedy", "rand200"): (678, 439, 5702, 415, 9,
-        "d52702f559eb8f946e918d42680975dfa146cd4ce03b007004cf3e2723bcbe5f"),
+        "d1e730f75e5896c636877d614d9563e49372adc0b77f9205516863e48b167078"),
     ("depth_greedy", "rca64"): (19657, 12030, 53882, 564, 127,
-        "8a2b9f029d0a62cbbddfe9af18fa23a3cb323f02c8009cd4cff06fb45bace220"),
+        "e895543ce206eba9ed742a306aae10fbb685d43f6baa3408f90476d4a829afa5"),
     ("clocked_inv", "ksa16"): (222, 196, 3787, 273, 12,
-        "efc4bd0cbbc7172f8da5a87283a6a814cf0826167f41a3dca98920dd46c2eefe"),
+        "9990dac99308a0f470f557170ff61f64c59bd4c21ec7a001cc6df10a8b144c7b"),
     ("clocked_inv", "alu8"): (421, 260, 2408, 131, 18,
-        "0e038709da636d26400da2d90546d236d121c9444c5e87db3f614930b25bd6ac"),
+        "104a1c8ce6563b4e26b96ceb9afdf814ca60aa555ebae094d4f74921db376559"),
     ("clocked_inv", "bshift16"): (624, 76, 3860, 316, 11,
-        "d84dd075eccd7c626278975f1042d3d9824ad9c5bf0b5e69a26614ca0c2fa06f"),
+        "9bf4610608d74fb49fa98491b9134b72aa9466aeabf026b852b1d89a846273ff"),
     ("clocked_inv", "prio16"): (94, 79, 919, 50, 12,
-        "fd42569fe9cd144f0017da85957a1e264ce8d1fe184bd72c8b68b71871e03757"),
+        "df8e7fbb6de5b5366a4e0ad59d35459c5a1b515c07525ad6e14cd9164f0193ba"),
     ("clocked_inv", "rand200"): (655, 505, 5756, 373, 11,
-        "3a1fcbd69c500a9bb17d76bc240407298db3de22aab22d5057f68ab25fb9de61"),
+        "c93929ab45e2544923b4887eb660bd7803a2399d27d10b77eb2bfde0250744d0"),
     ("clocked_inv", "rca64"): (19472, 12030, 52528, 379, 127,
-        "cf3858e6225f43243c6e5bcc9261b9cba69c329ea04897c1ccc3106944eca1a3"),
+        "1a30dda0faa6507e3a580e593924d2dca083514ff88dde068072a0014c9fccf2"),
 }
 
 CIRCUITS = {
@@ -153,3 +153,12 @@ def test_golden_variant(variant, name, mapped_variant):
     got = (res.dffs_before, res.dffs_after, res.after.jj_count,
            res.after.splitter_count, res.after.depth, digest.hexdigest())
     assert got == GOLDEN_VARIANTS[variant, name]
+
+
+@pytest.mark.parametrize("variant,name",
+                         [("dp", name) for name in GOLDEN] + list(GOLDEN_VARIANTS))
+def test_instance_list_is_topological(variant, name, mapped, mapped_variant):
+    # after splitter insertion, in a copy and after retiming
+    res = mapped(name) if variant == "dp" else mapped_variant(variant, name)
+    for net in (res.before, res.before.copy(), res.after):
+        assert_topological(net)

@@ -211,7 +211,8 @@ def test_complemented_and_constant_pos(table):
     assert got["nf"] == 0b1110
     assert got["one"] == 0xF
     assert got["zero"] == 0
-    assert net.const_pos == [("one", True), ("zero", False)]
+    # each at its position among all POs
+    assert net.const_pos == [(1, "one", True), (2, "zero", False)]
 
 
 @pytest.mark.parametrize("clocked,mapper", [

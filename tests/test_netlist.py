@@ -153,6 +153,18 @@ BAD_AAG = [
 ]
 
 
+def test_aag_ands_may_come_in_any_order():
+    # f = a & (a & b): the AND on line 5 reads the one on line 6
+    ordered = "aag 4 2 0 1 2\n2\n4\n8\n6 2 4\n8 6 2\n"
+    forward = "aag 4 2 0 1 2\n2\n4\n8\n8 6 2\n6 2 4\n"
+    assert parse_netlist(forward).signature() == \
+        parse_netlist(ordered).signature()
+    # an ordered file keeps its node ids: one per AND line, in file order
+    g = parse_netlist("aag 4 2 0 2 2\n2\n4\n6\n8\n6 2 4\n8 3 5\n")
+    assert g.nodes == {3: AndNode((1, False), (2, False)),
+                       4: AndNode((1, True), (2, True))}
+
+
 def test_aag_symbol_table_names():
     g = parse_netlist(GOOD_AAG)
     assert [g.pi_names[p] for p in g.pis] == ["a", "b"]

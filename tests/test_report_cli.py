@@ -181,6 +181,15 @@ def test_cli_aag_undefined_literal_exit_code(tmp_path):
     assert "line 5: undefined literal 8" in result.output
 
 
+def test_cli_aag_cyclic_ands_exit_code(tmp_path):
+    bad = tmp_path / "cycle.aag"
+    bad.write_text("aag 4 2 0 1 2\n2\n4\n8\n8 6 2\n6 8 4\n")  # 8 <-> 6
+    result = CliRunner().invoke(main, ["map", str(bad)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "line 6: cyclic definition of literal 8" in result.output
+
+
 def test_cli_duplicate_output_name_exit_code(tmp_path):
     # once mapped to a netlist in which two cells write net f
     bad = tmp_path / "dup.blif"
