@@ -37,8 +37,7 @@ class Instance:
 @dataclass
 class MappedNetwork:
     name: str = "top"
-    pi_names: list[str] = field(default_factory=list)
-    pi_sigs: list[int] = field(default_factory=list)
+    pi_names: list[str] = field(default_factory=list)  # PI k is signal k
     # topological: add_gate reads only driven signals, and insert_splitters
     # places each splitter chain right after its source's driver
     instances: list[Instance] = field(default_factory=list, init=False)
@@ -56,11 +55,11 @@ class MappedNetwork:
     # -- construction --------------------------------------------------
 
     def add_pi(self, name: str) -> int:
-        sig = len(self.driver)
+        if self.instances:
+            raise BalanceError(f"PI {name} added after a gate")
         self.driver.append(-1)
         self.pi_names.append(name)
-        self.pi_sigs.append(sig)
-        return sig
+        return len(self.driver) - 1
 
     def add_gate(self, cell: Cell, fanins: list[int]) -> int:
         self._check_driven(fanins)
@@ -146,7 +145,7 @@ class MappedNetwork:
 
         for i in range(-1, len(old)):  # -1: the PIs, as in ``driver``
             if i < 0:
-                sigs = self.pi_sigs
+                sigs = range(len(self.pi_names))
             else:  # the instance, then the chains on its outputs
                 sigs = old[i].outs
                 for sig in sigs:
@@ -242,7 +241,7 @@ class MappedNetwork:
     def simulate(self, pi_values: list[int], mask: int) -> dict[str, int]:
         """Bit-parallel combinational evaluation; DFFs and splitters act as
         wires.  Returns {po_name: packed value}."""
-        vals = dict(zip(self.pi_sigs, pi_values))
+        vals = dict(enumerate(pi_values))
         for inst in self.instances:
             ins = [vals[f] for f in inst.fanins]
             if inst.cell.kind in ("dff", "splitter"):
@@ -270,8 +269,7 @@ class MappedNetwork:
 
     def copy(self) -> "MappedNetwork":
         net = MappedNetwork(
-            name=self.name, pi_names=list(self.pi_names),
-            pi_sigs=list(self.pi_sigs), pos=list(self.pos),
+            name=self.name, pi_names=list(self.pi_names), pos=list(self.pos),
             po_names=list(self.po_names), po_pads=list(self.po_pads),
             const_pos=list(self.const_pos), depth=self.depth,
             dff_cell=self.dff_cell, splitter_cell=self.splitter_cell)
@@ -333,8 +331,7 @@ class MappedNetwork:
         """Every signal's net name, indexed by signal: a PI's own name, else
         ``n<sig>``."""
         names = _free_names([f"n{sig}" for sig in range(len(self.driver))], io)
-        for name, sig in zip(self.pi_names, self.pi_sigs):
-            names[sig] = name
+        names[:len(self.pi_names)] = self.pi_names
         return names
 
     def _records(self, io: set[str], names: list[str]):
@@ -405,8 +402,7 @@ class MappedNetwork:
         pis = [_verilog_id(name) for name in self.pi_names]
         outs = [_verilog_id(name) for name in self._po_ports()]
         names = names.copy()
-        for name, sig in zip(pis, self.pi_sigs):
-            names[sig] = name
+        names[:len(pis)] = pis
         clk = _free_name("clk", io)
         ports = pis + outs + [clk]
         yield (f"module {_verilog_id(self.name)} ({', '.join(ports)});\n"

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netlist import CONST0, SubjectGraph
+from .netlist import SubjectGraph
 from .truthtable import table_mask, var_table
 
 TRIVIAL_FUNC = var_table(0, 1)
@@ -286,15 +286,12 @@ def _level(pool: _Pool, nids, fanins, negs, cap: int):
 def enumerate_cuts(g: SubjectGraph, k: int = 5,
                    cap: int = CUT_CAP) -> CutSets:
     """Cut sets for every PI and internal node, keyed by node id in the order
-    of the PIs, the constant and ``g.topo_order()``; every cut's ``func`` is
-    set."""
+    of the PIs, the only sources (``add_and`` folds the constant away), and
+    ``g.topo_order()``; every cut's ``func`` is set."""
     if not 2 <= k <= 6:
         raise ValueError("k must be in 2..6")
-    sources = list(g.pis)
-    if g.has_const:
-        sources.append(CONST0)
     order = g.topo_order()
-    level = dict.fromkeys(sources, 0)
+    level = dict.fromkeys(g.pis, 0)
     for nid in order:
         node = g.nodes[nid]
         level[nid] = 1 + max(level[node.fanin0[0]], level[node.fanin1[0]])
@@ -308,13 +305,13 @@ def enumerate_cuts(g: SubjectGraph, k: int = 5,
     # by_level[bounds[l - 1]:bounds[l]] are the nodes of level l >= 1
     bounds = np.cumsum(np.bincount([level[nid] for nid in by_level])).tolist()
     pool = _Pool(k, max(level, default=0) + 1)
-    src = np.array(sources, np.intp)
+    src = np.array(g.pis, np.intp)
     pool.add(src, np.zeros(0, np.intp), np.zeros((0, k), np.int64),
              np.zeros(0, np.int64), np.zeros(0, np.int64))
     for lo, hi in zip(bounds, bounds[1:]):
         _level(pool, nids[lo:hi], fanins[lo:hi], negs[lo:hi], cap)
     # the rows without the pool's slack and signatures; an empty slot is -1
-    return CutSets((*sources, *order), pool.leaves[:pool.size] >> 2,
+    return CutSets((*g.pis, *order), pool.leaves[:pool.size] >> 2,
                    pool.func[:pool.size].copy(), pool.off, pool.cnt,
                    pool.truncated)
 
@@ -323,9 +320,7 @@ def cone_function(g: SubjectGraph, root: int, leaves: tuple[int, ...]) -> int:
     """Truth table of the cone of ``root`` over ``leaves`` (sorted)."""
     nvars = len(leaves)
     mask = table_mask(nvars)
-    tts: dict[int, int] = {CONST0: 0}
-    for i, leaf in enumerate(leaves):
-        tts[leaf] = var_table(i, nvars)
+    tts = {leaf: var_table(i, nvars) for i, leaf in enumerate(leaves)}
 
     # iterative postorder over the cone, evaluating on the way back up
     stack = [root]

@@ -134,8 +134,8 @@ class _ExprParser:
             tt = self.expr_or()
             if self.take() != ")":
                 raise LibraryError("unbalanced parentheses in expression")
-        elif tok in ("0", "1"):
-            tt = table_mask(MAX_VARS) if tok == "1" else 0
+        elif tok in ("0", "1", "CONST0", "CONST1"):  # genlib's constants
+            tt = table_mask(MAX_VARS) if tok[-1] == "1" else 0
         elif tok is not None and tok.isidentifier():
             if tok not in self.vars:
                 self.vars.append(tok)

@@ -203,16 +203,14 @@ def _sweep(g: SubjectGraph, cutsets: CutSets, table: MatchTable,
     each matched cut's candidate points to a node's frontier.
 
     Returns a dict keyed by (node_id, phase) of NodeSolution: a zero-cost
-    wire at height 0 for every PI and the constant, the positive phase of
-    every node, and the negative phase of every complemented PO's driver,
-    PIs included, solved by the DP's ``_combine`` from the finished positive
-    phases.
+    wire at height 0 for every PI, the positive phase of every node, and
+    the negative phase of every complemented PO's driver, PIs included,
+    solved by the DP's ``_combine`` from the finished positive phases.
     """
     wire = Match(None, 0, 0, 0.0, 0)
-    srcs = g.pis + [CONST0] if g.has_const else g.pis
-    solutions = {(s, POS): NodeSolution([wire]) for s in srcs}
+    solutions = {(pi, POS): NodeSolution([wire]) for pi in g.pis}
     # the positive-phase frontiers, by node id, that leaf choices read
-    fronts = {s: solutions[(s, POS)].frontier for s in srcs}
+    fronts = {pi: solutions[(pi, POS)].frontier for pi in g.pis}
     fanout = g.fanout_counts()
     order = g.topo_order()
     for nid, cands in zip(order, _candidates(cutsets, table, order, False)):
@@ -272,7 +270,7 @@ class Cover:
         for key, m in self.matches.items():
             leaf_sigs = [sig_of[leaf, POS, p.height]
                          for leaf, p in zip(m.leaves, m.inputs)]
-            sig_of[key] = _instantiate(net, m.supergate, leaf_sigs)
+            sig_of[key] = _instantiate(net, m.supergate, iter(leaf_sigs))
         for name, key, (_, c) in zip(g.po_names, self.po_keys, g.pos):
             if key is None:
                 net.add_const_po(name, bool(c))
@@ -314,22 +312,10 @@ def extract_cover(solutions, g, cutsets=None, table=None, frontier_cap=None):
     return choose_cover(solutions, g).instantiate()[0]
 
 
-def _instantiate(net: MappedNetwork, sg: Supergate, leaf_sigs: list[int]) -> int:
-    """Add the cells of ``sg`` bottom-up, children in input order, so a
-    supergate's leaf slots take ``leaf_sigs`` left to right."""
-    leaves = iter(leaf_sigs)
-    stack = [(sg, [])]  # (supergate node, fanin signals so far)
-    while True:
-        node, fanins = stack[-1]
-        if len(fanins) < len(node.children):
-            c = node.children[len(fanins)]
-            if isinstance(c, int):
-                fanins.append(next(leaves))
-            else:
-                stack.append((c, []))
-            continue
-        stack.pop()
-        sig = net.add_gate(node.root_cell, fanins)
-        if not stack:
-            return sig
-        stack[-1][1].append(sig)
+def _instantiate(net: MappedNetwork, sg: Supergate, leaves) -> int:
+    """Add the cells of ``sg`` in post-order, children in input order, its
+    leaf slots taking the signals of the iterator ``leaves`` left to right;
+    the signal of its root cell."""
+    return net.add_gate(sg.root_cell, [
+        next(leaves) if isinstance(c, int) else _instantiate(net, c, leaves)
+        for c in sg.children])

@@ -39,7 +39,6 @@ class SubjectGraph:
     nodes: dict[int, AndNode] = field(default_factory=dict, init=False)
     pos: list[tuple[int, bool]] = field(default_factory=list)
     po_names: list[str] = field(default_factory=list)
-    has_const: bool = False
 
     def __post_init__(self):
         self._next_id = 1
@@ -56,7 +55,6 @@ class SubjectGraph:
         return nid
 
     def const_lit(self, value: bool) -> tuple[int, bool]:
-        self.has_const = True
         return (CONST0, bool(value))
 
     def add_and(self, f0: tuple[int, bool], f1: tuple[int, bool]) -> tuple[int, bool]:
@@ -103,10 +101,9 @@ class SubjectGraph:
     def fanout_counts(self) -> dict[int, int]:
         """Reads of each PI and node by nodes and POs, counted per call."""
         counts: dict[int, int] = {nid: 0 for nid in list(self.nodes) + self.pis}
-        for n in self.nodes.values():
-            for f, _ in (n.fanin0, n.fanin1):
-                if f != CONST0:
-                    counts[f] += 1
+        for n in self.nodes.values():  # add_and folds constants away
+            counts[n.fanin0[0]] += 1
+            counts[n.fanin1[0]] += 1
         for p, _ in self.pos:
             if p != CONST0:
                 counts[p] += 1

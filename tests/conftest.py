@@ -52,10 +52,12 @@ def subject_depth(g) -> int:
 
 def assert_topological(net):
     """Every fanin of ``net`` is a PI or an output of an earlier instance,
-    every PO reads a signal that exists, and ``net.driver`` gives each
-    output's instance by its list position: checked from the instances
-    alone."""
-    driver = {sig: -1 for sig in net.pi_sigs}
+    every PO reads a signal that exists, PI k is signal k, and
+    ``net.driver`` gives each output's instance by its list position:
+    checked from the instances alone."""
+    n = len(net.pi_names)
+    assert net.driver[:n] == [-1] * n and -1 not in net.driver[n:]
+    driver = {sig: -1 for sig in range(n)}
     for i, inst in enumerate(net.instances):
         assert all(f in driver for f in inst.fanins), (i, inst.fanins)
         driver.update((sig, i) for sig in inst.outs)
@@ -68,7 +70,7 @@ def balanced_po_arrivals(net) -> set[int] | None:
     apart from ``MappedNetwork.arrivals``; None if some cell's fanins do not
     arrive together.  It walks ``net.instances`` in list order, which is
     topological, so a signal read before it is driven raises KeyError."""
-    h = {sig: 0 for sig in net.pi_sigs}
+    h = {sig: 0 for sig in range(len(net.pi_names))}
     for inst in net.instances:
         arrs = {h[f] + pad for f, pad in zip(inst.fanins, inst.pads)}
         if len(arrs) != 1:

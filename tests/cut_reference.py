@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter
 
 from pbmap.cuts import CUT_CAP, TRIVIAL_FUNC, Cut, CutSet
-from pbmap.netlist import CONST0, SubjectGraph
+from pbmap.netlist import SubjectGraph
 from pbmap.truthtable import apply_cell, table_mask, var_table
 
 SIG_MASK = 255  # node id bits kept in a signature: 256-bit signatures
@@ -66,10 +66,7 @@ def reference_enumerate_cuts(g: SubjectGraph, k: int = 5,
             stretched[key] = tt
         return tt
 
-    sources = list(g.pis)
-    if g.has_const:
-        sources.append(CONST0)
-    for nid in sources:
+    for nid in g.pis:
         result[nid] = CutSet([Cut((nid,), TRIVIAL_FUNC)])
         sigs[nid] = [1 << (nid & SIG_MASK)]
         sets[nid] = [frozenset((nid,))]

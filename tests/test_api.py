@@ -28,7 +28,8 @@ DELETED = {
     mapper.NodeSolution: ("opt", "point_at"),
     mapper.Match: ("leaf_heights", "is_wire"),
     cuts.Cut: ("signature",),
-    netlist.SubjectGraph: ("compute_levels", "depth", "fanins", "is_pi"),
+    netlist.SubjectGraph: ("compute_levels", "depth", "fanins", "is_pi",
+                           "has_const"),
     library: ("_PIN_RE", "_eval_expr"),
     netlist: ("_GATE_EXPRS", "_record_inputs"),
 }
@@ -71,6 +72,16 @@ def test_deleted_fields_are_gone():
     assert "root" not in fields(cuts.CutSet)
     assert fields(mapper.NodeSolution) == ("frontier",)  # no cuts, hits
     assert "id" not in fields(netlist.AndNode)  # its SubjectGraph.nodes key
+
+
+def test_graph_fields_are_pinned():
+    # no constant source flag: no AND node reads the constant
+    assert fields(netlist.SubjectGraph) == (
+        "name", "pis", "pi_names", "nodes", "pos", "po_names")
+    # no PI signal list: PI k is signal k
+    assert fields(balance.MappedNetwork) == (
+        "name", "pi_names", "instances", "pos", "po_names", "po_pads",
+        "const_pos", "depth", "dff_cell", "splitter_cell", "driver")
 
 
 def test_the_cover_is_a_value():

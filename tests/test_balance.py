@@ -100,7 +100,7 @@ def test_the_instance_list_stays_topological(lib):
     assert_topological(cp)
     # a gate added to the copy comes last, and changes the copy only
     and2 = next(c for c in lib.cells if c.name == "and2")
-    cp.add_po(cp.add_gate(and2, [cp.pos[0], cp.pi_sigs[0]]), "g")
+    cp.add_po(cp.add_gate(and2, [cp.pos[0], 0]), "g")
     assert_topological(cp)
     assert cp.driver[-1] == n and len(net.instances) == n
     assert_topological(net)
@@ -117,6 +117,17 @@ def test_only_driven_signals_are_read(lib, sig):
     with pytest.raises(BalanceError, match=f"signal {sig} is not driven"):
         net.add_po(sig, "f")
     assert (net.instances, net.pos, net.driver) == ([], [], [-1, -1])
+
+
+def test_pis_come_before_every_gate(lib):
+    # PI k is signal k, so no PI may follow a gate
+    and2 = next(c for c in lib.cells if c.name == "and2")
+    net = MappedNetwork(name="late_pi")
+    a, b = net.add_pi("a"), net.add_pi("b")
+    net.add_gate(and2, [a, b])
+    with pytest.raises(BalanceError, match="PI c added after a gate"):
+        net.add_pi("c")
+    assert (net.pi_names, net.driver) == (["a", "b"], [-1, -1, 0])
 
 
 @pytest.mark.parametrize("cycle", [False, True], ids=["acyclic", "cycle"])

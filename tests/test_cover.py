@@ -61,7 +61,8 @@ def check_cover(cover: Cover) -> int:
     """Validate ``cover`` against its subject graph; the matches checked."""
     g = cover.graph
     net, sig_of = cover.instantiate()
-    assert net.pi_sigs == [sig_of[pid, POS, 0] for pid in g.pis]
+    # PI k is signal k
+    assert [sig_of[pid, POS, 0] for pid in g.pis] == list(range(len(g.pis)))
     assert net.pi_names == [g.pi_names[pid] for pid in g.pis]
     for key, match in cover.matches.items():
         node, phase, _ = key

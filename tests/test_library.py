@@ -15,9 +15,12 @@ from pbmap.cuts import compute_cut_functions, enumerate_cuts
 from pbmap.library import (Cell, CellLibrary, GenerationStats, LibraryError,
                            MatchTable, _child_tuples, _ExprParser, _sort_key,
                            generate_supergates, hit_rate, parse_library)
-from pbmap.netlist import SubjectGraph, _and_op
+from pbmap.flow import map_graph, prepare_match_table
+from pbmap.netlist import SubjectGraph, _and_op, parse_netlist
 from pbmap.truthtable import (apply_cell, symmetry_perms, table_mask, tt_eval,
                               tt_not, var_table)
+
+from conftest import DATA
 
 MINI = """
 GATE and2   2.0 o=a*b;   # JJ=6 CLOCKED=1
@@ -82,6 +85,40 @@ def test_cell_kind_comes_from_the_function(record, kind):
     assert (lib.splitter.name, lib.dff.name) == (
         lib.cells[0].name if kind == "splitter" else "split",
         lib.cells[0].name if kind == "dff" else "dff")
+
+
+# genlib's constant keywords, as SIS and ABC libraries carry them
+CONSTANT_CELLS = "GATE zero 0 O=CONST0;\nGATE one 0 O=CONST1;\n"
+
+
+def test_genlib_constant_cells_are_logic_without_inputs(lib, table):
+    # once each keyword was an input pin, so both cells were 1-input
+    # identities and "zero" became the library's DFF
+    consts = parse_library(CONSTANT_CELLS + (DATA / "sfq.genlib").read_text())
+    assert [(c.name, c.kind, c.n_inputs, c.pin_names)
+            for c in consts.cells[:2]] == [("zero", "logic", 0, ()),
+                                           ("one", "logic", 0, ())]
+    assert consts.dff.name == "dff"
+    assert (expr_table("CONST0"), expr_table("CONST1")) == (0, 1)
+    # a 0-input cell generates no supergate, so ksa4 maps as under the
+    # bundled library alone
+    consts_table = prepare_match_table(consts)
+    assert ([sg.name for sg in consts_table.supergates]
+            == [sg.name for sg in table.supergates])
+    blif = (DATA / "ksa4.blif").read_text()
+    want = map_graph(parse_netlist(blif), lib, table)
+    got = map_graph(parse_netlist(blif), consts, consts_table)
+    for a, b in ((want.before, got.before), (want.after, got.after)):
+        assert b.write_blif() == a.write_blif()
+        assert (b.jj_count, b.area) == (a.jj_count, a.area)
+
+
+@pytest.mark.parametrize("expr", ["a+CONST0", "a*CONST1", "a CONST1"])
+def test_genlib_constants_are_no_pins(expr):
+    lib = parse_library(f"GATE buf 1.0 o={expr}; # CLOCKED=0\n" + MINI)
+    assert lib.cells[0].pin_names == ("a",)
+    assert lib.cells[0].kind == "splitter"  # the identity of a
+    assert expr_table(expr) == var_table(0, 1)
 
 
 def test_inverting_dff_is_no_dff():

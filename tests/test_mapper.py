@@ -16,7 +16,7 @@ from pbmap.library import _prune_options, dominates, retimed_match_dffs
 from pbmap.mapper import (Match, NodeSolution, _emit, _insert, extract_cover,
                           map_dag, map_depth_greedy)
 from pbmap.netlist import (CONST0, SubjectGraph, _and_op, _neg, _or_op,
-                           balanced_reduce, random_aig)
+                           balanced_reduce, parse_netlist, random_aig)
 from pbmap.truthtable import symmetry_perms, tt_not
 
 POS = "positive"
@@ -215,6 +215,33 @@ def test_complemented_and_constant_pos(table):
     assert net.const_pos == [(1, "one", True), (2, "zero", False)]
 
 
+# a constant PO z beside f, and an AND over a constant input, t = a & 1,
+# which add_and folds away
+CONST_INPUT = (".model konst\n.inputs a b c\n.outputs z f\n.names z\n"
+               ".names one\n1\n.names a one t\n11 1\n"
+               ".names t b c f\n11- 1\n--1 1\n.end\n")
+
+
+def test_the_pis_are_the_only_sources(table):
+    g = parse_netlist(CONST_INPUT)
+    cutsets = prepared(g)
+    assert CONST0 not in cutsets
+    for mapper in (map_dag, map_depth_greedy):
+        assert all(nid != CONST0 for nid, _ in mapper(g, cutsets, table))
+
+
+@pytest.mark.parametrize("depth_greedy", [False, True],
+                         ids=["dp", "depth_greedy"])
+def test_a_constant_po_keeps_its_port(lib, table, depth_greedy):
+    g = parse_netlist(CONST_INPUT)
+    res = flow.map_graph(g, lib, table, depth_greedy=depth_greedy)
+    for net in (res.before, res.after):
+        assert net.write_blif().startswith(
+            ".model konst\n.inputs a b c\n.outputs z f\n")
+        net.validate()
+        assert_equivalent(g, net)
+
+
 @pytest.mark.parametrize("clocked,mapper", [
     (False, map_dag), (False, map_depth_greedy),
     (True, map_dag), (True, map_depth_greedy)],
@@ -338,8 +365,7 @@ def reference_map_dag(g, cutsets, table, cap=mapmod.FRONTIER_CAP):
     """The DP sweep with ``reference_combine`` per (cut, supergate) pair:
     frontier lists keyed by (node, phase)."""
     wire = Match(None, 0, 0, 0.0, 0)
-    srcs = g.pis + [CONST0] if g.has_const else g.pis
-    sols = {(s, POS): [wire] for s in srcs}
+    sols = {(pi, POS): [wire] for pi in g.pis}
 
     def solve(nid, phase):
         front = []
@@ -367,8 +393,6 @@ def reference_depth_greedy(g, cutsets, table):
     symmetry permutation."""
     wire = Match(None, 0, 0, 0.0, 0)
     solutions = {(pi, POS): NodeSolution([wire]) for pi in g.pis}
-    if g.has_const:
-        solutions[(CONST0, POS)] = NodeSolution([wire])
     for nid in g.topo_order():
         best = None
         for cut in cutsets[nid].cuts:

@@ -144,13 +144,11 @@ def expand_match(lib, sg, heights):
     net = MappedNetwork(name="cone")
     net.dff_cell = lib.dff
     net.splitter_cell = lib.splitter
-    leaf_sigs = []
+    leaf_sigs = [net.add_pi(f"x{i}") for i in range(len(heights))]
     for i, h in enumerate(heights):
-        sig = net.add_pi(f"x{i}")
         for _ in range(h):
-            sig = net.add_gate(lib.dff, [sig])
-        leaf_sigs.append(sig)
-    root = _instantiate(net, sg, leaf_sigs)
+            leaf_sigs[i] = net.add_gate(lib.dff, [leaf_sigs[i]])
+    root = _instantiate(net, sg, iter(leaf_sigs))
     net.add_po(root, "f")
     net.insert_balancing()
     return net
