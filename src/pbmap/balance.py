@@ -337,7 +337,7 @@ class MappedNetwork:
     def _records(self, io: set[str], names: list[str]):
         """The netlist body in file order, shared by both writers: a
         ``(GATE, i, nets)`` record per instance, ``i`` its list position and
-        its nets in the order of ``_ports(cell)``, and a ``(DFFS, src,
+        its nets in the order of ``cell.ports``, and a ``(DFFS, src,
         dffs)`` record per edge's DFF chain, just before its consumer; then
         a ``(PO, name, net)`` record per PO.  A chain reads net ``src`` and its DFFs drive the nets
         ``_dff_nets(dffs, io)`` of the integer range ``dffs``, numbered in
@@ -386,7 +386,7 @@ class MappedNetwork:
             if fmt is None:
                 fmt = gate[cell.name] = (
                     f".gate {cell.name} ".replace("%", "%%")
-                    + " ".join(f"{p}=%s" for p in _ports(cell)) + "\n")
+                    + " ".join(f"{p}=%s" for p in cell.ports) + "\n")
             if kind is GATE:
                 yield fmt % b
             else:  # a DFF chain from net a
@@ -427,7 +427,7 @@ class MappedNetwork:
             cell = self.dff_cell if kind is DFFS else self.instances[a].cell
             fmt = gate.get(cell.name)
             if fmt is None:  # names as identifiers; pins hold no '%'
-                conns = [f".{_verilog_id(p)}(%s)" for p in _ports(cell)]
+                conns = [f".{_verilog_id(p)}(%s)" for p in cell.ports]
                 if cell.is_clocked:
                     conns.append(f".clk({clk})")
                 fmt = gate[cell.name] = (
@@ -505,12 +505,3 @@ def _verilog_id(name: str) -> str:
     if _VERILOG_PLAIN.fullmatch(name) and name not in _VERILOG_KEYWORDS:
         return name
     return f"\\{name} "
-
-
-def _ports(cell: Cell) -> tuple[str, ...]:
-    """A cell's pin names from the library: inputs, then the output, then a
-    splitter's second output."""
-    ins = cell.pin_names or tuple(f"i{i}" for i in range(cell.n_inputs))
-    if cell.kind == "splitter":
-        return ins + (cell.out_name, f"{cell.out_name}2")
-    return ins + (cell.out_name,)

@@ -125,7 +125,7 @@ def map_cmd(inputs, lib_path, k, supergate_depth, no_retime, output,
     reports, net = [], None
     try:
         for p, g in graphs:
-            res = flow.map_graph(g, lib, table, k=k, retime=not no_retime)
+            res = flow.map_graph(g, lib, table, retime=not no_retime)
             reports.append(report.build_report(res, circuit=p.stem))
             if output:
                 net = res.after
@@ -236,9 +236,8 @@ def hit_rate_cmd(inputs, lib_path, k, supergate_depth, as_json):
     _, table = _load_table(lib_path, k, supergate_depth)
     rows = []
     for p in _netlist_paths(inputs):
-        g = _read_netlist(p)
-        rows.append((p.stem,
-                     libmod.hit_rate(cutsmod.enumerate_cuts(g, k=k), table)))
+        cutsets = cutsmod.enumerate_cuts(_read_netlist(p), k=table.k)
+        rows.append((p.stem, libmod.hit_rate(cutsets, table)))
     if as_json:
         click.echo(json.dumps({name: round(r, 4) for name, r in rows}, indent=2))
     else:

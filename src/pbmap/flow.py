@@ -59,26 +59,23 @@ def prepare_match_table(lib: CellLibrary, k: int = 5,
                         max_depth: int = 3) -> MatchTable:
     with _collector_paused():
         sgs = libmod.generate_supergates(lib, k=k, max_depth=max_depth)
-        return MatchTable(sgs)
+        return MatchTable(sgs, k)
 
 
-def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable | None = None,
-              k: int = 5, retime: bool = True,
-              depth_greedy: bool = False) -> FlowResult:
-    """Map ``g`` onto ``lib``: k-cuts (at most ``cuts.CUT_CAP`` per node)
-    with their functions, the DFF DP (or the depth-greedy baseline), cover
-    extraction, splitters, balancing and, if ``retime``, min-register
-    retiming across splitters by one LP.  ``table`` is prepared from
-    ``lib`` with ``k`` and the default supergate depth when not given.  The
-    whole pass runs with the cyclic garbage collector paused (see
-    ``_collector_paused``), and the cut sets and DP solutions are freed
-    before the pause ends, so no later collection scans them; ``runtime``
-    covers mapping through retiming, not table preparation."""
+def map_graph(g: SubjectGraph, lib: CellLibrary, table: MatchTable,
+              retime: bool = True, depth_greedy: bool = False) -> FlowResult:
+    """Map ``g`` onto ``lib`` with its match ``table``: cuts of at most
+    ``table.k`` leaves (at most ``cuts.CUT_CAP`` per node) with their
+    functions, the DFF DP (or the depth-greedy baseline), cover extraction,
+    splitters, balancing and, if ``retime``, min-register retiming across
+    splitters by one LP.  The whole pass runs with the cyclic garbage
+    collector paused (see ``_collector_paused``), and the cut sets and DP
+    solutions are freed before the pause ends, so no later collection scans
+    them; ``runtime`` covers mapping through retiming, not table
+    preparation."""
     with _collector_paused():
-        if table is None:
-            table = prepare_match_table(lib, k=k)
         t0 = time.perf_counter()
-        cutsets = cutsmod.enumerate_cuts(g, k=k)
+        cutsets = cutsmod.enumerate_cuts(g, k=table.k)
         if depth_greedy:
             solutions = mapmod.map_depth_greedy(g, cutsets, table)
         else:

@@ -37,6 +37,15 @@ class Cell:
     pin_names: tuple[str, ...] = ()
     out_name: str = "o"
 
+    @property
+    def ports(self) -> tuple[str, ...]:
+        """The pin names the netlist writers bind, in order: the inputs,
+        then the output, then a splitter's second output ``<out>2``."""
+        ins = self.pin_names or tuple(f"i{i}" for i in range(self.n_inputs))
+        if self.kind == "splitter":
+            return ins + (self.out_name, f"{self.out_name}2")
+        return ins + (self.out_name,)
+
 
 @dataclass
 class CellLibrary:
@@ -45,27 +54,13 @@ class CellLibrary:
 
     def __post_init__(self):
         self.by_name = {c.name: c for c in self.cells}
+        first = {c.kind: c for c in reversed(self.cells)}  # first per kind
+        self.inverter = first.get("inverter")
+        self.dff = first.get("dff")
+        self.splitter = first.get("splitter")
 
     def logic_cells(self) -> list[Cell]:
         return [c for c in self.cells if c.kind in ("logic", "inverter")]
-
-    def _single(self, kind: str) -> Cell | None:
-        for c in self.cells:
-            if c.kind == kind:
-                return c
-        return None
-
-    @property
-    def inverter(self) -> Cell | None:
-        return self._single("inverter")
-
-    @property
-    def dff(self) -> Cell | None:
-        return self._single("dff")
-
-    @property
-    def splitter(self) -> Cell | None:
-        return self._single("splitter")
 
 
 # ----------------------------------------------------------------------
@@ -226,8 +221,16 @@ def parse_library(text: str, name: str = "library") -> CellLibrary:
             kind, func = ("splitter" if split else "dff"), None
         elif nvars == 1 and func == tt_not(var_table(0, 1), 1):
             kind = "inverter"
-        cells.append(Cell(cname, nvars, func, area, jj_count,
-                          is_clocked, kind, tuple(pins), m.group("out")))
+        cell = Cell(cname, nvars, func, area, jj_count, is_clocked, kind,
+                    tuple(pins), m.group("out"))
+        ports = cell.ports
+        if len(set(ports)) < len(ports):
+            raise LibraryError(f"cell '{cname}' repeats a port name in "
+                               f"{' '.join(ports)}")
+        if is_clocked and "clk" in ports:
+            raise LibraryError(f"cell '{cname}' is clocked and has a port "
+                               "named 'clk', the Verilog clock pin")
+        cells.append(cell)
 
     lib = CellLibrary(cells, name=name)
     _validate_sfq(lib)
@@ -530,10 +533,12 @@ class MatchTable:
     """Exact-function lookup from canonical cut truth tables to supergates,
     with two wiring caches that live and are freed with the table:
     ``wirings`` per cut function and pattern of equal leaf heights, and
-    ``options``, built from it for the DP, one pruned list per cut function
-    and leaf heights."""
+    ``options``, built from ``wired`` for the DP, one pruned list per cut
+    function and leaf heights; a pass enumerates cuts of at most ``k``
+    leaves, the width its supergates were generated for."""
 
-    def __init__(self, supergates: list[Supergate]):
+    def __init__(self, supergates: list[Supergate], k: int):
+        self.k = k
         self.table: dict[tuple[int, int], list[Supergate]] = {}
         for sg in supergates:
             self.table.setdefault((sg.n_inputs, sg.func), []).append(sg)
@@ -583,23 +588,28 @@ class MatchTable:
             perms = self.wiring_cache[key] = tuple(perms)
         return perms
 
-    def options(self, func: int, base: tuple[int, ...]) -> tuple:
-        """Every (height, sg_dffs, supergate, perm) that realizes ``func``
+    def wired(self, func: int, base: tuple[int, ...]):
+        """Every (height, heights, supergate, perm) that realizes ``func``
         over leaves arriving at ``base``: the supergates in ``lookup`` order,
         each wired onto the leaves by every perm of ``wirings(func, base)``
-        in order (leaf ``perm[i]`` to input i), pruned by
-        ``_prune_options``.  Cached per table."""
+        in order, leaf ``perm[i]`` to input i, ``heights`` the leaf heights
+        in input order and ``height`` the root's arrival."""
+        perms = self.wirings(func, base)
+        for sg in self.lookup(func, len(base)):
+            for perm in perms:
+                heights = tuple([base[p] for p in perm])
+                yield max(map(add, heights, sg.leaf_depths)), heights, sg, perm
+
+    def options(self, func: int, base: tuple[int, ...]) -> tuple:
+        """The (height, sg_dffs, supergate, perm) of each entry of
+        ``wired(func, base)``, ``sg_dffs`` its ``retimed_match_dffs``,
+        pruned by ``_prune_options``.  Cached per table."""
         key = (func, base)
         opts = self.option_cache.get(key)
         if opts is None:
-            perms = self.wirings(func, base)
-            entries = []
-            for sg in self.lookup(func, len(base)):
-                for perm in perms:
-                    heights = tuple([base[p] for p in perm])
-                    entries.append((max(map(add, heights, sg.leaf_depths)),
-                                    retimed_match_dffs(sg, heights), sg, perm))
-            opts = self.option_cache[key] = _prune_options(entries)
+            opts = self.option_cache[key] = _prune_options([
+                (height, retimed_match_dffs(sg, heights), sg, perm)
+                for height, heights, sg, perm in self.wired(func, base)])
         return opts
 
 

@@ -12,17 +12,16 @@ nodes are hard cover boundaries: their frontier collapses to that point so
 all consumers share one implementation.
 
 Leaf-to-input wirings come from the match table, which a node's negative
-phase reads with the complement of its cut function.  For the DP,
-``MatchTable.options`` holds, per (function, leaf heights), every
-(supergate, wiring) pair with its root height and retimed DFF count, less
-those that no leaf cost can bring onto a frontier; the DP reads that table
-for every combination of its leaves' frontier points, however many there
-are, so no leaf choice of a tree is left untried.  The depth-greedy baseline wires each supergate by
-``MatchTable.wirings`` directly, one wiring per distinct permuted height
-profile.  The two rules share one sweep: both feed candidate points, plain
-tuples, through a node's frontier, and a ``Match`` is built only for the
-points it keeps.  Both phases read the cut kernel's rows, and only the
-rows the match table holds become ``(leaves, func)`` tuples.
+phase reads with the complement of its cut function.  Both rules choose
+among the (supergate, wiring) pairs of ``MatchTable.wired``.  The DP reads
+them through ``MatchTable.options``, cached per (function, leaf heights)
+with their retimed DFF counts, less those that no leaf cost can bring onto
+a frontier, for every combination of its leaves' frontier points, so no
+leaf choice of a tree is left untried.  The two rules share one sweep:
+both feed candidate points, plain tuples, through a node's frontier, and a
+``Match`` is built only for the points it keeps.  Both phases read the cut
+kernel's rows, and only the rows the match table holds become
+``(leaves, func)`` tuples.
 """
 
 from __future__ import annotations
@@ -148,19 +147,16 @@ def _greedy(table: MatchTable, func: int, leaves: tuple[int, ...],
     base = tuple(m.height for m in choice)
     leaf_area = sum(m.area for m in choice)
     leaf_jj = sum(m.jj for m in choice)
-    perms = table.wirings(func, base)
-    for sg in table.lookup(func, len(leaves)):
-        depths = sg.leaf_depths
-        # the wirings give distinct height tuples, so perm never breaks a tie
-        height, heights, perm = min(
-            (max(base[p] + d for p, d in zip(perm, depths)),
-             tuple(base[p] for p in perm), perm) for perm in perms)
-        alt = (sg.area + leaf_area, sg.jj_count + leaf_jj, sg.name)
-        if out and (out[0][0], out[0][2]) <= (height, alt):
-            continue
-        out[:] = [(height, sum(m.dffs for m in choice)
-                   + retimed_match_dffs(sg, heights), alt, sg, perm, choice,
-                   leaves)]
+    # the key compares no supergates, and no two entries tie on it: alt
+    # names the supergate, and its wirings give distinct heights
+    height, alt, heights, sg, perm = min(
+        ((h, (sg.area + leaf_area, sg.jj_count + leaf_jj, sg.name), hs, sg, p)
+         for h, hs, sg, p in table.wired(func, base)), key=lambda e: e[:3])
+    if out and (out[0][0], out[0][2]) <= (height, alt):
+        return
+    out[:] = [(height, sum(m.dffs for m in choice)
+               + retimed_match_dffs(sg, heights), alt, sg, perm, choice,
+               leaves)]
 
 
 def _candidates(cutsets: CutSets, table: MatchTable, nodes, negate: bool):

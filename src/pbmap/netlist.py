@@ -483,7 +483,15 @@ def _parse_aag(text: str) -> SubjectGraph:
         pos, _, name = line[1:].partition(" ")
         if not (pos.isascii() and pos.isdigit() and name):
             raise NetlistError("malformed symbol line", idx)
-        (in_names if line[0] == "i" else out_names)[int(pos)] = name
+        names, count, what = ((in_names, ni, "inputs") if line[0] == "i"
+                              else (out_names, no, "outputs"))
+        at = int(pos)
+        if at >= count:
+            raise NetlistError(f"symbol {line[0]}{at} is past the header's "
+                               f"{count} {what}", idx)
+        if at in names:
+            raise NetlistError(f"symbol {line[0]}{at} is given twice", idx)
+        names[at] = name
 
     # each AND is read as the .names record of its function, one cube over
     # its operands' variables; a variable is named by its even literal

@@ -5,7 +5,7 @@ import pytest
 
 from pbmap import bench
 from pbmap.balance import BalanceError, MappedNetwork
-from pbmap.flow import map_graph
+from pbmap.flow import map_graph, prepare_match_table
 from pbmap.library import parse_library
 from pbmap.netlist import parse_netlist
 from pbmap.trees import (buffer_band_check, caterpillar, double_caterpillar,
@@ -230,7 +230,7 @@ def test_writers_take_dff_pins_from_library():
         "GATE dff    0.0025 q=a;", "GATE dff    0.0025 Q=D;")
     lib = parse_library(text, name="sfq_qd")
     assert lib.dff.pin_names == ("D",) and lib.dff.out_name == "Q"
-    res = map_graph(bench.ksa4(), lib)
+    res = map_graph(bench.ksa4(), lib, prepare_match_table(lib))
     net = res.after
     assert net.dff_total > 0
     blif = [l for l in net.write_blif().splitlines() if l.startswith(".gate dff ")]

@@ -50,8 +50,9 @@ def test_map_graph_leaves_no_cyclic_garbage(lib, table, clocked_lib,
 
     def run():
         # a cold pass prepares its own table, so every wiring is a miss
-        res = flow.map_graph(g, library, None if cold else tbl,
-                             **FLOWS[flow_name])
+        res = flow.map_graph(g, library,
+                             flow.prepare_match_table(library) if cold
+                             else tbl, **FLOWS[flow_name])
         build_report(res, "rand120")
         res.after.write_blif()
         res.after.write_verilog()
@@ -136,6 +137,16 @@ def test_hit_rate_is_a_lookup_of_every_cut(lib, table, clocked_lib,
                  if not cut.is_trivial_for(nid)]
         want = sum(found) / len(found)
         assert res.hit_rate == hit_rate(cutsets, tbl) == want, g.name
+
+
+def test_the_table_sets_the_cut_width(lib):
+    # the pass enumerates its cuts at the width its table was prepared for
+    g = bench.kogge_stone_adder(16)
+    t4 = flow.prepare_match_table(lib, k=4)
+    res = flow.map_graph(g, lib, t4)
+    want = hit_rate(cutsmod.enumerate_cuts(g, k=4), t4)
+    assert res.hit_rate == want
+    assert want != hit_rate(cutsmod.enumerate_cuts(g, k=5), t4)
 
 
 def complemented_po_drivers() -> SubjectGraph:

@@ -241,6 +241,37 @@ def test_duplicate_cell_rejected():
         parse_library(MINI + "GATE and2 2.0 o=a+b;\n")
 
 
+# (bundled record, its replacement, the cell named): each once wrote a
+# netlist binding one port twice, with exit 0
+PORT_CLASHES = {
+    "input-named-like-output": ("GATE and2   0.0060 o=a*b;",
+                                "GATE and2 0.0060 a=a*b;", "and2"),
+    "output-named-like-second": ("GATE split  0.0015 o=a;",
+                                 "GATE split 0.0015 o=o2;", "split"),
+    "input-named-clk": ("GATE and2   0.0060 o=a*b;",
+                        "GATE and2 0.0060 o=clk*b;", "and2"),
+}
+
+
+def port_clash_genlib(case: str) -> str:
+    old, new, _ = PORT_CLASHES[case]
+    text = (DATA / "sfq.genlib").read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("case", PORT_CLASHES)
+def test_port_names_that_clash_rejected(case):
+    with pytest.raises(LibraryError, match=f"^cell '{PORT_CLASHES[case][2]}' "):
+        parse_library(port_clash_genlib(case))
+
+
+def test_clk_port_allowed_on_an_unclocked_cell():
+    # only a clocked cell's Verilog instance binds the clock pin
+    lib = parse_library(MINI.replace("o=!a;", "o=!clk;"))
+    assert lib.inverter.ports == ("clk", "o")
+
+
 @pytest.mark.parametrize("expr", ["a|b", "a-b", "a @ b", "a&b"])
 def test_characters_outside_the_grammar_rejected(expr):
     # once dropped silently, which made each of these parse as a*b

@@ -144,6 +144,10 @@ BAD_AAG = [
     pytest.param(GOOD_AAG.replace("6 2 4\n", "6 2 4\n6 2 4\n"), 6,
                  id="extra-and-line"),
     pytest.param(GOOD_AAG + "x1 q\n", 9, id="stray-symbol-line"),
+    pytest.param(GOOD_AAG.replace("i1 b", "i7 b"), 7, id="symbol-past-inputs"),
+    pytest.param(GOOD_AAG.replace("o0 f", "o3 f"), 8,
+                 id="symbol-past-outputs"),
+    pytest.param(GOOD_AAG.replace("i1 b", "i0 b"), 7, id="symbol-given-twice"),
     # int() takes a sign, and digits of any script
     pytest.param("aag 1 1 0 1 0\n-2\n-2\n", 2, id="signed-input"),
     pytest.param(GOOD_AAG.replace("\n6\n", "\n+6\n"), 4, id="signed-output"),

@@ -12,6 +12,7 @@ from pbmap.flow import map_graph
 from pbmap.netlist import write_blif
 from pbmap.report import (CSV_HEADER, MappingReport, ReportError, build_report,
                           emit)
+from test_library import PORT_CLASHES, port_clash_genlib
 from test_netlist import and_chain_blif
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "pbmap" / "data"
@@ -285,6 +286,19 @@ def test_cli_nonsense_cell_cost_exits_3(tmp_path, old, new, error):
                                        str(KSA4)])
     assert result.exit_code == 3, result.output
     assert f"cell 'and2' has {error}" in result.output
+
+
+@pytest.mark.parametrize("case", PORT_CLASHES)
+def test_cli_port_names_that_clash_exit_3(tmp_path, case):
+    genlib = tmp_path / "clash.genlib"
+    genlib.write_text(port_clash_genlib(case))
+    out = tmp_path / "ksa4.v"
+    result = CliRunner().invoke(main, ["map", "--lib", str(genlib), "-o",
+                                       str(out), "--netlist-format",
+                                       "verilog", str(KSA4)])
+    assert result.exit_code == 3, result.output
+    assert f"cell '{PORT_CLASHES[case][2]}' " in result.output
+    assert not out.exists()
 
 
 def test_cli_unreadable_clocked_flag_exits_3(tmp_path):
