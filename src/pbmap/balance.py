@@ -48,7 +48,6 @@ class MappedNetwork:
     const_pos: list[tuple[int, str, bool]] = field(default_factory=list)
     depth: int = 0  # clocked level every PO arrives at once balanced
     dff_cell: Cell | None = None
-    splitter_cell: Cell | None = None
     # per signal: the index of the instance driving it, -1 at a PI
     driver: list[int] = field(default_factory=list, init=False)
 
@@ -120,28 +119,24 @@ class MappedNetwork:
     # -- splitter insertion --------------------------------------------
 
     def insert_splitters(self, lib: CellLibrary):
-        """Give every multi-fanout signal a chain-shaped splitter tree with
-        the most DFF-critical sink nearest the source; f-1 splitters per
-        f-fanout signal.  Each chain is placed right after the instance
-        driving its signal (chains on PIs first), so the instance list
-        stays topological."""
-        self.splitter_cell = lib.splitter
+        """Give every multi-fanout signal a chain-shaped splitter tree, f-1
+        splitters per f-fanout signal, its sinks in order of the pad
+        ``insert_balancing`` gives their edges on the splitter-free network,
+        fewest DFFs nearest the source, instance pins before POs on a tie.
+        Each chain is placed right after the instance driving its signal
+        (chains on PIs first), so the instance list stays topological."""
         self.dff_cell = lib.dff
-        if self.splitter_cell is None or self.dff_cell is None:
+        if lib.splitter is None or self.dff_cell is None:
             raise BalanceError("library lacks splitter or DFF cell")
-        h = self.arrivals()
+        self.insert_balancing()
         cons = {s: c for s, c in self.consumers().items() if len(c) > 1}
-        po_height = max((h[s] for s in self.pos), default=0)
         old, self.instances = self.instances, []
 
-        # estimated DFFs a sink's edge would need, by the arrivals before any
-        # rewiring: fewer = more critical.  A cell's latest fanin arrives
-        # at its output's arrival less its clock.
-        def criticality(sig, sink):
+        def pad(sink):
             i, pin = sink
             if i < 0:
-                return (po_height - h[sig], 1, pin)
-            return (h[old[i].out] - old[i].cell.is_clocked - h[sig], 0, i)
+                return (self.po_pads[pin], 1, pin)
+            return (old[i].pads[pin], 0, i)
 
         for i in range(-1, len(old)):  # -1: the PIs, as in ``driver``
             if i < 0:
@@ -152,11 +147,10 @@ class MappedNetwork:
                     self.driver[sig] = len(self.instances)
                 self.instances.append(old[i])
             for sig in sigs:
-                sinks = sorted(cons.get(sig, ()),
-                               key=lambda c: criticality(sig, c))
+                sinks = sorted(cons.get(sig, ()), key=pad)
                 reads, cur = [], sig  # the signal each sink reads, in order
                 for _ in sinks[1:]:
-                    reads.append(self.add_gate(self.splitter_cell, [cur]))
+                    reads.append(self.add_gate(lib.splitter, [cur]))
                     cur = reads[-1] + 1
                 for (j, pin), new in zip(sinks, reads + [cur]):
                     if j < 0:
@@ -272,7 +266,7 @@ class MappedNetwork:
             name=self.name, pi_names=list(self.pi_names), pos=list(self.pos),
             po_names=list(self.po_names), po_pads=list(self.po_pads),
             const_pos=list(self.const_pos), depth=self.depth,
-            dff_cell=self.dff_cell, splitter_cell=self.splitter_cell)
+            dff_cell=self.dff_cell)
         net.instances = [Instance(i.cell, list(i.fanins), list(i.outs),
                                   list(i.pads)) for i in self.instances]
         net.driver = list(self.driver)

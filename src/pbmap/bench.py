@@ -8,14 +8,14 @@ from .netlist import (SubjectGraph, _and_op, _neg, _or_op, _xor_op,
                       balanced_reduce, random_aig)
 
 
-def kogge_stone_adder(width: int, name: str | None = None) -> SubjectGraph:
+def kogge_stone_adder(width: int) -> SubjectGraph:
     """Kogge-Stone adder with carry-in: s0..s{w-1}, cout.
 
     Generate/propagate pairs (carry-in as prefix element 0) feed the dense
     log-depth parallel-prefix tree; the combine is g_out = g_hi + p_hi*g_lo,
     p_out = p_hi*p_lo.
     """
-    g = SubjectGraph(name=name or f"ksa{width}")
+    g = SubjectGraph(name=f"ksa{width}")
     a = [(g.add_pi(f"a{i}"), False) for i in range(width)]
     b = [(g.add_pi(f"b{i}"), False) for i in range(width)]
     cin = (g.add_pi("cin"), False)
@@ -44,8 +44,8 @@ def kogge_stone_adder(width: int, name: str | None = None) -> SubjectGraph:
     return g
 
 
-def ksa4(name: str = "ksa4") -> SubjectGraph:
-    return kogge_stone_adder(4, name)
+def ksa4() -> SubjectGraph:
+    return kogge_stone_adder(4)
 
 
 # ----------------------------------------------------------------------
@@ -53,8 +53,8 @@ def ksa4(name: str = "ksa4") -> SubjectGraph:
 # ----------------------------------------------------------------------
 
 
-def and_chain(n: int, name: str | None = None) -> SubjectGraph:
-    g = SubjectGraph(name=name or f"chain{n}")
+def and_chain(n: int) -> SubjectGraph:
+    g = SubjectGraph(name=f"chain{n}")
     lits = [(g.add_pi(f"x{i}"), False) for i in range(n)]
     acc = lits[0]
     for lit in lits[1:]:
@@ -63,10 +63,10 @@ def and_chain(n: int, name: str | None = None) -> SubjectGraph:
     return g
 
 
-def alternating_chain(n: int, name: str | None = None) -> SubjectGraph:
+def alternating_chain(n: int) -> SubjectGraph:
     """AND/OR chain with every third input complemented; worst case for a
     depth-greedy cover, cheap for a balancing-aware one."""
-    g = SubjectGraph(name=name or f"altchain{n}")
+    g = SubjectGraph(name=f"altchain{n}")
     lits = [(g.add_pi(f"x{i}"), False) for i in range(n)]
     acc = lits[0]
     for i, lit in enumerate(lits[1:], start=1):
@@ -77,16 +77,16 @@ def alternating_chain(n: int, name: str | None = None) -> SubjectGraph:
     return g
 
 
-def parity(n: int, name: str | None = None) -> SubjectGraph:
-    g = SubjectGraph(name=name or f"parity{n}")
+def parity(n: int) -> SubjectGraph:
+    g = SubjectGraph(name=f"parity{n}")
     lits = [(g.add_pi(f"x{i}"), False) for i in range(n)]
     g.add_po(balanced_reduce(g, lits, _xor_op), "p")
     return g
 
 
-def mux_tree(sel_bits: int, name: str | None = None) -> SubjectGraph:
+def mux_tree(sel_bits: int) -> SubjectGraph:
     """2^sel_bits-to-1 multiplexer built as a tree of 2:1 muxes."""
-    g = SubjectGraph(name=name or f"mux{2 ** sel_bits}")
+    g = SubjectGraph(name=f"mux{2 ** sel_bits}")
     sels = [(g.add_pi(f"s{i}"), False) for i in range(sel_bits)]
     data = [(g.add_pi(f"d{i}"), False) for i in range(2 ** sel_bits)]
     layer = data
@@ -100,9 +100,9 @@ def mux_tree(sel_bits: int, name: str | None = None) -> SubjectGraph:
     return g
 
 
-def comparator(width: int, name: str | None = None) -> SubjectGraph:
+def comparator(width: int) -> SubjectGraph:
     """Equality and greater-than of two unsigned words."""
-    g = SubjectGraph(name=name or f"cmp{width}")
+    g = SubjectGraph(name=f"cmp{width}")
     a = [(g.add_pi(f"a{i}"), False) for i in range(width)]
     b = [(g.add_pi(f"b{i}"), False) for i in range(width)]
     eqs = [_neg(_xor_op(g, x, y)) for x, y in zip(a, b)]
@@ -120,8 +120,8 @@ def comparator(width: int, name: str | None = None) -> SubjectGraph:
     return g
 
 
-def one_hot_decoder(bits: int, name: str | None = None) -> SubjectGraph:
-    g = SubjectGraph(name=name or f"dec{bits}")
+def one_hot_decoder(bits: int) -> SubjectGraph:
+    g = SubjectGraph(name=f"dec{bits}")
     sel = [(g.add_pi(f"s{i}"), False) for i in range(bits)]
     for code in range(2 ** bits):
         terms = [sel[i] if (code >> i) & 1 else _neg(sel[i])
@@ -130,8 +130,8 @@ def one_hot_decoder(bits: int, name: str | None = None) -> SubjectGraph:
     return g
 
 
-def ripple_adder(width: int, name: str | None = None) -> SubjectGraph:
-    g = SubjectGraph(name=name or f"rca{width}")
+def ripple_adder(width: int) -> SubjectGraph:
+    g = SubjectGraph(name=f"rca{width}")
     a = [(g.add_pi(f"a{i}"), False) for i in range(width)]
     b = [(g.add_pi(f"b{i}"), False) for i in range(width)]
     carry = g.const_lit(False)
@@ -148,9 +148,9 @@ def _mux2(g, s, a, b):
     return _or_op(g, _and_op(g, _neg(s), a), _and_op(g, s, b))
 
 
-def barrel_shifter(width: int, name: str | None = None) -> SubjectGraph:
+def barrel_shifter(width: int) -> SubjectGraph:
     """Rotate-left by a log2(width)-bit amount, built from mux layers."""
-    g = SubjectGraph(name=name or f"bshift{width}")
+    g = SubjectGraph(name=f"bshift{width}")
     bits = width.bit_length() - 1
     data = [(g.add_pi(f"d{i}"), False) for i in range(width)]
     sel = [(g.add_pi(f"s{i}"), False) for i in range(bits)]
@@ -164,9 +164,9 @@ def barrel_shifter(width: int, name: str | None = None) -> SubjectGraph:
     return g
 
 
-def priority_encoder(width: int, name: str | None = None) -> SubjectGraph:
+def priority_encoder(width: int) -> SubjectGraph:
     """Highest-set-bit index plus a valid flag."""
-    g = SubjectGraph(name=name or f"prio{width}")
+    g = SubjectGraph(name=f"prio{width}")
     req = [(g.add_pi(f"r{i}"), False) for i in range(width)]
     none_hi = g.const_lit(True)
     bits = (width - 1).bit_length()
@@ -184,9 +184,9 @@ def priority_encoder(width: int, name: str | None = None) -> SubjectGraph:
     return g
 
 
-def alu(width: int, name: str | None = None) -> SubjectGraph:
+def alu(width: int) -> SubjectGraph:
     """4-function ALU: a 2-bit opcode selects sum, AND, OR, or XOR per bit."""
-    g = SubjectGraph(name=name or f"alu{width}")
+    g = SubjectGraph(name=f"alu{width}")
     a = [(g.add_pi(f"a{i}"), False) for i in range(width)]
     b = [(g.add_pi(f"b{i}"), False) for i in range(width)]
     op = [(g.add_pi(f"op{i}"), False) for i in range(2)]
@@ -200,20 +200,6 @@ def alu(width: int, name: str | None = None) -> SubjectGraph:
         g.add_po(_mux2(g, op[1], y0, y1), f"y{i}")
     g.sweep_dangling()
     return g
-
-
-def hitrate_corpus() -> list[SubjectGraph]:
-    """Control-dominated circuits sized like the classic combinational
-    benchmark suites; used for the match-coverage sanity band.  Wide cuts
-    through mux and priority logic dominate, so coverage is far below the
-    small structured corpus."""
-    return [
-        barrel_shifter(16), barrel_shifter(32),
-        priority_encoder(16), priority_encoder(32),
-        mux_tree(5),
-        alu(8), alu(16),
-        ksa4(),
-    ]
 
 
 def corpus() -> list[SubjectGraph]:

@@ -132,28 +132,6 @@ class SubjectGraph:
             }
 
     # ------------------------------------------------------------------
-    # structural identity
-    # ------------------------------------------------------------------
-    def signature(self):
-        """Hashable structural signature, invariant under node renumbering.
-
-        PIs are anchored by name, so two graphs compare equal iff they are
-        the same network up to internal node ids.
-        """
-        memo: dict[int, object] = {CONST0: ("const",)}
-        for nid in self.pis:
-            memo[nid] = ("pi", self.pi_names[nid])
-        for nid in self.topo_order():
-            n = self.nodes[nid]
-            kids = tuple(sorted(((memo[f], c) for f, c in (n.fanin0, n.fanin1)),
-                                key=repr))
-            memo[nid] = ("and", kids)
-        return tuple(
-            (name, memo[p], c)
-            for name, (p, c) in zip(self.po_names, self.pos)
-        )
-
-    # ------------------------------------------------------------------
     # simulation
     # ------------------------------------------------------------------
     def simulate(self, pi_values: dict[int, int]) -> list[int]:
@@ -307,11 +285,8 @@ def _parse_blif(text: str) -> SubjectGraph:
     if not saw_model and not g.pis and not outputs:
         raise NetlistError("not a BLIF file (no .model/.inputs/.outputs)")
 
-    if not outputs:
-        raise NetlistError("no outputs declared")
     for name in outputs:
         g.add_po(_resolve(g, records, lits, name, None, "signal '{}'"), name)
-    g.sweep_dangling()
     return g
 
 
@@ -513,20 +488,24 @@ def _parse_aag(text: str) -> SubjectGraph:
     for k, (lno, lit) in enumerate(out_lits):
         out = _resolve(g, records, lits, lit & ~1, lno, "literal {}")
         g.add_po(_neg(out) if lit % 2 else out, out_names.get(k, f"o{k}"))
-    g.sweep_dangling()
     return g
 
 
 def parse_netlist(text: str) -> SubjectGraph:
     """Parse ascii-AIGER source (text starting with ``aag``) or BLIF into a
-    subject graph.  Its PI names are distinct, and so are its PO names, and
-    none holds whitespace: a netlist written from it declares each as one
-    port.  A PO named like a PI is that PI, uncomplemented, so a netlist
+    subject graph with at least one PO and no node that no PO reads.  Its
+    PI names are distinct, and so are its PO names, and none holds
+    whitespace or ``#`` or ends in ``\\``: a BLIF file written from it
+    declares each as one port, not cut by a comment or joined to the next
+    line.  A PO named like a PI is that PI, uncomplemented, so a netlist
     written from it gives the net one driver."""
     if text.lstrip().startswith("aag"):
         g = _parse_aag(text)
     else:
         g = _parse_blif(text)
+    if not g.pos:
+        raise NetlistError("no outputs declared")
+    g.sweep_dangling()
     pi_names = [g.pi_names[p] for p in g.pis]
     for kind, names in (("input", pi_names), ("output", g.po_names)):
         seen = set()
@@ -535,6 +514,10 @@ def parse_netlist(text: str) -> SubjectGraph:
                 raise NetlistError(f"duplicate {kind} name '{name}'")
             if any(ch.isspace() for ch in name):
                 raise NetlistError(f"{kind} name {name!r} holds whitespace")
+            if "#" in name or name.endswith("\\"):
+                raise NetlistError(f"{kind} name {name!r} holds '#' or ends "
+                                   "in '\\': BLIF reads a comment or a line "
+                                   "continuation there")
             seen.add(name)
     _check_outputs_named_like_inputs(g)
     return g

@@ -50,6 +50,22 @@ def subject_depth(g) -> int:
     return max((levels[p] for p, _ in g.pos), default=0)
 
 
+def signature(g):
+    """Hashable structural signature of subject graph ``g``, invariant
+    under node renumbering.  PIs are anchored by name, so two graphs
+    compare equal iff they are the same network up to internal node ids."""
+    memo: dict[int, object] = {CONST0: ("const",)}
+    for nid in g.pis:
+        memo[nid] = ("pi", g.pi_names[nid])
+    for nid in g.topo_order():
+        n = g.nodes[nid]
+        kids = tuple(sorted(((memo[f], c) for f, c in (n.fanin0, n.fanin1)),
+                            key=repr))
+        memo[nid] = ("and", kids)
+    return tuple((name, memo[p], c)
+                 for name, (p, c) in zip(g.po_names, g.pos))
+
+
 def assert_topological(net):
     """Every fanin of ``net`` is a PI or an output of an earlier instance,
     every PO reads a signal that exists, PI k is signal k, and

@@ -9,8 +9,8 @@ import inspect
 import pytest
 
 import pbmap
-from pbmap import (balance, cli, cuts, flow, library, mapper, netlist, retime,
-                   trees, truthtable)
+from pbmap import (balance, bench, cli, cuts, flow, library, mapper, netlist,
+                   retime, trees, truthtable)
 
 ANALYTICS = ("TreeProfile", "input_pins_from_profile", "tree_leaf_depths",
              "measure_tree", "caterpillar", "double_caterpillar",
@@ -23,13 +23,14 @@ DELETED = {
             "tree_height", "depth_gap_pad_lengths", "depth_gap_buffers"),
     truthtable: ("support", "tt_eval_packed"),
     balance.MappedNetwork: ("gate_count", "edge_list", "topo_instances",
-                            "_rewire"),
+                            "_rewire", "splitter_cell"),
     mapper: ("_positive_candidates", "_negative_candidates"),
     mapper.NodeSolution: ("opt", "point_at"),
     mapper.Match: ("leaf_heights", "is_wire"),
     cuts.Cut: ("signature",),
     netlist.SubjectGraph: ("compute_levels", "depth", "fanins", "is_pi",
-                           "has_const"),
+                           "has_const", "signature"),
+    bench: ("hitrate_corpus",),
     library: ("_PIN_RE", "_eval_expr"),
     library.CellLibrary: ("_single",),
     balance: ("_ports",),
@@ -83,7 +84,7 @@ def test_graph_fields_are_pinned():
     # no PI signal list: PI k is signal k
     assert fields(balance.MappedNetwork) == (
         "name", "pi_names", "instances", "pos", "po_names", "po_pads",
-        "const_pos", "depth", "dff_cell", "splitter_cell", "driver")
+        "const_pos", "depth", "dff_cell", "driver")
 
 
 def test_the_cover_is_a_value():
@@ -124,6 +125,17 @@ OPTIONS = {
 @pytest.mark.parametrize("func", SIGNATURES, ids=lambda f: f.__name__)
 def test_signature_is_pinned(func):
     assert tuple(inspect.signature(func).parameters) == SIGNATURES[func]
+
+
+GENERATORS = [obj for obj in vars(bench).values()
+              if inspect.isfunction(obj) and obj.__module__ == bench.__name__
+              and not obj.__name__.startswith("_")]
+
+
+@pytest.mark.parametrize("func", GENERATORS, ids=lambda f: f.__name__)
+def test_bench_generators_take_no_name(func):
+    # each circuit keeps its default name
+    assert "name" not in inspect.signature(func).parameters
 
 
 @pytest.mark.parametrize("command", OPTIONS)

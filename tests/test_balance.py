@@ -169,6 +169,22 @@ def test_fanout4_gets_three_splitters_critical_first(lib):
     check_balanced(net)
 
 
+def test_chain_puts_instance_pins_before_pos_on_a_tie(lib):
+    # src arrives at the network's depth, so its PO's edge and the edge of
+    # the unclocked inverter reading it both get pad 0
+    net = MappedNetwork(name="tie")
+    and2 = next(c for c in lib.cells if c.name == "and2")
+    assert not lib.inverter.is_clocked
+    src = net.add_gate(and2, [net.add_pi("a"), net.add_pi("b")])
+    net.add_po(src, "p")
+    net.add_po(net.add_gate(lib.inverter, [src]), "q")
+    net.insert_splitters(lib)
+    head, inv = net.instances[1:]
+    assert head.fanins == [src] and inv.cell is lib.inverter
+    cons = net.consumers()
+    assert cons[head.outs[0]] == [(2, 0)] and cons[head.outs[1]] == [(-1, 0)]
+
+
 def test_fanout1_gets_no_splitters(lib, table):
     g = bench.and_chain(5)
     res = map_graph(g, lib, table)

@@ -12,9 +12,10 @@ import hashlib
 
 import pytest
 
-from pbmap import bench, flow
+from pbmap import bench, cuts, flow, mapper
+from pbmap.library import parse_library
 from pbmap.netlist import random_aig
-from conftest import assert_topological, balanced_po_arrivals
+from conftest import DATA, assert_topological, balanced_po_arrivals
 
 # circuit: (dffs_before, dffs_after, jj_total, splitters, depth)
 GOLDEN = {
@@ -162,3 +163,95 @@ def test_instance_list_is_topological(variant, name, mapped, mapped_variant):
     res = mapped(name) if variant == "dp" else mapped_variant(variant, name)
     for net in (res.before, res.before.copy(), res.after):
         assert_topological(net)
+
+
+@pytest.fixture(scope="module")
+def splitter_free(lib, table, clocked_lib, clocked_table):
+    """``(library, circuit)`` -> the library and the cover ``map_graph``
+    instantiates, before splitters: a fresh copy per call.  Libraries: the
+    bundled one, the clocked-inverter one, and the bundled one with a
+    clocked splitter, whose cover is the bundled library's."""
+    text = (DATA / "sfq.genlib").read_text()
+    split = next(line for line in text.splitlines()
+                 if line.split()[:2] == ["GATE", "split"])
+    clocked_split = parse_library(
+        text.replace(split, split.replace("CLOCKED=0", "CLOCKED=1")))
+    assert clocked_split.splitter.is_clocked
+    libs = {"bundled": (lib, table), "clocked_inv": (clocked_lib, clocked_table),
+            "clocked_split": (clocked_split, table)}
+    cache = {}
+
+    def get(library, name):
+        lib, table = libs[library]
+        if (table, name) not in cache:
+            g = CIRCUITS[name]()
+            sols = mapper.map_dag(g, cuts.enumerate_cuts(g, k=table.k), table)
+            cache[table, name] = mapper.choose_cover(sols, g).instantiate()[0]
+        return lib, cache[table, name].copy()
+    return get
+
+
+def splitter_chains(net):
+    """Every splitter chain of ``net`` as its sinks, ``(instance, pin)`` or
+    ``(-1, po)``, from the source: each splitter's first output feeds a
+    sink, its second the next splitter or the last sink."""
+    cons = net.consumers()
+
+    def is_splitter(i):
+        return i >= 0 and net.instances[i].cell.kind == "splitter"
+
+    for sig, (sink,) in cons.items():  # every signal has one reader
+        if is_splitter(net.driver[sig]) or not is_splitter(sink[0]):
+            continue
+        sinks = []
+        while is_splitter(sink[0]):
+            sp = net.instances[sink[0]]
+            sinks += cons[sp.outs[0]]
+            (sink,) = cons[sp.outs[1]]
+        yield sinks + [sink]
+
+
+@pytest.mark.parametrize("library", ["bundled", "clocked_inv",
+                                     "clocked_split"])
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_splitter_chains_run_in_pad_order(name, library, splitter_free):
+    # each chain's sinks in ascending order of the pad balancing gives their
+    # edges before any splitter is placed, instance pins before POs on a tie
+    # and instances in list order, whether the splitter is clocked or not
+    lib, net = splitter_free(library, name)
+    pads = net.copy().insert_balancing()
+    net.insert_splitters(lib)
+    old = [i for i, inst in enumerate(net.instances)
+           if inst.cell.kind != "splitter"]
+    index = {i: k for k, i in enumerate(old)}  # position before splitters
+    assert len(old) == len(pads.instances)
+
+    def key(sink):
+        i, pin = sink
+        if i < 0:
+            return (pads.po_pads[pin], 1, pin)
+        return (pads.instances[index[i]].pads[pin], 0, index[i])
+
+    chains = [[key(s) for s in sinks] for sinks in splitter_chains(net)]
+    assert sum(len(keys) - 1 for keys in chains) == net.splitter_count > 0
+    assert all(keys == sorted(keys) for keys in chains)
+    # the order is not vacuous: some chain's sinks differ in pad, but in
+    # rca64, whose every chain's sinks share one pad
+    assert any(keys[0][0] < keys[-1][0] for keys in chains) == (
+        name != "rca64")
+    net.insert_balancing()
+    net.validate()
+
+
+@pytest.mark.parametrize("library", ["bundled", "clocked_inv"])
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_unclocked_splitters_move_no_pad(name, library, splitter_free):
+    # the pads the chains are ordered by are the final balancing DFFs
+    lib, net = splitter_free(library, name)
+    assert not lib.splitter.is_clocked
+    pads = net.copy().insert_balancing()
+    net.insert_splitters(lib)
+    net.insert_balancing()
+    golden = (GOLDEN[name] if library == "bundled"
+              else GOLDEN_VARIANTS["clocked_inv", name])
+    assert net.dff_total == pads.dff_total == golden[0]

@@ -11,7 +11,7 @@ from pbmap.netlist import (CONST0, AndNode, NetlistError, SubjectGraph, _and_op,
                            parse_netlist, random_aig, write_aag, write_blif,
                            write_netlist)
 
-from conftest import subject_depth
+from conftest import signature, subject_depth
 
 
 def chain4():
@@ -77,7 +77,7 @@ def test_blif_round_trip_signature():
     g = bench.ripple_adder(3)
     text = write_blif(g)
     g2 = parse_netlist(text)
-    assert g2.signature() == g.signature()
+    assert signature(g2) == signature(g)
     # simulate agreement on random patterns
     rng = random.Random(3)
     for _ in range(20):
@@ -90,7 +90,7 @@ def test_aag_round_trip_signature():
     g = bench.comparator(3)
     text = write_aag(g)
     g2 = parse_netlist(text)
-    assert g2.signature() == g.signature()
+    assert signature(g2) == signature(g)
 
 
 def test_write_netlist_format_dispatch():
@@ -161,8 +161,8 @@ def test_aag_ands_may_come_in_any_order():
     # f = a & (a & b): the AND on line 5 reads the one on line 6
     ordered = "aag 4 2 0 1 2\n2\n4\n8\n6 2 4\n8 6 2\n"
     forward = "aag 4 2 0 1 2\n2\n4\n8\n8 6 2\n6 2 4\n"
-    assert parse_netlist(forward).signature() == \
-        parse_netlist(ordered).signature()
+    assert signature(parse_netlist(forward)) == \
+        signature(parse_netlist(ordered))
     # an ordered file keeps its node ids: one per AND line, in file order
     g = parse_netlist("aag 4 2 0 2 2\n2\n4\n6\n8\n6 2 4\n8 3 5\n")
     assert g.nodes == {3: AndNode((1, False), (2, False)),
@@ -215,7 +215,7 @@ NAME_CLASHES = {
 def test_write_blif_names_nets_apart_from_ports(text):
     g = parse_netlist(text)
     again = parse_netlist(write_blif(g))
-    assert again.signature() == g.signature()
+    assert signature(again) == signature(g)
     assert write_blif(again) == write_blif(g)
 
 
@@ -250,8 +250,14 @@ def test_write_blif_rejects_po_named_like_another_pi():
      "output 'a' is named like an input"),
     (GOOD_AAG.replace("i0 a", "i0 my in"), "input name 'my in' holds"),
     (GOOD_AAG.replace("o0 f", "o0 f g"), "output name 'f g' holds"),
+    # BLIF reads a '#' as a comment and a line-final '\' as a continuation
+    (GOOD_AAG.replace("i0 a", "i0 a#b"), "input name 'a#b' holds '#'"),
+    (GOOD_AAG.replace("o0 f", "o0 f\\"), r"output name 'f\\\\' holds"),
+    (".model t\n.inputs a\\ b\n.outputs f\n.names a\\ b f\n11 1\n.end\n",
+     r"input name 'a\\\\' holds"),
 ], ids=["aag-and", "aag-complemented", "aag-input-space",
-        "aag-output-space"])
+        "aag-output-space", "aag-input-hash", "aag-output-backslash",
+        "blif-input-backslash"])
 def test_port_name_a_netlist_cannot_declare_rejected(text, match):
     with pytest.raises(NetlistError, match=match):
         parse_netlist(text)
@@ -262,6 +268,14 @@ def test_po_that_is_its_own_pi_accepted():
     g = parse_netlist(GOOD_AAG.replace("\n6\n6 2 4", "\n2\n6 2 4")
                       .replace("o0 f", "o0 a"))
     assert g.pos == [(g.pis[0], False)] and g.po_names == ["a"]
+
+
+@pytest.mark.parametrize("text", [
+    "aag 1 1 0 0 0\n2\n", ".model e\n.inputs a\n.outputs\n.end\n"],
+    ids=["aag", "blif"])
+def test_netlist_without_outputs_rejected(text):
+    with pytest.raises(NetlistError, match="no outputs declared"):
+        parse_netlist(text)
 
 
 @pytest.mark.parametrize("text,line", BAD_AAG)
@@ -322,11 +336,11 @@ def test_blif_sop_semantics():
 def test_random_aig_deterministic_and_bounded():
     g1 = random_aig(80, 8, seed=5, n_pos=4)
     g2 = random_aig(80, 8, seed=5, n_pos=4)
-    assert g1.signature() == g2.signature()
+    assert signature(g1) == signature(g2)
     assert len(g1.pis) == 8
     assert len(g1.pos) == 4
     g3 = random_aig(80, 8, seed=6, n_pos=4)
-    assert g3.signature() != g1.signature()
+    assert signature(g3) != signature(g1)
 
 
 def test_add_po_resets_the_fanout_cache():
@@ -426,7 +440,7 @@ def test_shuffled_blif_is_out_of_dependency_order():
     assert any(defined_at.get(net, -1) > i
                for i, rec in enumerate(records) for net in rec[:-1])
     g2 = parse_netlist(text)
-    assert g2.signature() == g.signature()
+    assert signature(g2) == signature(g)
 
 
 def test_nodes_cannot_be_passed_in():
@@ -471,7 +485,7 @@ def test_gate_reads_as_its_names_record(gate, upper):
     head = ".model t\n.inputs x y\n.outputs f\n"
     g = parse_netlist(f"{head}{line}\n.end\n")
     names = parse_netlist(f"{head}{gate_as_names(line)}\n.end\n")
-    assert g.signature() == names.signature()
+    assert signature(g) == signature(names)
     x, y = g.pis
     xs, ys = 0b1010, 0b1100
     want = func(xs, ys) if len(pins) == 2 else func(xs)

@@ -143,7 +143,6 @@ def expand_match(lib, sg, heights):
     chain of DFF cells of the requested height."""
     net = MappedNetwork(name="cone")
     net.dff_cell = lib.dff
-    net.splitter_cell = lib.splitter
     leaf_sigs = [net.add_pi(f"x{i}") for i in range(len(heights))]
     for i, h in enumerate(heights):
         for _ in range(h):
@@ -184,7 +183,6 @@ def shared_source_net(lib):
     net.add_po(s1, "o1")
     net.add_po(s2, "o2")
     net.dff_cell = lib.dff
-    net.splitter_cell = lib.splitter
     net.insert_balancing()
     return net
 
